@@ -13,6 +13,7 @@ import math
 import sys
 import time
 from dataclasses import dataclass
+from itertools import combinations
 
 import numpy as np
 
@@ -69,8 +70,10 @@ def _emit(text, out_path):
 
 
 def _mirror(K):
-    flip = np.array([[-1.0, 0.0], [0.0, 1.0]])
-    return VPolytope(K.vertices @ flip.T)
+    """K reflected in the first coordinate, in any dimension."""
+    flip = np.ones(K.dim)
+    flip[0] = -1.0
+    return VPolytope(K.vertices * flip)
 
 
 def _build_net(K, epsilon):
@@ -134,23 +137,29 @@ def cmd_demo(config: RunConfig) -> int:
 
 
 def _demo_picture(config: RunConfig, samples):
-    """Redraw one certified inflation exactly as the demo's first subset."""
+    """Redraw one certified inflation exactly as the demo found it.
+
+    The copy drawn is that of the first subset, in the demo's order, whose
+    half-planes bound the scale; a capped copy sits at the search budget
+    and would not fit the picture.
+    """
     root = config.seed % (2 ** 63)
     rng = np.random.default_rng(np.random.SeedSequence([root, 0]))
     K = cap_body(config.n, margin=math.pi / (2 * config.n))
     phase = float(rng.uniform(0.0, 2.0 * math.pi))
     family = TangentFamily.at_angles(
         phase + 2.0 * math.pi * np.arange(samples) / samples)
-    subset = tuple(range(config.n))
-    sub_seed = np.random.SeedSequence([root, 1, *subset])
     placement = None
-    try:
-        result = inflation_search(K, family.take(subset),
-                                  seed=int(sub_seed.generate_state(1)[0]))
+    for subset in combinations(range(samples), config.n):
+        sub_seed = np.random.SeedSequence([root, 1, *subset])
+        try:
+            result = inflation_search(K, family.take(subset),
+                                      seed=int(sub_seed.generate_state(1)[0]))
+        except SearchFailure:
+            continue
         if not result.capped:
             placement = result.placement
-    except SearchFailure:
-        pass
+            break
     render_demo_svg(K, family, placement, path=config.svg)
 
 

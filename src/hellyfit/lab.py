@@ -25,15 +25,21 @@ from .geometry import (
     shape_digest,
 )
 from .lp import (
+    FIT_TOL,
+    OPTIMAL,
     UNBOUNDED,
+    LpInstance,
     beta_fixed_rotation,
+    build_beta_instance,
     fit_check,
+    seidel_lp,
 )
 from .nets import build_net_2d
 from .solver import beta_direct
 
 TWO_PI = 2.0 * math.pi
 INFLATION_BUDGET = 1e6   # scale cap when a subfamily cannot bound the copy
+RECESSION_BOX = 1e6      # |a_k| bound of the recession LP, in units of max |h_AK|
 DEMO_NET_EPS = 0.05      # net accuracy for the full-family fit in the demo
 SUBSET_CAP = 10 ** 4     # exhaustive subset check limit, else sampled
 MEASURE_TOL = 1e-12
@@ -227,16 +233,46 @@ def _largest_gap_direction(arcs: CircleArcs):
     return best_mid % TWO_PI
 
 
+def _scale_recession(K, rotation, P):
+    """Translation a0 such that (a0, 1) is a recession direction of the scale LP.
+
+    The scale of a copy inside P is unbounded exactly when the recession
+    cone of the fit LP, <u_i, a> + alpha * h_AK(u_i) <= 0 for every i, holds
+    a point with alpha = 1; then a + s*(a0, 1) stays feasible for all s >= 0
+    from any feasible (a, alpha).  The cone's LP adds alpha <= 1 and a box
+    |a_k| <= RECESSION_BOX * max |h_AK| (as rows with offset 1, so the
+    solver's tolerance stays absolute).  Returns None when the scale is
+    bounded.
+    """
+    inst = build_beta_instance(K, rotation, P)
+    n, d = len(P), K.dim
+    reach = RECESSION_BOX * max(1.0, float(np.max(np.abs(inst.rows[:n, d]))))
+    box = np.hstack([np.vstack([np.eye(d), -np.eye(d)]) / reach, np.zeros((2 * d, 1))])
+    cap = np.zeros((1, d + 1))
+    cap[0, d] = 1.0
+    rows = np.vstack([inst.rows, cap, box])
+    bounds = np.concatenate([np.zeros(n + 1), np.ones(1 + 2 * d)])
+    res = seidel_lp(LpInstance.maximize_last(rows, bounds))
+    if res.status != OPTIMAL or res.value < 1.0 - FIT_TOL:
+        return None
+    return res.witness[:d]
+
+
+def _inside(K, placement, P):
+    """Does every vertex image of the placement obey every half-space (within 1e-9)?"""
+    pts = placement.apply_points(K.vertices)
+    tol = FIT_TOL * np.maximum(1.0, np.abs(P.offsets))
+    return bool(np.all(P.normals @ pts.T <= (P.offsets + tol)[:, None]))
+
+
 def _boxed_scale_placement(K, rotation, P, budget, seed):
-    """Best placement when the plain fit reports an unbounded ray.
+    """Best placement when the plain fit recedes but the scale is bounded.
 
     A subfamily whose normals leave a translation direction free makes the
     fit LP recede even when the scale itself stays finite (two opposite
-    tangents pin the scale but let the copy slide along their strip), so the
-    plain solve cannot tell a huge optimum from a merely degenerate one.
+    tangents pin the scale but let the copy slide along their strip).
     Boxing the container at twice the budget restores boundedness without
-    touching any optimum below the budget; the scale that comes back
-    separates the two cases.
+    touching any optimum below the budget.
     """
     box = np.array([[1.0, 0.0], [-1.0, 0.0], [0.0, 1.0], [0.0, -1.0]])
     boxed = HPolytope(np.vstack([P.normals, box]),
@@ -276,7 +312,10 @@ def inflation_search(K, family: TangentFamily, seed=0,
     point, nudge the body toward the hole, then let an LP pick the best
     translation and scale at that rotation.  The result is certified by an
     independent fit check before being returned; a certified scale above 1
-    is never claimed otherwise.
+    is never claimed otherwise.  A subfamily whose scale LP has a recession
+    direction with positive scale cannot bound the copy: it is reported
+    `capped`, with a placement at the budget scale that is checked against
+    every half-plane.
     """
     n = len(family)
     arcs = getattr(K, "boundary_arcs", None) or CircleArcs(())
@@ -302,18 +341,21 @@ def inflation_search(K, family: TangentFamily, seed=0,
         lp_seed = int(rng.integers(2 ** 31))
         res = beta_fixed_rotation(K, rotation, P, seed=lp_seed, canonical=False)
         if res.status == UNBOUNDED:
-            value, placement = _boxed_scale_placement(K, rotation, P,
-                                                      INFLATION_BUDGET, lp_seed)
-            if value >= INFLATION_BUDGET:
-                # the scale itself is unbounded; report it at the budget
-                at_budget = Placement(placement.translation, INFLATION_BUDGET,
+            a0 = _scale_recession(K, rotation, P)
+            if a0 is not None:
+                # the scale itself is unbounded; report it at the budget,
+                # moved out from the origin (inside every tangent half-plane)
+                # along the recession direction
+                at_budget = Placement(INFLATION_BUDGET * a0, INFLATION_BUDGET,
                                       rotation)
-                if fit_check(K, rotation, at_budget.scale, P, seed=lp_seed):
+                if _inside(K, at_budget, P):
                     return InflationResult(at_budget.scale - 1.0, at_budget,
                                            tries, eps1, capped=True)
-                last = ("budget placement failed its fit check", value)
+                last = ("budget placement leaves the subfamily", theta)
                 continue
             # only a translation ray receded; the scale optimum is real
+            value, placement = _boxed_scale_placement(K, rotation, P,
+                                                      INFLATION_BUDGET, lp_seed)
             if value > 1.0 and fit_check(K, rotation, value, P, seed=lp_seed):
                 return InflationResult(value - 1.0, placement, tries, eps1)
             last = ("no inflation at this rotation", value, theta, dist)

@@ -265,36 +265,57 @@ class BetaResult:
         return self.status == OPTIMAL
 
 
-def build_beta_instance(K: VPolytope, rotation: Rotation, P: HPolytope) -> LpInstance:
-    """LP over (a, alpha): every vertex image a + alpha*A*v obeys every row.
+def support_values(K: VPolytope, rotation: Rotation, normals) -> np.ndarray:
+    """h_AK(u_i) = max_j <u_i, A v_j> for every row u_i of `normals`."""
+    W = K.vertices @ rotation.matrix.T
+    return np.max(normals @ W.T, axis=1)
 
-    The constraint matrix has exactly len(P) * len(K) rows, one per
-    half-space/vertex pair; checking vertices suffices because the copy is
-    their convex hull.
+
+def build_beta_instance(K: VPolytope, rotation: Rotation, P: HPolytope) -> LpInstance:
+    """LP over (a, alpha): maximize alpha with a + alpha*A*K inside P.
+
+    The constraint matrix has exactly len(P) + 1 rows.  Row i is
+    <u_i, a> + alpha * h_AK(u_i) <= b_i with h_AK(u) = max_j <u, A v_j>, and
+    the last row is -alpha <= 0.  For alpha >= 0 row i holds exactly when
+    every vertex image a + alpha*A*v_j obeys half-space i, and the copy is
+    the convex hull of those images; the sign row also makes an empty P
+    infeasible outright.
     """
     if K.dim != P.dim or rotation.dim != K.dim:
         raise ValueError("body, rotation and container disagree on dimension")
     d = K.dim
     U, off = P.normals, P.offsets
-    W = K.vertices @ rotation.matrix.T
-    n, m = U.shape[0], W.shape[0]
-    rows = np.empty((n * m, d + 1))
-    rows[:, :d] = np.repeat(U, m, axis=0)
-    rows[:, d] = (U @ W.T).reshape(-1)
-    bounds = np.repeat(off, m)
+    n = U.shape[0]
+    rows = np.zeros((n + 1, d + 1))
+    rows[:n, :d] = U
+    rows[:n, d] = support_values(K, rotation, U)
+    rows[n, d] = -1.0
+    bounds = np.concatenate([off, [0.0]])
     return LpInstance.maximize_last(rows, bounds)
 
 
 def _lex_min_translation(inst, best_value, d, seed):
-    """Among optimal placements, pick the lexicographically smallest translation."""
+    """Among optimal placements, pick the lexicographically smallest translation.
+
+    Each pin row is scaled down until its offset is at most the largest
+    offset of `inst` (and at least 1), so pinning never raises seidel_lp's
+    offset normalization, and with it the tolerance on the rows of P.
+    """
     rows, bounds = inst.rows, inst.bounds
-    pin_rows = [np.concatenate([np.zeros(d), [-1.0]])]
-    pin_bounds = [-(best_value - CANON_SLACK)]
+    cap = max(1.0, float(np.max(np.abs(bounds))))
+    pin_rows, pin_bounds = [], []
+
+    def pin(row, bound):
+        shrink = min(1.0, cap / abs(bound)) if bound else 1.0
+        pin_rows.append(row * shrink)
+        pin_bounds.append(bound * shrink)
+
+    pin(np.concatenate([np.zeros(d), [-1.0]]), -(best_value - CANON_SLACK))
     witness = None
     for i in range(d):
         obj = np.zeros(d + 1)
         obj[i] = -1.0
-        sub = LpInstance(np.vstack([rows] + [np.atleast_2d(r) for r in pin_rows]),
+        sub = LpInstance(np.vstack([rows] + pin_rows),
                          np.concatenate([bounds, pin_bounds]), obj)
         res = seidel_lp(sub, seed=seed + 7919 * (i + 1))
         if res.status != OPTIMAL:
@@ -302,8 +323,7 @@ def _lex_min_translation(inst, best_value, d, seed):
         witness = res.witness
         e = np.zeros(d + 1)
         e[i] = 1.0
-        pin_rows.append(e)
-        pin_bounds.append(float(witness[i]) + CANON_SLACK)
+        pin(e, float(witness[i]) + CANON_SLACK)
     return witness
 
 
@@ -311,31 +331,31 @@ def beta_fixed_rotation(K: VPolytope, rotation: Rotation, P: HPolytope,
                         seed=0, canonical=True) -> BetaResult:
     """Largest alpha >= 0 with a + alpha * A * K inside P, at rotation A.
 
-    An empty container reports status "infeasible" with value 0; a container
-    that lets the copy grow forever reports "unbounded".  With `canonical`
-    the witness translation is the lexicographic minimum among optima, so
-    repeated runs (any seed) agree on the placement, not just the value.
+    Solves the len(P) + 1 row LP of `build_beta_instance`; `tight_rows` are
+    the half-spaces of P among its pinning rows (the sign row is not one).
+    An empty container reports status "infeasible" with value 0; a
+    container that lets the copy grow forever reports "unbounded".  With
+    `canonical` the witness translation is the lexicographic minimum among
+    optima, so repeated runs (any seed) agree on the placement, not just
+    the value.
     """
     inst = build_beta_instance(K, rotation, P)
     res = seidel_lp(inst, seed=seed)
-    d = K.dim
-    m = len(K)
     if res.status == INFEASIBLE:
         return BetaResult(0.0, None, INFEASIBLE, ())
     if res.status == UNBOUNDED:
         return BetaResult(math.inf, None, UNBOUNDED, ())
-    if res.value < -1e-12:
-        # even a single point cannot be placed: the container is empty
-        return BetaResult(0.0, None, INFEASIBLE, ())
+    d = K.dim
     value = max(res.value, 0.0)
     witness = res.witness
     if canonical:
         lex = _lex_min_translation(inst, value, d, seed)
         if lex is not None:
             witness = lex
-    owners = tuple(sorted({int(r) // m for r in res.tight_set}))
+    n = len(P)
+    tight = tuple(sorted(int(r) for r in res.tight_set if r < n))
     placement = Placement(witness[:d], value, rotation)
-    return BetaResult(value, placement, OPTIMAL, owners)
+    return BetaResult(value, placement, OPTIMAL, tight)
 
 
 def fit_check(K: VPolytope, rotation: Rotation, scale, P: HPolytope, seed=0) -> bool:

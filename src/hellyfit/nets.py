@@ -32,11 +32,9 @@ from .geometry import (
     shape_digest,
 )
 from .lp import (
-    LpInstance,
     beta_fixed_rotation,
     chebyshev_inradius,
     fit_check,
-    seidel_lp,
 )
 
 TOUCH_TOL = 1e-9       # a fit margin this small counts as a boundary contact
@@ -111,27 +109,17 @@ class RotationNet:
 def _margin_fn(K: VPolytope, epsilon: float):
     """Fit margin as a function of the rotation angle.
 
-    Uses the support-function form of the scale LP: for alpha >= 0 the
-    vertex constraint rows of one facet are all dominated by the row built
-    from max_j <u_i, A v_j>, so |P| + 1 rows decide the same optimum as the
-    full |P|*|K| matrix.  The equivalence is pinned by a test against
-    beta_fixed_rotation.
+    The margin is the fixed-rotation scale of K inside its own hull, less
+    1 - eps, from `beta_fixed_rotation` without canonicalization: one LP of
+    |P| + 1 support-function rows per angle.  A status other than optimal
+    gives margin -1.
     """
     PK = K.hull_halfspaces()
     target = 1.0 - epsilon
-    U, off = PK.normals, PK.offsets
-    V = K.vertices
-    n, d = U.shape
-    alpha_row = np.zeros(d + 1)
-    alpha_row[d] = -1.0
 
     def margin(theta):
-        A = Rotation.from_angle(theta)
-        support = np.max(U @ (V @ A.matrix.T).T, axis=1)
-        rows = np.vstack([np.hstack([U, support[:, None]]), alpha_row])
-        inst = LpInstance.maximize_last(rows, np.concatenate([off, [0.0]]))
-        res = seidel_lp(inst)
-        if res.status != "optimal":
+        res = beta_fixed_rotation(K, Rotation.from_angle(theta), PK, canonical=False)
+        if not res.ok:
             return -1.0
         return res.value - target
 

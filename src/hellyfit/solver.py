@@ -24,7 +24,7 @@ from .geometry import (
     VPolytope,
     shape_digest,
 )
-from .lp import OPTIMAL, beta_fixed_rotation
+from .lp import OPTIMAL, beta_fixed_rotation, support_values
 from .nets import RotationNet, build_net_2d
 
 TIE_TOL = 1e-12      # relative slack when picking the winning rotation
@@ -183,10 +183,14 @@ def beta_direct(K: VPolytope, net: RotationNet, P: HPolytope, seed=0) -> FitResu
     return out
 
 
-def _violators(K, placement, P):
-    """Indices of half-spaces some vertex image of the placement leaves."""
-    img = placement.apply_points(K.vertices)
-    depth = (P.normals @ img.T).max(axis=1)
+def _violators(placement, support, P):
+    """Indices of half-spaces the placed copy leaves.
+
+    `support` holds h_AK(u_i) for every half-space at the placement's
+    rotation, so each test is the scale LP's own row
+    <u_i, a> + s * h_AK(u_i) <= b_i.
+    """
+    depth = P.normals @ placement.translation + placement.scale * support
     tol = VIOL_TOL * np.maximum(1.0, np.abs(P.offsets)) + 1e-13
     return np.nonzero(depth > P.offsets + tol)[0]
 
@@ -198,7 +202,10 @@ def beta_msw(K: VPolytope, net: RotationNet, P: HPolytope, seed=0) -> FitResult:
     that ever violated a trial placement.  A round is kept only when it
     produces few violators, so at most len(net) * (d + 1) rounds can be
     kept before no half-space objects; the value is then certified by one
-    full-family solve at the winning rotation.
+    full-family solve at the winning rotation.  When sampling cannot finish
+    (samples that stay unbounded, a certification that disagrees with the
+    sample, or the round cap), it sweeps the full family with `beta_direct`,
+    sets `stats.fallback` and names the cause in `stats.note`.
     """
     if K.dim != P.dim or net.dim != K.dim:
         raise ValueError("body, net and container disagree on dimension")
@@ -218,6 +225,7 @@ def beta_msw(K: VPolytope, net: RotationNet, P: HPolytope, seed=0) -> FitResult:
     accept_bound = 2.0 * math.sqrt(n)
     round_cap = 8 * (delta + 2)
     escalations = 0
+    supports = {}   # net index -> h_AK(u_i) over all of P, built on first use
 
     for _ in range(round_cap):
         rest = np.nonzero(~keep)[0]
@@ -231,6 +239,7 @@ def beta_msw(K: VPolytope, net: RotationNet, P: HPolytope, seed=0) -> FitResult:
             # the sample leaves the copy unbounded: widen and retry
             escalations += 1
             if escalations > 3 or sample_size >= n:
+                reason = f"samples left the copy unbounded after {escalations} widenings"
                 break
             sample_size = min(n, sample_size * 2)
             continue
@@ -238,7 +247,9 @@ def beta_msw(K: VPolytope, net: RotationNet, P: HPolytope, seed=0) -> FitResult:
             stats.note = "container is empty"
             stats.wall_time_s = time.perf_counter() - start
             return FitResult(0.0, None, [], "msw", stats, i_star)
-        bad = _violators(K, results[i_star].placement, P)
+        if i_star not in supports:
+            supports[i_star] = support_values(K, net.rotations[i_star], P.normals)
+        bad = _violators(results[i_star].placement, supports[i_star], P)
         stats.violation_tests += n
         if bad.size == 0:
             final = beta_fixed_rotation(K, net.rotations[i_star], P,
@@ -247,7 +258,10 @@ def beta_msw(K: VPolytope, net: RotationNet, P: HPolytope, seed=0) -> FitResult:
             stats.lp_calls += 1
             drift = abs(final.value - best) > 1e-6 * max(1.0, abs(best))
             if final.status != OPTIMAL or drift:
-                break   # should not happen; re-derive everything plainly
+                # should not happen; re-derive everything plainly
+                reason = (f"full-family certification disagreed with the sample "
+                          f"({final.status}, {final.value!r} against {best!r})")
+                break
             basis = sorted({int(subset[j]) for r in results for j in r.tight_rows}
                            | set(final.tight_rows))
             if len(basis) > delta:
@@ -257,12 +271,15 @@ def beta_msw(K: VPolytope, net: RotationNet, P: HPolytope, seed=0) -> FitResult:
                              i_star)
         if bad.size <= accept_bound:
             keep[bad] = True
+    else:
+        # round budget exhausted (adversarial or degenerate input)
+        reason = f"sampling rounds exhausted after {round_cap} rounds"
 
-    # round budget exhausted (adversarial or degenerate input): do it plainly
     inner = beta_direct(K, net, P, seed=seed)
     stats.lp_calls += inner.stats.lp_calls
     stats.fallback = True
-    stats.note = "sampling rounds exhausted, swept the full family"
+    stats.note = "; ".join(filter(None, [f"{reason}, swept the full family",
+                                         inner.stats.note]))
     stats.wall_time_s = time.perf_counter() - start
     return FitResult(inner.beta, inner.placement, inner.basis, "msw", stats,
                      inner.rotation_index)

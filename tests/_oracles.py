@@ -10,7 +10,7 @@ import math
 
 import numpy as np
 
-from hellyfit.lp import BOX_BOUND, INFEASIBLE, OPTIMAL, UNBOUNDED
+from hellyfit.lp import BOX_BOUND, INFEASIBLE, OPTIMAL, UNBOUNDED, LpInstance
 
 ORACLE_FEAS_TOL = 1e-9
 
@@ -49,6 +49,42 @@ def lp_vertex_oracle(instance):
     if np.max(np.abs(best_x)) >= (1.0 - 1e-6) * BOX_BOUND:
         return UNBOUNDED, math.inf
     return OPTIMAL, scale * best_val
+
+
+def vertex_beta_instance(K, rotation, P):
+    """The fixed-rotation scale LP in its n*m vertex rows.
+
+    Row (i, j) is <u_i, a> + alpha * <u_i, A v_j> <= b_i, one per half-space
+    i and vertex j, ordered half-space major, so row r belongs to half-space
+    r // m.  There is no sign row on alpha.
+    """
+    U, off = P.normals, P.offsets
+    W = K.vertices @ rotation.matrix.T
+    n, m, d = U.shape[0], W.shape[0], U.shape[1]
+    rows = np.empty((n * m, d + 1))
+    rows[:, :d] = np.repeat(U, m, axis=0)
+    rows[:, d] = (U @ W.T).reshape(-1)
+    return LpInstance.maximize_last(rows, np.repeat(off, m))
+
+
+def highs_scale(K, rotation, P):
+    """Fixed-rotation scale from scipy's HiGHS: a float, math.inf, or None if P is empty."""
+    from scipy.optimize import linprog
+
+    U, b = P.normals, P.offsets
+    h = (U @ (K.vertices @ rotation.matrix.T).T).max(axis=1)
+    d = U.shape[1]
+    c = np.zeros(d + 1)
+    c[-1] = -1.0
+    res = linprog(c, A_ub=np.hstack([U, h[:, None]]), b_ub=b,
+                  bounds=[(None, None)] * d + [(0.0, None)], method="highs")
+    if res.status == 0:
+        return float(-res.fun)
+    if res.status == 3:
+        return math.inf
+    if res.status == 2:
+        return None
+    raise RuntimeError(f"HiGHS failed: {res.message}")
 
 
 def beta_angle_scan(K, P, angles, seed=0):

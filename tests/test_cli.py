@@ -7,7 +7,8 @@ import xml.etree.ElementTree as ET
 import numpy as np
 import pytest
 
-from hellyfit.cli import RunConfig, main
+from hellyfit.cli import RunConfig, _mirror, main
+from hellyfit.geometry import VPolytope
 
 FIT_KEYS = {"beta", "placement", "basis", "method", "stats"}
 PLACEMENT_KEYS = {"translation", "scale", "rotation"}
@@ -270,3 +271,12 @@ def test_unknown_subcommand_exits_via_argparse(capsys):
     with pytest.raises(SystemExit) as info:
         main(["warble"])
     assert info.value.code == 2
+
+
+def test_mirror_reflects_first_coordinate_in_3d():
+    cube = VPolytope(np.array([[x, y, z] for x in (0.0, 1.0) for y in (0.0, 2.0)
+                               for z in (0.0, 3.0)]))
+    m = _mirror(cube)
+    assert m.dim == 3
+    assert np.array_equal(m.vertices[:, 0], -cube.vertices[:, 0])
+    assert np.array_equal(m.vertices[:, 1:], cube.vertices[:, 1:])

@@ -22,6 +22,8 @@ from hellyfit.lab import (
 )
 from hellyfit.lp import beta_fixed_rotation
 
+from _oracles import highs_scale
+
 TWO_PI = 2.0 * math.pi
 MEASURE_TOL = 1e-9
 RADIUS_TOL = 1e-6
@@ -213,6 +215,49 @@ def test_inflation_search_caps_a_single_half_plane():
     assert result.capped
     assert result.delta2 == pytest.approx(INFLATION_BUDGET - 1.0, rel=1e-12)
     assert result.placement.scale == pytest.approx(INFLATION_BUDGET, rel=1e-12)
+
+
+def _demo_search(demo_seed, samples, subset, n=3):
+    """Re-run the inflation search that lower_bound_demo makes for one subset.
+
+    Rebuilds the demo's body, phase and per-subset search seed the way
+    lower_bound_demo derives them from its seed.
+    """
+    root = int(demo_seed) % (2 ** 63)
+    rng = np.random.default_rng(np.random.SeedSequence([root, 0]))
+    body = cap_body(n, margin=math.pi / (2 * n))
+    phase = float(rng.uniform(0.0, TWO_PI))
+    fam = TangentFamily.at_angles(phase + TWO_PI * np.arange(samples) / samples)
+    sub = fam.take(subset)
+    seed = int(np.random.SeedSequence([root, 1, *subset]).generate_state(1)[0])
+    return body, sub.halfspaces, inflation_search(body, sub, seed=seed)
+
+
+def _leaves_by(body, placement, P):
+    pts = placement.apply_points(body.vertices)
+    return float((P.normals @ pts.T - P.offsets[:, None]).max())
+
+
+def test_inflation_search_caps_an_unbounded_subfamily():
+    # contacts leaving an angular gap of 1.2 pi cannot bound the scale; the
+    # boxed re-solve once reported this subfamily at a finite 5.8e5
+    body, P, result = _demo_search(1523569759, 10, (0, 3, 9))
+    assert highs_scale(body, result.placement.rotation, P) == math.inf
+    assert result.capped
+    assert result.placement.scale == pytest.approx(INFLATION_BUDGET, rel=1e-12)
+    assert _leaves_by(body, result.placement, P) <= 1e-9
+
+
+def test_inflation_search_boxed_path_matches_highs():
+    # the scale is bounded but a translation ray recedes, so the search goes
+    # through the boxed re-solve; its placement once left a half-plane by
+    # 2.4e-4 at a scale 1.6e-4 above the optimum
+    body, P, result = _demo_search(1523569759, 10, (0, 2, 5))
+    assert not result.capped
+    assert beta_fixed_rotation(body, result.placement.rotation, P).status == "unbounded"
+    ref = highs_scale(body, result.placement.rotation, P)
+    assert abs(result.placement.scale - ref) <= 1e-9 * ref
+    assert _leaves_by(body, result.placement, P) <= 1e-9
 
 
 # ---------------------------------------------------------------------------

@@ -5,13 +5,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from _oracles import lp_vertex_oracle, square_fit_scale
+from _oracles import lp_vertex_oracle, square_fit_scale, vertex_beta_instance
 from hellyfit.geometry import (
     HPolytope,
     Rotation,
     UnsupportedDimensionError,
     VPolytope,
     box_polytope,
+    convex_hull_2d,
     regular_polygon,
     unit_square,
 )
@@ -134,8 +135,44 @@ def test_beta_instance_row_count_contract():
     K = regular_polygon(5, 1.0)
     P = regular_polygon(7, 2.0).hull_halfspaces()
     inst = build_beta_instance(K, Rotation.identity(2), P)
-    assert inst.rows.shape == (len(P) * len(K), 3)
+    assert inst.rows.shape == (len(P) + 1, 3)
     assert inst.dim_vars == 3
+
+
+def _random_polygon(rng, count, radius):
+    pts = rng.normal(size=(count, 2)) * radius
+    return VPolytope(pts[convex_hull_2d(pts)])
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.integers(min_value=0, max_value=2**31 - 1))
+def test_support_rows_match_vertex_rows(seed):
+    # the n + 1 support-function rows and the n * m vertex rows pose one LP:
+    # same status, same value, and each form's tight half-spaces alone
+    # reproduce that value
+    rng = np.random.default_rng(seed)
+    K = _random_polygon(rng, int(rng.integers(3, 9)), 1.0)
+    P = _random_polygon(rng, int(rng.integers(4, 13)), 3.0).hull_halfspaces()
+    P = P.translated(rng.normal(size=2))
+    if rng.random() < 0.3:
+        # dropping facets may leave a gap of more than pi: unbounded scale
+        keep = np.sort(rng.choice(len(P), size=int(rng.integers(1, len(P))),
+                                  replace=False))
+        P = P.take(keep)
+    A = Rotation.from_angle(float(rng.uniform(0.0, 2.0 * math.pi)))
+    lp_seed = int(rng.integers(1000))
+    vert = seidel_lp(vertex_beta_instance(K, A, P), seed=lp_seed)
+    supp = beta_fixed_rotation(K, A, P, seed=lp_seed, canonical=False)
+    assert supp.status == vert.status
+    if vert.status != OPTIMAL:
+        return
+    value = supp.value
+    assert abs(value - vert.value) <= 1e-9 * max(1.0, abs(value))
+    vert_tight = sorted({int(r) // len(K) for r in vert.tight_set})
+    for tight in (vert_tight, list(supp.tight_rows)):
+        sub = beta_fixed_rotation(K, A, P.take(tight), canonical=False)
+        assert sub.ok, (tight, sub.status)
+        assert abs(sub.value - value) <= 1e-9 * max(1.0, abs(value))
 
 
 def test_beta_empty_container_reports_infeasible():

@@ -4,6 +4,8 @@ import numpy as np
 import pytest
 
 from hellyfit.geometry import HPolytope, Rotation, VPolytope, regular_polygon, unit_square
+from hellyfit import solver
+from hellyfit.lp import BetaResult
 from hellyfit.nets import SUFFICIENT_BOUND, RotationNet, build_net_2d
 from hellyfit.solver import (
     alpha_reference,
@@ -205,6 +207,41 @@ def test_msw_unbounded_family_falls_back_flagged():
     assert math.isinf(r.beta)
     assert r.stats.fallback
     assert r.stats.note != ""
+    assert "unbounded" in r.stats.note
+
+
+def test_msw_canonical_placement_stays_inside_container():
+    # the canonical pin row once raised the LP's offset normalization, and
+    # with it the slack on P's rows: this placement left P by 1.4e-9
+    K = VPolytope(np.array([[0.5, 0.5], [-0.5, 0.5], [-0.5, -0.5], [0.5, -0.5]]))
+    net = build_net_2d(K, EPS_SQUARE)
+    ang = np.random.default_rng(np.random.SeedSequence([22, 1, 16])).uniform(
+        0.0, 2.0 * math.pi, 1000)
+    P = HPolytope(np.stack([np.cos(ang), np.sin(ang)], axis=1), np.ones(1000))
+    r = beta_msw(K, net, P, seed=935117317)
+    pts = r.placement.apply_points(K.vertices)
+    tol = 1e-9 * np.maximum(1.0, np.abs(P.offsets))
+    assert np.all(P.normals @ pts.T <= (P.offsets + tol)[:, None])
+
+
+def test_msw_drift_fallback_names_its_cause(monkeypatch):
+    # a certification that disagrees with the sample optimum sends beta_msw
+    # to the full sweep, and the note must say so rather than blame the
+    # round budget
+    plain = solver.beta_fixed_rotation
+
+    def drifting(K, rotation, P, seed=0, canonical=True):
+        res = plain(K, rotation, P, seed=seed, canonical=canonical)
+        if canonical and res.ok:
+            return BetaResult(1.1 * res.value, res.placement, res.status,
+                              res.tight_rows)
+        return res
+
+    monkeypatch.setattr(solver, "beta_fixed_rotation", drifting)
+    r = beta_msw(unit_square(), uniform_net(4), tangent_family(300, 3), seed=0)
+    assert r.stats.fallback
+    assert "certification" in r.stats.note
+    assert "exhausted" not in r.stats.note
 
 
 # ---------------------------------------------------------------------------
