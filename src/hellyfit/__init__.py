@@ -44,7 +44,15 @@ from .lp import (
     fit_check,
     seidel_lp,
 )
-from .nets import RotationNet, build_net_2d, build_net_sufficient, max_angle_2d, verify_net
+from .nets import (
+    NET_LIMIT,
+    NetTooLargeError,
+    RotationNet,
+    build_net_2d,
+    build_net_sufficient,
+    max_angle_2d,
+    verify_net,
+)
 from .solver import (
     FitResult,
     SolveStats,

@@ -11,8 +11,22 @@ directly (`max_angle_2d`) and spaces rotations accordingly; it produces the
 smallest nets this module knows how to certify.  The general builder uses
 only the inradius/circumradius ratio and covers the rotation group at
 operator-norm resolution eps*r/R, which is sufficient for any convex body
-but typically far from tight.  Neither builder exploits symmetries of K:
-a square gets four rotations even though one would do.
+but typically far from tight; it refuses nets of more than NET_LIMIT
+rotations.  Neither builder exploits symmetries of K: a square gets four
+rotations even though one would do.
+
+Both rest on one bound.  Let B(z, r) be K's inball, B(c, R) its miniball
+and q = r/R.  If a + beta*R_theta K lies in K, rotate that copy by delta
+about the image of c: each point moves by at most beta*|delta|*R.  Shrinking
+the result towards z by r / (r + beta*|delta|*R) puts it back inside K, so
+
+    beta(theta + delta) >= beta(theta) * r / (r + beta(theta)*|delta|*R).
+
+The general builder's spacing rests on the same argument at the identity.
+The slack scan applies the bound around every angle it solves: margins
+within the radius of `_clean_radius` are proven positive and not solved.  Applied to the
+inball alone, the bound gives beta(theta) >= q at every theta, so a body
+with q above 1 - eps has full slack and needs no scan at all.
 """
 
 from __future__ import annotations
@@ -41,12 +55,19 @@ TOUCH_TOL = 1e-9       # a fit margin this small counts as a boundary contact
 FAIL_TOL = 1e-7        # margins below -FAIL_TOL are proper failures
 ANGLE_TOL = 1e-3       # default scan resolution for max_angle_2d
 CEIL_SLACK = 1e-6      # protects t = ceil(pi/alpha) from fp noise in alpha
+BOUND_SLACK = 1e-7     # LP error allowed for by the clean radius of the scan
+REFINE_ROUNDS = 3      # parabola rounds, each moving at most one grid cell
+NET_LIMIT = 20_000     # most rotations build_net_sufficient will build
 
 EXACT_2D = "exact_2d"
 SUFFICIENT_BOUND = "sufficient_bound"
 VERIFIED_SAMPLING = "verified_sampling"
 
 _CERTIFICATES = (EXACT_2D, SUFFICIENT_BOUND, VERIFIED_SAMPLING)
+
+
+class NetTooLargeError(ValueError):
+    """A net would hold more than NET_LIMIT rotations."""
 
 
 @dataclass(eq=False)
@@ -106,15 +127,16 @@ class RotationNet:
 # planar slack angle
 
 
-def _margin_fn(K: VPolytope, epsilon: float):
+def _margin_fn(K: VPolytope, epsilon: float, PK=None):
     """Fit margin as a function of the rotation angle.
 
-    The margin is the fixed-rotation scale of K inside its own hull, less
-    1 - eps, from `beta_fixed_rotation` without canonicalization: one LP of
-    |P| + 1 support-function rows per angle.  A status other than optimal
-    gives margin -1.
+    The margin is the fixed-rotation scale of K inside its own hull `PK`
+    (computed if not given), less 1 - eps, from `beta_fixed_rotation`
+    without canonicalization: one LP of |PK| + 1 support-function rows per
+    angle.  A status other than optimal gives margin -1.
     """
-    PK = K.hull_halfspaces()
+    if PK is None:
+        PK = K.hull_halfspaces()
     target = 1.0 - epsilon
 
     def margin(theta):
@@ -126,7 +148,22 @@ def _margin_fn(K: VPolytope, epsilon: float):
     return margin
 
 
-def _parabola_refine(margin, center, h=1e-4, rounds=3, max_step=None):
+def _clean_radius(beta, target, q):
+    """Rotation angle within which the fit margin provably stays above TOUCH_TOL.
+
+    From beta(theta + delta) >= beta*r / (r + beta*|delta|*R) (module
+    docstring), the scale stays at or above tau = target + TOUCH_TOL +
+    BOUND_SLACK for |delta| <= q*(beta - tau) / (tau*beta), where beta is
+    the scale at theta and q = r/R.  BOUND_SLACK absorbs the LP error of
+    both the solved and the skipped margins.  Zero when beta <= tau.
+    """
+    tau = target + TOUCH_TOL + BOUND_SLACK
+    if beta <= tau:
+        return 0.0
+    return q * (beta - tau) / (tau * beta)
+
+
+def _parabola_refine(margin, center, h=1e-4, rounds=REFINE_ROUNDS, max_step=None):
     """Locate a smooth local minimum by repeated 3-point parabola fits.
 
     The true minimum may sit up to a grid cell away from `center`, so the
@@ -157,14 +194,34 @@ def _cross_boundary(margin, lo, hi, tol=1e-9):
     return hi
 
 
-def _first_stop(margin, sign, tol):
+def _first_stop(margin, sign, tol, m_zero, target, q):
     """Smallest positive angle along one direction where the shrunk copy
-    stops fitting strictly (failure or boundary contact); pi if none."""
+    stops fitting strictly (failure or boundary contact); pi if none.
+
+    Walks the grid k*tol (the last point is pi).  A grid point stops the
+    walk if its margin is at most TOUCH_TOL, or if it ends a window of three
+    consecutive points whose middle is a local minimum that a parabola
+    refine (at most REFINE_ROUNDS cells away) takes down to TOUCH_TOL.
+    After each solved point the walk jumps to the last grid point k such
+    that every grid point up to k, and every angle a refine started at one
+    of them can reach, lies within that point's clean radius.  No skipped
+    point could have stopped the walk, so the result is that of solving
+    every grid point; a jump restarts the window.  `m_zero` is the margin
+    at 0.
+    """
     n_steps = int(math.ceil(math.pi / tol))
-    thetas = [k * tol for k in range(1, n_steps)] + [math.pi]
-    prev_t = 0.0
-    window = [(0.0, margin(0.0))]  # trailing (theta, margin) for local minima
-    for t in thetas:
+    k, m, prev_t = 0, m_zero, 0.0
+    window = [(0.0, m_zero)]  # trailing (theta, margin) of consecutive grid points
+    while k < n_steps:
+        cells = int(_clean_radius(m + target, target, q) / tol) - REFINE_ROUNDS
+        if cells >= 2:
+            k += cells
+            if k >= n_steps:
+                return math.pi
+            window = []
+        else:
+            k += 1
+        t = k * tol if k < n_steps else math.pi
         m = margin(sign * t)
         if m <= TOUCH_TOL:
             if m < -FAIL_TOL:
@@ -192,6 +249,15 @@ def max_angle_2d(K: VPolytope, epsilon: float, tol: float = ANGLE_TOL) -> float:
     not symmetric for bodies without mirror symmetry), refines grid local
     minima by parabola fitting to catch contacts between grid points, and
     bisects proper failures.  Capped at pi, which means every rotation fits.
+
+    Each solved margin LP proves, by the inradius/circumradius bound of
+    the module docstring, that the margin stays positive over a radius
+    around its angle; the scan skips the grid points in it.  Far from a
+    contact that radius spans many grid cells; near one it shrinks below a
+    cell, and the scan solves every grid point there as a plain scan would,
+    so alpha is that of the plain scan.  If the inradius/circumradius ratio
+    q = r/R exceeds 1 - eps (plus TOUCH_TOL and BOUND_SLACK), every rotation
+    fits and pi is returned without any margin LP.
     """
     if K.dim != 2:
         raise UnsupportedDimensionError("max_angle_2d is planar only")
@@ -201,11 +267,17 @@ def max_angle_2d(K: VPolytope, epsilon: float, tol: float = ANGLE_TOL) -> float:
         raise DegenerateGeometryError("body must be full-dimensional")
     if tol <= 0:
         raise ValueError("tol must be positive")
-    margin = _margin_fn(K, epsilon)
-    if margin(0.0) <= TOUCH_TOL:
+    PK = K.hull_halfspaces()
+    target = 1.0 - epsilon
+    q = max(0.0, chebyshev_inradius(PK).radius) / miniball(K.vertices).radius
+    if q > target + TOUCH_TOL + BOUND_SLACK:
+        return math.pi
+    margin = _margin_fn(K, epsilon, PK)
+    m0 = margin(0.0)
+    if m0 <= TOUCH_TOL:
         return 0.0
-    a_pos = _first_stop(margin, +1.0, tol)
-    a_neg = _first_stop(margin, -1.0, tol)
+    a_pos = _first_stop(margin, +1.0, tol, m0, target, q)
+    a_neg = _first_stop(margin, -1.0, tol, m0, target, q)
     return min(a_pos, a_neg, math.pi)
 
 
@@ -259,7 +331,9 @@ def build_net_sufficient(K: VPolytope, epsilon: float, d: int | None = None) -> 
     most eps*r/R in operator norm keeps a translate of the shrunk copy
     inside.  The grid is spaced so every rotation has a net element within
     that operator-norm radius; a sampled spot check confirms both the
-    covering distance and the actual fit before the net is returned.
+    covering distance and the actual fit before the net is returned.  The
+    rotation count is known before anything is built: above NET_LIMIT the
+    builder raises NetTooLargeError instead.
     """
     if d is None:
         d = K.dim
@@ -280,12 +354,21 @@ def build_net_sufficient(K: VPolytope, epsilon: float, d: int | None = None) -> 
 
     if d == 2:
         t = int(math.ceil(math.pi / math.asin(rho / 2.0)))
-        rots = tuple(Rotation.from_angle(2.0 * math.pi * j / t)
-                     for j in range(1, t + 1))
+        count = t
     else:
         s = 4.0 * math.asin(min(1.0, rho / 6.0))
         n1 = int(math.ceil(2.0 * math.pi / s))
         n2 = int(math.ceil(math.pi / s)) + 1
+        count = n1 * n1 * n2
+    if count > NET_LIMIT:
+        raise NetTooLargeError(
+            f"a radius-ratio net at epsilon {epsilon:g} needs {count} rotations,"
+            f" above the limit of {NET_LIMIT}; increase epsilon")
+
+    if d == 2:
+        rots = tuple(Rotation.from_angle(2.0 * math.pi * j / t)
+                     for j in range(1, t + 1))
+    else:
         mats = []
         for p1 in 2.0 * math.pi * np.arange(n1) / n1:
             for p2 in np.linspace(0.0, math.pi, n2):

@@ -116,3 +116,50 @@ def triangle_fit_scale(theta):
     """
     t = abs(math.remainder(theta, 2.0 * math.pi / 3.0))
     return 1.0 / (2.0 * math.cos(math.pi / 3.0 - t))
+
+
+def _grid_first_stop(margin, sign, tol):
+    """Plain scan of one direction: solves the margin at every grid point."""
+    from hellyfit.nets import FAIL_TOL, TOUCH_TOL, _cross_boundary, _parabola_refine
+
+    n_steps = int(math.ceil(math.pi / tol))
+    thetas = [k * tol for k in range(1, n_steps)] + [math.pi]
+    prev_t = 0.0
+    window = [(0.0, margin(0.0))]  # trailing (theta, margin) for local minima
+    for t in thetas:
+        m = margin(sign * t)
+        if m <= TOUCH_TOL:
+            if m < -FAIL_TOL:
+                return _cross_boundary(lambda x: margin(sign * x), prev_t, t)
+            v, mv = _parabola_refine(lambda x: margin(sign * x), t, max_step=tol)
+            return max(0.0, v)
+        window.append((t, m))
+        if len(window) == 3:
+            (t0, m0), (t1, m1), (t2, m2) = window
+            if m1 <= m0 and m1 <= m2:
+                v, mv = _parabola_refine(lambda x: margin(sign * x), t1, max_step=tol)
+                if mv <= TOUCH_TOL:
+                    if mv < -FAIL_TOL:
+                        return _cross_boundary(lambda x: margin(sign * x), t0, v)
+                    return max(0.0, v)
+            window.pop(0)
+        prev_t = t
+    return math.pi
+
+
+def grid_scan_max_angle(K, epsilon, tol=1e-3):
+    """Slack angle of K from one margin LP per grid point, no skipping.
+
+    The plain form of `nets.max_angle_2d`: it solves every grid point k*tol
+    in both directions until the first stop, with the same margin function,
+    refine and bisection.  About pi/tol LPs per direction for a body with
+    full slack, so tests keep it to bodies that stop early.
+    """
+    from hellyfit.nets import TOUCH_TOL, _margin_fn
+
+    margin = _margin_fn(K, epsilon)
+    if margin(0.0) <= TOUCH_TOL:
+        return 0.0
+    a_pos = _grid_first_stop(margin, +1.0, tol)
+    a_neg = _grid_first_stop(margin, -1.0, tol)
+    return min(a_pos, a_neg, math.pi)

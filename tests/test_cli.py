@@ -280,3 +280,21 @@ def test_mirror_reflects_first_coordinate_in_3d():
     assert m.dim == 3
     assert np.array_equal(m.vertices[:, 0], -cube.vertices[:, 0])
     assert np.array_equal(m.vertices[:, 1:], cube.vertices[:, 1:])
+
+
+def test_fit_and_net_refuse_a_huge_3d_net(capsys, tmp_path):
+    # the unit cube at eps = 0.1 needs 2.2 M radius-ratio rotations
+    cube = write_json(tmp_path / "cube.json", {
+        "dim": 3,
+        "vertices": [[x, y, z] for x in (0, 1) for y in (0, 1) for z in (0, 1)]})
+    box = write_json(tmp_path / "box.json", {
+        "dim": 3,
+        "halfspaces": [{"normal": n, "offset": o}
+                       for n, o in (([1, 0, 0], 2), ([-1, 0, 0], 0), ([0, 1, 0], 2),
+                                    ([0, -1, 0], 0), ([0, 0, 1], 2), ([0, 0, -1], 0))]})
+    for argv in (["fit", cube, box, "--epsilon", "0.1"],
+                 ["net", cube, "--epsilon", "0.1"]):
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert "2232368 rotations" in err
+        assert "limit of 20000" in err

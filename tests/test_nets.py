@@ -2,21 +2,32 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from _oracles import grid_scan_max_angle
+from hellyfit import nets
 from hellyfit.geometry import (
     DegenerateGeometryError,
     Rotation,
     UnsupportedDimensionError,
     VPolytope,
     convex_hull_2d,
+    miniball,
     regular_polygon,
     unit_square,
 )
-from hellyfit.lp import beta_fixed_rotation
+from hellyfit.lab import DEMO_NET_EPS, cap_body
+from hellyfit.lp import beta_fixed_rotation, chebyshev_inradius
 from hellyfit.nets import (
+    CEIL_SLACK,
     EXACT_2D,
+    NET_LIMIT,
     SUFFICIENT_BOUND,
+    TOUCH_TOL,
+    NetTooLargeError,
     RotationNet,
+    _clean_radius,
     _margin_fn,
     build_net_2d,
     build_net_sufficient,
@@ -110,6 +121,96 @@ def test_reduced_margin_matches_full_lp():
             assert abs(margin(float(theta)) - (res.value - 0.8)) <= 1e-10
 
 
+def jittered_polygon(rng, m, jitter=0.3):
+    step = 2.0 * math.pi / m
+    angles = (rng.uniform(0.0, step) + step * np.arange(m)
+              + rng.uniform(-jitter, jitter, m) * step)
+    radii = 1.0 + rng.uniform(-0.2, 0.2, m) * jitter
+    return VPolytope(np.stack([radii * np.cos(angles), radii * np.sin(angles)], axis=1))
+
+
+def has_contact(K, eps):
+    # some sampled rotation of K already fails to hold the shrunk copy, so
+    # the slack is below pi and the plain scan stops early
+    PK = K.hull_halfspaces()
+    return any(beta_fixed_rotation(K, Rotation.from_angle(float(t)), PK,
+                                   canonical=False).value < 1.0 - eps
+               for t in np.linspace(-math.pi, math.pi, 48, endpoint=False))
+
+
+def count_margin_lps(monkeypatch):
+    calls = [0]
+    solve = nets.beta_fixed_rotation
+
+    def counting(*args, **kwargs):
+        calls[0] += 1
+        return solve(*args, **kwargs)
+
+    monkeypatch.setattr(nets, "beta_fixed_rotation", counting)
+    return calls
+
+
+def test_max_angle_matches_plain_grid_scan():
+    # skipping proven-clean grid points leaves alpha, and so t, bit-identical
+    rng = np.random.default_rng(2024)
+    cases = [(regular_polygon(3, 1.0), 0.4, 1e-3), (unit_square(), EPS_SQUARE, 1e-3)]
+    while len(cases) < 10:
+        m, eps = int(rng.integers(3, 9)), float(rng.uniform(0.05, 0.35))
+        K = jittered_polygon(rng, m)
+        if has_contact(K, eps):
+            cases.append((K, eps, 2e-3))
+    for K, eps, tol in cases:
+        alpha = grid_scan_max_angle(K, eps, tol)
+        assert alpha < math.pi
+        assert max_angle_2d(K, eps, tol) == alpha, (len(K), eps)
+        t = max(1, int(math.ceil(math.pi / alpha - CEIL_SLACK)))
+        assert len(build_net_2d(K, eps, tol)) == t
+
+
+@settings(max_examples=100, deadline=None)
+@given(seed=st.integers(min_value=0, max_value=2**31 - 1),
+       theta=st.floats(min_value=-math.pi, max_value=math.pi),
+       delta=st.floats(min_value=-1.0, max_value=1.0),
+       frac=st.floats(min_value=-1.0, max_value=1.0),
+       eps=st.floats(min_value=0.01, max_value=0.6))
+def test_clean_radius_bound(seed, theta, delta, frac, eps):
+    # beta(theta + delta) >= beta(theta) r / (r + beta(theta) |delta| R), and
+    # every rotation within the clean radius keeps the margin above TOUCH_TOL
+    rng = np.random.default_rng(seed)
+    pts = rng.normal(size=(int(rng.integers(3, 11)), 2))
+    K = VPolytope(pts[convex_hull_2d(pts)])
+    PK = K.hull_halfspaces()
+    r = chebyshev_inradius(PK).radius
+    R = miniball(K.vertices).radius
+
+    def beta(angle):
+        return beta_fixed_rotation(K, Rotation.from_angle(angle), PK,
+                                   canonical=False).value
+
+    b = beta(theta)
+    assert beta(theta + delta) >= b * r / (r + b * abs(delta) * R) - 1e-9
+    radius = _clean_radius(b, 1.0 - eps, r / R)
+    if radius > 0.0:
+        margin = _margin_fn(K, eps, PK)
+        assert margin(theta + frac * radius) > TOUCH_TOL
+
+
+def test_full_slack_bodies_need_no_scan(monkeypatch):
+    calls = count_margin_lps(monkeypatch)
+    for K, eps in ((regular_polygon(64, 1.0), 0.05),
+                   (cap_body(2, margin=math.pi / 4), DEMO_NET_EPS)):
+        calls[0] = 0
+        assert max_angle_2d(K, eps) == math.pi
+        assert calls[0] <= 2
+
+
+def test_square_scan_solves_few_margin_lps(monkeypatch):
+    # the plain scan solves 1595 margin LPs here
+    calls = count_margin_lps(monkeypatch)
+    max_angle_2d(unit_square(), EPS_SQUARE)
+    assert calls[0] < 400
+
+
 # ---------------------------------------------------------------------------
 # build_net_2d
 
@@ -167,6 +268,17 @@ def test_sufficient_net_3d_builds_and_verifies():
     rep = verify_net(net, cube, trials=10, seed=2)
     assert rep.ok
     assert rep.worst_margin > 0.0
+
+
+def test_sufficient_net_refuses_more_than_the_limit():
+    # the unit cube at eps = 0.1 would take 164 * 164 * 83 = 2.2 M rotations
+    cube = VPolytope(np.array([[x, y, z] for x in (0, 1) for y in (0, 1)
+                               for z in (0, 1)], dtype=float))
+    with pytest.raises(NetTooLargeError) as info:
+        build_net_sufficient(cube, 0.1)
+    assert isinstance(info.value, ValueError)
+    assert "2232368" in str(info.value)
+    assert str(NET_LIMIT) in str(info.value)
 
 
 def test_sufficient_net_rejects_high_dimension():
