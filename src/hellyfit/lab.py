@@ -22,19 +22,9 @@ from .geometry import (
     Rotation,
     VPolytope,
     cap_measure_2d,
-    shape_digest,
 )
-from .lp import (
-    FIT_TOL,
-    OPTIMAL,
-    UNBOUNDED,
-    LpInstance,
-    beta_fixed_rotation,
-    build_beta_instance,
-    fit_check,
-    seidel_lp,
-)
-from .nets import build_net_2d
+from .lp import FIT_TOL, OPTIMAL, LpInstance, build_beta_instance, seidel_lp
+from .nets import cached_net_2d
 from .solver import beta_direct
 
 TWO_PI = 2.0 * math.pi
@@ -233,26 +223,36 @@ def _largest_gap_direction(arcs: CircleArcs):
     return best_mid % TWO_PI
 
 
-def _scale_recession(K, rotation, P):
+def _boxed(inst, offsets, reach, alpha_cap=None):
+    """The scale LP `inst` over offsets `offsets`, boxed in by extra rows.
+
+    The rows alpha <= alpha_cap (if given) and |a_k| <= reach come after
+    the rows of `inst` and have offset 1, so they never raise seidel_lp's
+    offset normalization, and with it the tolerance on the other rows.
+    """
+    d = inst.dim_vars - 1
+    eye = np.eye(d + 1)
+    box = [eye[:d] / reach, -eye[:d] / reach]
+    if alpha_cap is not None:
+        box.insert(0, eye[d:] / alpha_cap)
+    box = np.vstack(box)
+    return LpInstance.maximize_last(np.vstack([inst.rows, box]),
+                                    np.concatenate([offsets, np.ones(len(box))]))
+
+
+def _scale_recession(inst):
     """Translation a0 such that (a0, 1) is a recession direction of the scale LP.
 
     The scale of a copy inside P is unbounded exactly when the recession
     cone of the fit LP, <u_i, a> + alpha * h_AK(u_i) <= 0 for every i, holds
     a point with alpha = 1; then a + s*(a0, 1) stays feasible for all s >= 0
     from any feasible (a, alpha).  The cone's LP adds alpha <= 1 and a box
-    |a_k| <= RECESSION_BOX * max |h_AK| (as rows with offset 1, so the
-    solver's tolerance stays absolute).  Returns None when the scale is
+    |a_k| <= RECESSION_BOX * max |h_AK|.  Returns None when the scale is
     bounded.
     """
-    inst = build_beta_instance(K, rotation, P)
-    n, d = len(P), K.dim
-    reach = RECESSION_BOX * max(1.0, float(np.max(np.abs(inst.rows[:n, d]))))
-    box = np.hstack([np.vstack([np.eye(d), -np.eye(d)]) / reach, np.zeros((2 * d, 1))])
-    cap = np.zeros((1, d + 1))
-    cap[0, d] = 1.0
-    rows = np.vstack([inst.rows, cap, box])
-    bounds = np.concatenate([np.zeros(n + 1), np.ones(1 + 2 * d)])
-    res = seidel_lp(LpInstance.maximize_last(rows, bounds))
+    d = inst.dim_vars - 1
+    reach = RECESSION_BOX * max(1.0, float(np.max(np.abs(inst.rows[:, d]))))
+    res = seidel_lp(_boxed(inst, np.zeros_like(inst.bounds), reach, 1.0))
     if res.status != OPTIMAL or res.value < 1.0 - FIT_TOL:
         return None
     return res.witness[:d]
@@ -263,24 +263,6 @@ def _inside(K, placement, P):
     pts = placement.apply_points(K.vertices)
     tol = FIT_TOL * np.maximum(1.0, np.abs(P.offsets))
     return bool(np.all(P.normals @ pts.T <= (P.offsets + tol)[:, None]))
-
-
-def _boxed_scale_placement(K, rotation, P, budget, seed):
-    """Best placement when the plain fit recedes but the scale is bounded.
-
-    A subfamily whose normals leave a translation direction free makes the
-    fit LP recede even when the scale itself stays finite (two opposite
-    tangents pin the scale but let the copy slide along their strip).
-    Boxing the container at twice the budget restores boundedness without
-    touching any optimum below the budget.
-    """
-    box = np.array([[1.0, 0.0], [-1.0, 0.0], [0.0, 1.0], [0.0, -1.0]])
-    boxed = HPolytope(np.vstack([P.normals, box]),
-                      np.concatenate([P.offsets, np.full(4, 2.0 * budget)]))
-    res = beta_fixed_rotation(K, rotation, boxed, seed=seed)
-    if not res.ok:
-        raise SearchFailure(f"boxed fit ended {res.status}")
-    return res.value, res.placement
 
 
 @dataclass(eq=False)
@@ -310,12 +292,15 @@ def inflation_search(K, family: TangentFamily, seed=0,
     slacked half-circle around the body's hole until the arc inside it
     measures below 1/n, rotate so that restricted arc clears every contact
     point, nudge the body toward the hole, then let an LP pick the best
-    translation and scale at that rotation.  The result is certified by an
-    independent fit check before being returned; a certified scale above 1
-    is never claimed otherwise.  A subfamily whose scale LP has a recession
-    direction with positive scale cannot bound the copy: it is reported
-    `capped`, with a placement at the budget scale that is checked against
-    every half-plane.
+    translation and scale at that rotation.  That LP carries the box
+    |a_k| <= 2 * INFLATION_BUDGET, so it has an optimum even where a
+    translation ray recedes (two opposite tangents pin the scale but let
+    the copy slide along their strip).  Only when a box row pins that
+    optimum, or the scale escapes the solver's own bound, does a recession
+    LP decide whether the subfamily bounds the scale at all: one that does
+    not is reported `capped`, with a placement at the budget scale.  Every
+    placement returned has scale above 1 and passes a containment check of
+    its vertex images against every half-plane.
     """
     n = len(family)
     arcs = getattr(K, "boundary_arcs", None) or CircleArcs(())
@@ -332,6 +317,7 @@ def inflation_search(K, family: TangentFamily, seed=0,
     near_hole = arcs.restrict_to_cap(Cap(u, eps1))
 
     P = family.halfspaces
+    reach = 2.0 * INFLATION_BUDGET
     rng = np.random.default_rng(seed)
     last = None
     for _ in range(attempts):
@@ -339,9 +325,10 @@ def inflation_search(K, family: TangentFamily, seed=0,
                                              max_tries, rng)
         rotation = Rotation.from_angle(theta)
         lp_seed = int(rng.integers(2 ** 31))
-        res = beta_fixed_rotation(K, rotation, P, seed=lp_seed, canonical=False)
-        if res.status == UNBOUNDED:
-            a0 = _scale_recession(K, rotation, P)
+        inst = build_beta_instance(K, rotation, P)
+        res = seidel_lp(_boxed(inst, inst.bounds, reach), seed=lp_seed)
+        if res.status != OPTIMAL or any(r > n for r in res.tight_set):
+            a0 = _scale_recession(inst)
             if a0 is not None:
                 # the scale itself is unbounded; report it at the budget,
                 # moved out from the origin (inside every tangent half-plane)
@@ -353,18 +340,12 @@ def inflation_search(K, family: TangentFamily, seed=0,
                                            tries, eps1, capped=True)
                 last = ("budget placement leaves the subfamily", theta)
                 continue
-            # only a translation ray receded; the scale optimum is real
-            value, placement = _boxed_scale_placement(K, rotation, P,
-                                                      INFLATION_BUDGET, lp_seed)
-            if value > 1.0 and fit_check(K, rotation, value, P, seed=lp_seed):
-                return InflationResult(value - 1.0, placement, tries, eps1)
-            last = ("no inflation at this rotation", value, theta, dist)
-            continue
-        if res.ok and res.value > 1.0 and fit_check(K, rotation, res.value, P,
-                                                    seed=lp_seed):
-            # the nudge toward the hole is subsumed by the LP's translation;
-            # report the optimized placement, not the warm start
-            return InflationResult(res.value - 1.0, res.placement, tries, eps1)
+        # the nudge toward the hole is subsumed by the LP's translation;
+        # report the optimized placement, not the warm start
+        if res.status == OPTIMAL and res.value > 1.0:
+            placement = Placement(res.witness[:K.dim], res.value, rotation)
+            if _inside(K, placement, P):
+                return InflationResult(res.value - 1.0, placement, tries, eps1)
         last = ("no inflation at this rotation", res.value, theta, dist)
     raise SearchFailure(f"inflation failed after {attempts} rotations: {last}")
 
@@ -377,19 +358,6 @@ def _subset_iter(sample_count, n, rng):
     for _ in range(SUBSET_CAP):
         pick = np.sort(rng.choice(sample_count, size=n, replace=False))
         yield tuple(int(i) for i in pick)
-
-
-_DEMO_NETS = {}
-
-
-def _demo_net(K):
-    """Fine rotation net for the full-family fit, cached per body shape."""
-    key = (shape_digest(K), DEMO_NET_EPS)
-    net = _DEMO_NETS.get(key)
-    if net is None:
-        net = build_net_2d(K, DEMO_NET_EPS)
-        _DEMO_NETS[key] = net
-    return net
 
 
 def lower_bound_demo(n: int, sample_count: int, seed=0, m: int = 128) -> dict:
@@ -430,7 +398,7 @@ def lower_bound_demo(n: int, sample_count: int, seed=0, m: int = 128) -> dict:
             break
         delta = min(delta, result.delta2)
 
-    net = _demo_net(K)
+    net = cached_net_2d(K, DEMO_NET_EPS)
     full_beta = beta_direct(K, net, family.halfspaces, seed=root).beta
     subset_ok = failing is None and checked > 0 and delta > 0.0
     full_ok = full_beta <= 1.0 + 1e-3

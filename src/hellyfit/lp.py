@@ -335,9 +335,8 @@ def beta_fixed_rotation(K: VPolytope, rotation: Rotation, P: HPolytope,
     the half-spaces of P among its pinning rows (the sign row is not one).
     An empty container reports status "infeasible" with value 0; a
     container that lets the copy grow forever reports "unbounded".  With
-    `canonical` the witness translation is the lexicographic minimum among
-    optima, so repeated runs (any seed) agree on the placement, not just
-    the value.
+    `canonical` the witness goes through `canonical_placement`, so repeated
+    runs (any seed) agree on the placement, not just the value.
     """
     inst = build_beta_instance(K, rotation, P)
     res = seidel_lp(inst, seed=seed)
@@ -345,17 +344,29 @@ def beta_fixed_rotation(K: VPolytope, rotation: Rotation, P: HPolytope,
         return BetaResult(0.0, None, INFEASIBLE, ())
     if res.status == UNBOUNDED:
         return BetaResult(math.inf, None, UNBOUNDED, ())
-    d = K.dim
     value = max(res.value, 0.0)
-    witness = res.witness
+    placement = Placement(res.witness[:K.dim], value, rotation)
     if canonical:
-        lex = _lex_min_translation(inst, value, d, seed)
-        if lex is not None:
-            witness = lex
+        placement = canonical_placement(K, placement, P, seed)
     n = len(P)
     tight = tuple(sorted(int(r) for r in res.tight_set if r < n))
-    placement = Placement(witness[:d], value, rotation)
     return BetaResult(value, placement, OPTIMAL, tight)
+
+
+def canonical_placement(K: VPolytope, placement: Placement, P: HPolytope,
+                        seed=0) -> Placement:
+    """The optimal placement with the lexicographically smallest translation.
+
+    `placement` must be optimal for the scale LP at its rotation.  Its
+    rotation and scale are kept; the translation comes from
+    `_lex_min_translation`, so it does not depend on which optimum
+    `placement` was.
+    """
+    inst = build_beta_instance(K, placement.rotation, P)
+    lex = _lex_min_translation(inst, placement.scale, K.dim, seed)
+    if lex is None:
+        return placement
+    return Placement(lex[:K.dim], placement.scale, placement.rotation)
 
 
 def fit_check(K: VPolytope, rotation: Rotation, scale, P: HPolytope, seed=0) -> bool:

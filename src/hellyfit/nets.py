@@ -309,6 +309,18 @@ def build_net_2d(K: VPolytope, epsilon: float, tol: float = ANGLE_TOL) -> Rotati
     return RotationNet(rots, epsilon, shape_digest(K), EXACT_2D)
 
 
+_NETS_2D = {}
+
+
+def cached_net_2d(K: VPolytope, epsilon: float) -> RotationNet:
+    """`build_net_2d(K, epsilon)`, built once per body shape and accuracy."""
+    key = (shape_digest(K), float(epsilon))
+    net = _NETS_2D.get(key)
+    if net is None:
+        net = _NETS_2D[key] = build_net_2d(K, epsilon)
+    return net
+
+
 # ---------------------------------------------------------------------------
 # radius-ratio builder, any supported dimension
 

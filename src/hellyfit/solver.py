@@ -9,10 +9,8 @@ and counters suitable for scaling measurements.
 """
 
 import math
-import os
 import time
 from dataclasses import dataclass
-from concurrent.futures import ThreadPoolExecutor
 from itertools import combinations
 
 import numpy as np
@@ -22,10 +20,9 @@ from .geometry import (
     Placement,
     UnsupportedDimensionError,
     VPolytope,
-    shape_digest,
 )
-from .lp import OPTIMAL, beta_fixed_rotation, support_values
-from .nets import RotationNet, build_net_2d
+from .lp import OPTIMAL, beta_fixed_rotation, canonical_placement, support_values
+from .nets import RotationNet, cached_net_2d
 
 TIE_TOL = 1e-12      # relative slack when picking the winning rotation
 BASIS_TOL = 1e-9     # value agreement required of a reduced family
@@ -84,30 +81,10 @@ def _rotation_seed(seed, i):
     return int(np.random.SeedSequence([root, int(i)]).generate_state(1)[0])
 
 
-def _thread_count():
-    raw = os.environ.get("HELLYFIT_THREADS", "")
-    try:
-        k = int(raw)
-    except ValueError:
-        return 1
-    if k == 0:
-        k = os.cpu_count() or 1
-    return max(1, min(k, 64))
-
-
 def _sweep(K, net, P, seed):
-    """One fit LP per net rotation, dispatch order independent of threads."""
-    seeds = [_rotation_seed(seed, i) for i in range(len(net))]
-
-    def solve(i):
-        return beta_fixed_rotation(K, net.rotations[i], P, seed=seeds[i],
-                                   canonical=False)
-
-    workers = _thread_count()
-    if workers > 1 and len(net) > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            return list(pool.map(solve, range(len(net))))
-    return [solve(i) for i in range(len(net))]
+    """One fit LP per net rotation, each with its own seed."""
+    return [beta_fixed_rotation(K, A, P, seed=_rotation_seed(seed, i), canonical=False)
+            for i, A in enumerate(net.rotations)]
 
 
 def _argmax_rotation(results):
@@ -146,23 +123,29 @@ def _subfamily_value(K, net, P, indices, seed):
 
 
 def _finish(K, net, P, results, seed, stats, method):
-    """Canonical re-solve at the winning rotation; shared tail of all methods."""
+    """Shared tail of all methods: canonicalize the winning rotation's solve.
+
+    `results` are `_sweep`'s full-family solves.  The winner's value and
+    tight rows are kept as solved; `canonical_placement`, with the seed
+    `_sweep` gave that rotation (counted as one LP call), only replaces its
+    translation, so the placement is bit-equal to `beta_fixed_rotation(...,
+    canonical=True)` at that rotation and seed.
+    """
     i_star, best = _argmax_rotation(results)
     if math.isinf(best):
         stats.note = "container does not bound the copy"
         return FitResult(math.inf, None, _union_basis(results), method, stats,
                          i_star)
-    final = beta_fixed_rotation(K, net.rotations[i_star], P,
-                                seed=_rotation_seed(seed, i_star), canonical=True)
-    stats.lp_calls += 1
-    if final.status != OPTIMAL:
+    win = results[i_star]
+    if win.status != OPTIMAL:
         stats.note = "container is empty"
         return FitResult(0.0, None, [], method, stats, i_star)
-    basis = sorted(set(_union_basis(results)) | set(final.tight_rows))
-    limit = len(net) * (K.dim + 1)
-    if len(basis) > limit:
-        basis = _greedy_prune(K, net, P, basis, final.value, seed, stats)
-    return FitResult(final.value, final.placement, basis, method, stats, i_star)
+    placement = canonical_placement(K, win.placement, P, _rotation_seed(seed, i_star))
+    stats.lp_calls += 1
+    basis = _union_basis(results)
+    if len(basis) > len(net) * (K.dim + 1):
+        basis = _greedy_prune(K, net, P, basis, win.value, seed, stats)
+    return FitResult(win.value, placement, basis, method, stats, i_star)
 
 
 def beta_direct(K: VPolytope, net: RotationNet, P: HPolytope, seed=0) -> FitResult:
@@ -357,19 +340,6 @@ def extract_basis(result: FitResult, K: VPolytope, net: RotationNet,
     return basis
 
 
-_REFERENCE_NETS = {}
-
-
-def reference_net(K: VPolytope, fine_eps: float) -> RotationNet:
-    """Cached fine net for K; building one is the expensive part of a reference."""
-    key = (shape_digest(K), float(fine_eps))
-    net = _REFERENCE_NETS.get(key)
-    if net is None:
-        net = build_net_2d(K, fine_eps)
-        _REFERENCE_NETS[key] = net
-    return net
-
-
 def alpha_reference(K: VPolytope, P: HPolytope, fine_eps: float, seed=0) -> float:
     """Near-exact best fit over all rotations, for use as a test yardstick.
 
@@ -379,5 +349,5 @@ def alpha_reference(K: VPolytope, P: HPolytope, fine_eps: float, seed=0) -> floa
     """
     if K.dim != 2:
         raise UnsupportedDimensionError("reference sweeps are planar only")
-    net = reference_net(K, fine_eps)
+    net = cached_net_2d(K, fine_eps)
     return beta_direct(K, net, P, seed=seed).beta

@@ -2,6 +2,7 @@
 
 import json
 import math
+from itertools import combinations
 
 import numpy as np
 import pytest
@@ -258,6 +259,22 @@ def test_inflation_search_boxed_path_matches_highs():
     ref = highs_scale(body, result.placement.rotation, P)
     assert abs(result.placement.scale - ref) <= 1e-9 * ref
     assert _leaves_by(body, result.placement, P) <= 1e-9
+
+
+def test_inflation_placements_stay_inside_on_every_demo_subset():
+    # every 3-subset of three 10-line demos; the boxed re-solve with offsets
+    # 2e6 once left subset (2, 5, 7) of the first seed by 2.7e-9
+    capped = 0
+    for demo_seed in (1523569759, 106169992, 2644710988):
+        for subset in combinations(range(10), 3):
+            body, P, result = _demo_search(demo_seed, 10, subset)
+            assert result.delta2 > 0.0
+            if result.capped:
+                capped += 1
+                continue
+            tol = 1e-9 * max(1.0, float(np.abs(P.offsets).max()))
+            assert _leaves_by(body, result.placement, P) <= tol, (demo_seed, subset)
+    assert capped == 180
 
 
 # ---------------------------------------------------------------------------

@@ -5,7 +5,7 @@ import pytest
 
 from hellyfit.geometry import HPolytope, Rotation, VPolytope, regular_polygon, unit_square
 from hellyfit import solver
-from hellyfit.lp import BetaResult
+from hellyfit.lp import BetaResult, beta_fixed_rotation
 from hellyfit.nets import SUFFICIENT_BOUND, RotationNet, build_net_2d
 from hellyfit.solver import (
     alpha_reference,
@@ -88,6 +88,25 @@ def test_beta_seed_independent_and_placement_canonical():
         assert np.allclose(r.placement.translation, runs[0].placement.translation,
                            atol=1e-8)
         assert r.rotation_index == runs[0].rotation_index
+
+
+def test_direct_placement_is_the_canonical_fit_at_the_winning_rotation():
+    # beta_direct keeps the sweep's solve at the winning rotation and only
+    # canonicalizes it, so it must equal the canonical single-rotation fit
+    # with the seed the sweep gave that rotation, bit for bit
+    cases = [(regular_polygon(5, 1.0, phase=0.3), uniform_net(4), tangent_family(20, 11), 0),
+             (regular_polygon(3, 1.0), uniform_net(7), tangent_family(18, 5), 2),
+             (unit_square(), uniform_net(4), tangent_family(300, 3), 987654321),
+             (unit_square(), uniform_net(4), box(0.0, 3.0), 5)]
+    for K, net, P, seed in cases:
+        r = beta_direct(K, net, P, seed=seed)
+        i = r.rotation_index
+        ref = beta_fixed_rotation(K, net.rotations[i], P,
+                                  seed=solver._rotation_seed(seed, i), canonical=True)
+        assert r.beta == ref.value
+        assert r.placement.scale == ref.placement.scale
+        assert np.array_equal(r.placement.translation, ref.placement.translation)
+        assert r.placement.rotation is net.rotations[i]
 
 
 def test_argmax_stable_under_offset_rescaling():
