@@ -4,7 +4,11 @@
 classic randomized incremental scheme: process constraints in random order,
 and when one is violated, eliminate a variable on its boundary and re-solve
 the prefix one dimension down.  Expected work is linear in the number of
-rows for fixed dimension.
+rows for fixed dimension.  That holds because the scan for the next
+violated row looks ahead in blocks that grow while they stay clean, instead
+of re-scoring every remaining row after each violation; the blocks score
+the rows in the same random order with the same arithmetic, so the output
+does not depend on the block sizes.
 
 The solver works inside a large implicit box, which is how unboundedness is
 reported rather than crashed on: an optimum pinned to the box wall means the
@@ -36,6 +40,7 @@ PIVOT_TOL = 1e-11      # below this a coefficient row counts as zero
 EVAL_GUARD = 1e-13     # relative guard so fp noise never looks like a violation
 FIT_TOL = 1e-9         # slack used by fit_check
 CANON_SLACK = 1e-11    # pinning slack while canonicalizing witnesses
+FIRST_BLOCK = 16       # rows in the first look-ahead block of a scan
 
 OPTIMAL = "optimal"
 INFEASIBLE = "infeasible"
@@ -105,8 +110,16 @@ class LpResult:
         return self
 
 
-def _row_tols(A, b, x):
-    return FEAS_TOL * np.maximum(1.0, np.abs(b)) + EVAL_GUARD * (np.abs(A) @ np.abs(x))
+def _offset_tols(b):
+    return FEAS_TOL * np.maximum(1.0, np.abs(b))
+
+
+def _excess(A, b, b_tols, x):
+    """Per-row violation of A @ x <= b beyond the tolerance; > 0 means violated.
+
+    `b_tols` is `_offset_tols(b)`; the guard on |A| @ |x| is added per call.
+    """
+    return A @ x - b - (b_tols + EVAL_GUARD * (np.abs(A) @ np.abs(x)))
 
 
 def _base_1d(A, b, ids, c):
@@ -115,18 +128,20 @@ def _base_1d(A, b, ids, c):
     pos = a > PIVOT_TOL
     neg = a < -PIVOT_TOL
     flat = ~(pos | neg)
-    if np.any(b[flat] < -FEAS_TOL * np.maximum(1.0, np.abs(b[flat]))):
-        raise _Infeasible
+    if flat.any():
+        bf = b[flat]
+        if (bf < -FEAS_TOL * np.maximum(1.0, np.abs(bf))).any():
+            raise _Infeasible
     hi, hi_id = BOX_BOUND, -1
     lo, lo_id = -BOX_BOUND, -1
-    if np.any(pos):
+    if pos.any():
         ub = b[pos] / a[pos]
-        k = int(np.argmin(ub))
+        k = int(ub.argmin())
         if ub[k] < hi:
             hi, hi_id = float(ub[k]), int(ids[pos][k])
-    if np.any(neg):
+    if neg.any():
         lb = b[neg] / a[neg]
-        k = int(np.argmax(lb))
+        k = int(lb.argmax())
         if lb[k] > lo:
             lo, lo_id = float(lb[k]), int(ids[neg][k])
     if lo > hi + FEAS_TOL * max(1.0, abs(lo), abs(hi)):
@@ -145,13 +160,15 @@ def _base_1d(A, b, ids, c):
 def _eliminate(A, b, ids, c, rng, ridx, prefix):
     """Pin row `ridx` to equality, drop one variable, solve the prefix rows.
 
-    Returns the lifted solution and its pinning chain.  Raises _Infeasible
-    when the prefix has no point on the pinned boundary, which by the usual
-    incremental argument means the prefix plus the row is empty.
+    `prefix` indexes the rows that came before `ridx` in the scan (a slice
+    or an index array).  Returns the lifted solution and its pinning chain.
+    Raises _Infeasible when the prefix has no point on the pinned boundary,
+    which by the usual incremental argument means the prefix plus the row
+    is empty.
     """
     d = c.shape[0]
     row, rb = A[ridx], b[ridx]
-    j = int(np.argmax(np.abs(row)))
+    j = int(np.abs(row).argmax())
     pv = row[j]
     coef = row / pv
     rhs = rb / pv
@@ -160,22 +177,44 @@ def _eliminate(A, b, ids, c, rng, ridx, prefix):
         return x, ([int(ids[ridx])] if ids[ridx] >= 0 else [])
     keep = np.arange(d) != j
     Ap, bp, idp = A[prefix], b[prefix], ids[prefix]
-    Ared = np.vstack([
-        Ap[:, keep] - np.outer(Ap[:, j], coef[keep]),
-        -coef[None, keep],
-        coef[None, keep],
-    ])
-    bred = np.concatenate([bp - Ap[:, j] * rhs, [BOX_BOUND - rhs, BOX_BOUND + rhs]])
-    idred = np.concatenate([idp, [-1, -1]]).astype(int)
-    cred = c[keep] - c[j] * coef[keep]
+    m = bp.shape[0]
+    ck = coef[keep]
+    # the prefix rows with x_j substituted, then the box rows of x_j
+    Ared = np.empty((m + 2, d - 1))
+    np.subtract(Ap[:, keep], Ap[:, j, None] * ck, out=Ared[:m])
+    Ared[m] = -ck
+    Ared[m + 1] = ck
+    bred = np.empty(m + 2)
+    np.subtract(bp, Ap[:, j] * rhs, out=bred[:m])
+    bred[m:] = BOX_BOUND - rhs, BOX_BOUND + rhs
+    idred = np.concatenate([idp, [-1, -1]])
+    cred = c[keep] - c[j] * ck
     xsub, subchain = _solve(Ared, bred, idred, cred, rng)
     x = np.empty(d)
     x[keep] = xsub
-    x[j] = rhs - coef[keep] @ xsub
+    x[j] = rhs - ck @ xsub
     return x, ([int(ids[ridx])] if ids[ridx] >= 0 else []) + subchain
 
 
 def _solve(A, b, ids, c, rng):
+    """Seidel's scan: add the rows in random order, re-solving on each violation.
+
+    The rows are gathered once, in the order of one `rng.permutation`.  The
+    next violated row is found by scoring blocks of that order: a block of
+    FIRST_BLOCK rows, doubled after every clean block, and after a violation
+    at position `at` a fresh block of max(FIRST_BLOCK, at // 4) rows from
+    `at + 1`, since the next violation is expected about at / d rows on.  A
+    level thus scores O(d n) rows in expectation, where re-scoring every
+    remaining row after each violation costs Theta(d n log n).  Each row is
+    scored by the same `_excess` arithmetic in whatever block holds it, so
+    the first violation, and the output, do not depend on the block sizes.
+    The caveat is BLAS.  A one-row product takes a dot-product path whose
+    last bit can differ, so a lone row is scored only where a full re-scan
+    scores it alone: at n = 1 or right after a violation at n - 2.  And some
+    builds round a row by its offset in the block (OpenBLAS's Haswell
+    kernel at eight variables), where a full re-scan is just as exposed:
+    there an excess within rounding of zero can move the first violation.
+    """
     d = c.shape[0]
     if d == 1:
         return _base_1d(A, b, ids, c)
@@ -183,23 +222,26 @@ def _solve(A, b, ids, c, rng):
     x = np.where(c > 0, BOX_BOUND, np.where(c < 0, -BOX_BOUND, 0.0))
     chain = []
     order = rng.permutation(n) if n else np.empty(0, dtype=int)
-    pos = 0
+    A, b, ids = A[order], b[order], ids[order]
+    b_tols = _offset_tols(b)
+    pos, size = 0, FIRST_BLOCK
     while pos < n:
-        sel = order[pos:]
-        slack = A[sel] @ x - b[sel] - _row_tols(A[sel], b[sel], x)
-        bad = np.nonzero(slack > 0)[0]
-        if bad.size == 0:
-            break
-        at = pos + int(bad[0])
-        ridx = int(order[at])
-        if abs(A[ridx, int(np.argmax(np.abs(A[ridx])))]) < PIVOT_TOL:
-            # all coefficients vanish: 0 <= b must hold or nothing does
-            if b[ridx] < -FEAS_TOL * max(1.0, abs(b[ridx])):
-                raise _Infeasible
-            pos = at + 1
+        end = min(n, pos + size)
+        if end == n - 1:
+            end = n  # BLAS scores a lone row by another path; see above
+        bad = _excess(A[pos:end], b[pos:end], b_tols[pos:end], x) > 0
+        first = int(bad.argmax())
+        if not bad[first]:
+            pos, size = end, 2 * size
             continue
-        x, chain = _eliminate(A, b, ids, c, rng, ridx, order[:at])
-        pos = at + 1
+        at = pos + first
+        pos, size = at + 1, max(FIRST_BLOCK, at // 4)
+        if np.abs(A[at]).max() < PIVOT_TOL:
+            # all coefficients vanish: 0 <= b must hold or nothing does
+            if b[at] < -FEAS_TOL * max(1.0, abs(b[at])):
+                raise _Infeasible
+            continue
+        x, chain = _eliminate(A, b, ids, c, rng, at, slice(0, at))
     return x, chain
 
 
@@ -228,7 +270,7 @@ def seidel_lp(instance: LpInstance, seed=0):
         for _ in range(4):
             if A.shape[0] == 0 or np.max(np.abs(x)) >= 0.999 * BOX_BOUND:
                 break
-            resid = A @ x - b - _row_tols(A, b, x)
+            resid = _excess(A, b, _offset_tols(b), x)
             worst = int(np.argmax(resid))
             if resid[worst] <= 0:
                 break
@@ -294,14 +336,17 @@ def build_beta_instance(K: VPolytope, rotation: Rotation, P: HPolytope) -> LpIns
     return LpInstance.maximize_last(rows, bounds)
 
 
-def _lex_min_translation(inst, best_value, d, seed):
-    """Among optimal placements, pick the lexicographically smallest translation.
+def _lex_min_translation(inst, placement, seed):
+    """`placement` moved to the lexicographically smallest optimal translation.
 
-    Each pin row is scaled down until its offset is at most the largest
-    offset of `inst` (and at least 1), so pinning never raises seidel_lp's
-    offset normalization, and with it the tolerance on the rows of P.
+    `inst` is the scale LP at the placement's rotation and `placement` one
+    of its optima; the rotation and scale are kept.  Each pin row is scaled
+    down until its offset is at most the largest offset of `inst` (and at
+    least 1), so pinning never raises seidel_lp's offset normalization, and
+    with it the tolerance on the rows of P.
     """
     rows, bounds = inst.rows, inst.bounds
+    d = inst.dim_vars - 1
     cap = max(1.0, float(np.max(np.abs(bounds))))
     pin_rows, pin_bounds = [], []
 
@@ -310,7 +355,7 @@ def _lex_min_translation(inst, best_value, d, seed):
         pin_rows.append(row * shrink)
         pin_bounds.append(bound * shrink)
 
-    pin(np.concatenate([np.zeros(d), [-1.0]]), -(best_value - CANON_SLACK))
+    pin(np.concatenate([np.zeros(d), [-1.0]]), -(placement.scale - CANON_SLACK))
     witness = None
     for i in range(d):
         obj = np.zeros(d + 1)
@@ -319,12 +364,14 @@ def _lex_min_translation(inst, best_value, d, seed):
                          np.concatenate([bounds, pin_bounds]), obj)
         res = seidel_lp(sub, seed=seed + 7919 * (i + 1))
         if res.status != OPTIMAL:
-            return witness  # keep whatever we had; never fail the solve here
+            break  # keep whatever we had; never fail the solve here
         witness = res.witness
         e = np.zeros(d + 1)
         e[i] = 1.0
         pin(e, float(witness[i]) + CANON_SLACK)
-    return witness
+    if witness is None:
+        return placement
+    return Placement(witness[:d], placement.scale, placement.rotation)
 
 
 def beta_fixed_rotation(K: VPolytope, rotation: Rotation, P: HPolytope,
@@ -335,8 +382,9 @@ def beta_fixed_rotation(K: VPolytope, rotation: Rotation, P: HPolytope,
     the half-spaces of P among its pinning rows (the sign row is not one).
     An empty container reports status "infeasible" with value 0; a
     container that lets the copy grow forever reports "unbounded".  With
-    `canonical` the witness goes through `canonical_placement`, so repeated
-    runs (any seed) agree on the placement, not just the value.
+    `canonical` the witness goes through the lexicographic step of
+    `canonical_placement` on the rows already built, so repeated runs (any
+    seed) agree on the placement, not just the value.
     """
     inst = build_beta_instance(K, rotation, P)
     res = seidel_lp(inst, seed=seed)
@@ -347,7 +395,7 @@ def beta_fixed_rotation(K: VPolytope, rotation: Rotation, P: HPolytope,
     value = max(res.value, 0.0)
     placement = Placement(res.witness[:K.dim], value, rotation)
     if canonical:
-        placement = canonical_placement(K, placement, P, seed)
+        placement = _lex_min_translation(inst, placement, seed)
     n = len(P)
     tight = tuple(sorted(int(r) for r in res.tight_set if r < n))
     return BetaResult(value, placement, OPTIMAL, tight)
@@ -363,10 +411,7 @@ def canonical_placement(K: VPolytope, placement: Placement, P: HPolytope,
     `placement` was.
     """
     inst = build_beta_instance(K, placement.rotation, P)
-    lex = _lex_min_translation(inst, placement.scale, K.dim, seed)
-    if lex is None:
-        return placement
-    return Placement(lex[:K.dim], placement.scale, placement.rotation)
+    return _lex_min_translation(inst, placement, seed)
 
 
 def fit_check(K: VPolytope, rotation: Rotation, scale, P: HPolytope, seed=0) -> bool:

@@ -185,17 +185,23 @@ def beta_msw(K: VPolytope, net: RotationNet, P: HPolytope, seed=0) -> FitResult:
     that ever violated a trial placement.  A round is kept only when it
     produces few violators, so at most len(net) * (d + 1) rounds can be
     kept before no half-space objects; the value is then certified by one
-    full-family solve at the winning rotation.  When sampling cannot finish
-    (samples that stay unbounded, a certification that disagrees with the
-    sample, or the round cap), it sweeps the full family with `beta_direct`,
-    sets `stats.fallback` and names the cause in `stats.note`.
+    full-family solve at the winning rotation.  A family that the first
+    sample, ceil(delta * sqrt(n)) half-spaces with delta = len(net) * (d + 1),
+    would take whole (any n <= delta^2) goes straight to `beta_direct`, and
+    the result is `beta_direct`'s, with `violation_tests` 0.  When sampling
+    cannot finish (samples that stay unbounded, a certification that
+    disagrees with the sample, or the round cap), it sweeps the full family
+    with `beta_direct`, sets `stats.fallback` and names the cause in
+    `stats.note`.
     """
     if K.dim != P.dim or net.dim != K.dim:
         raise ValueError("body, net and container disagree on dimension")
     start = time.perf_counter()
     n = len(P)
     delta = len(net) * (K.dim + 1)
-    if n <= delta:
+    sample_size = min(n, int(math.ceil(delta * math.sqrt(n))))
+    if sample_size >= n:
+        # the first sample would be all of P (n <= delta^2): sweep it once
         inner = beta_direct(K, net, P, seed=seed)
         inner.method = "msw"
         inner.stats.wall_time_s = time.perf_counter() - start
@@ -204,7 +210,6 @@ def beta_msw(K: VPolytope, net: RotationNet, P: HPolytope, seed=0) -> FitResult:
     stats = SolveStats()
     rng = np.random.default_rng(np.random.SeedSequence([int(seed) % (2 ** 63), 1]))
     keep = np.zeros(n, dtype=bool)
-    sample_size = min(n, int(math.ceil(delta * math.sqrt(n))))
     accept_bound = 2.0 * math.sqrt(n)
     round_cap = 8 * (delta + 2)
     escalations = 0

@@ -10,7 +10,18 @@ import math
 
 import numpy as np
 
-from hellyfit.lp import BOX_BOUND, INFEASIBLE, OPTIMAL, UNBOUNDED, LpInstance
+from hellyfit.lp import (
+    BOX_BOUND,
+    EVAL_GUARD,
+    FEAS_TOL,
+    INFEASIBLE,
+    OPTIMAL,
+    PIVOT_TOL,
+    UNBOUNDED,
+    LpInstance,
+    LpResult,
+    _Infeasible,
+)
 
 ORACLE_FEAS_TOL = 1e-9
 
@@ -49,6 +60,135 @@ def lp_vertex_oracle(instance):
     if np.max(np.abs(best_x)) >= (1.0 - 1e-6) * BOX_BOUND:
         return UNBOUNDED, math.inf
     return OPTIMAL, scale * best_val
+
+
+def _rescan_row_tols(A, b, x):
+    return FEAS_TOL * np.maximum(1.0, np.abs(b)) + EVAL_GUARD * (np.abs(A) @ np.abs(x))
+
+
+def _rescan_base_1d(A, b, ids, c):
+    a = A[:, 0]
+    pos = a > PIVOT_TOL
+    neg = a < -PIVOT_TOL
+    flat = ~(pos | neg)
+    if np.any(b[flat] < -FEAS_TOL * np.maximum(1.0, np.abs(b[flat]))):
+        raise _Infeasible
+    hi, hi_id = BOX_BOUND, -1
+    lo, lo_id = -BOX_BOUND, -1
+    if np.any(pos):
+        ub = b[pos] / a[pos]
+        k = int(np.argmin(ub))
+        if ub[k] < hi:
+            hi, hi_id = float(ub[k]), int(ids[pos][k])
+    if np.any(neg):
+        lb = b[neg] / a[neg]
+        k = int(np.argmax(lb))
+        if lb[k] > lo:
+            lo, lo_id = float(lb[k]), int(ids[neg][k])
+    if lo > hi + FEAS_TOL * max(1.0, abs(lo), abs(hi)):
+        raise _Infeasible
+    if lo > hi:
+        lo = hi = 0.5 * (lo + hi)
+    if c[0] > 0:
+        x, chain = hi, [hi_id]
+    elif c[0] < 0:
+        x, chain = lo, [lo_id]
+    else:
+        x, chain = min(max(0.0, lo), hi), []
+    return np.array([x]), [i for i in chain if i >= 0]
+
+
+def _rescan_eliminate(A, b, ids, c, rng, ridx, prefix):
+    d = c.shape[0]
+    row, rb = A[ridx], b[ridx]
+    j = int(np.argmax(np.abs(row)))
+    pv = row[j]
+    coef = row / pv
+    rhs = rb / pv
+    if d == 1:
+        x = np.array([rhs])
+        return x, ([int(ids[ridx])] if ids[ridx] >= 0 else [])
+    keep = np.arange(d) != j
+    Ap, bp, idp = A[prefix], b[prefix], ids[prefix]
+    Ared = np.vstack([
+        Ap[:, keep] - np.outer(Ap[:, j], coef[keep]),
+        -coef[None, keep],
+        coef[None, keep],
+    ])
+    bred = np.concatenate([bp - Ap[:, j] * rhs, [BOX_BOUND - rhs, BOX_BOUND + rhs]])
+    idred = np.concatenate([idp, [-1, -1]]).astype(int)
+    cred = c[keep] - c[j] * coef[keep]
+    xsub, subchain = _rescan_solve(Ared, bred, idred, cred, rng)
+    x = np.empty(d)
+    x[keep] = xsub
+    x[j] = rhs - coef[keep] @ xsub
+    return x, ([int(ids[ridx])] if ids[ridx] >= 0 else []) + subchain
+
+
+def _rescan_solve(A, b, ids, c, rng):
+    d = c.shape[0]
+    if d == 1:
+        return _rescan_base_1d(A, b, ids, c)
+    n = A.shape[0]
+    x = np.where(c > 0, BOX_BOUND, np.where(c < 0, -BOX_BOUND, 0.0))
+    chain = []
+    order = rng.permutation(n) if n else np.empty(0, dtype=int)
+    pos = 0
+    while pos < n:
+        sel = order[pos:]
+        slack = A[sel] @ x - b[sel] - _rescan_row_tols(A[sel], b[sel], x)
+        bad = np.nonzero(slack > 0)[0]
+        if bad.size == 0:
+            break
+        at = pos + int(bad[0])
+        ridx = int(order[at])
+        if abs(A[ridx, int(np.argmax(np.abs(A[ridx])))]) < PIVOT_TOL:
+            if b[ridx] < -FEAS_TOL * max(1.0, abs(b[ridx])):
+                raise _Infeasible
+            pos = at + 1
+            continue
+        x, chain = _rescan_eliminate(A, b, ids, c, rng, ridx, order[:at])
+        pos = at + 1
+    return x, chain
+
+
+def rescan_seidel_lp(instance, seed=0):
+    """`seidel_lp` with the plain scan: every remaining row re-scored per violation.
+
+    After each violated row the scan gathers and scores all rows after it
+    again, Theta(d n log n) rows per recursion level.  Everything else is
+    written out plainly here (elimination, one-variable base case, row
+    tolerances, polish) with `seidel_lp`'s constants and random stream, so
+    the two must agree bit for bit.
+    """
+    rng = np.random.default_rng(seed)
+    scale = max(1.0, float(np.max(np.abs(instance.bounds))) if len(instance.bounds) else 1.0)
+    A = instance.rows
+    b = instance.bounds / scale
+    c = instance.objective
+    ids = np.arange(A.shape[0], dtype=int)
+    try:
+        x, chain = _rescan_solve(A, b, ids, c, rng)
+        for _ in range(4):
+            if A.shape[0] == 0 or np.max(np.abs(x)) >= 0.999 * BOX_BOUND:
+                break
+            resid = A @ x - b - _rescan_row_tols(A, b, x)
+            worst = int(np.argmax(resid))
+            if resid[worst] <= 0:
+                break
+            if abs(A[worst, int(np.argmax(np.abs(A[worst])))]) < PIVOT_TOL:
+                if b[worst] < -FEAS_TOL * max(1.0, abs(b[worst])):
+                    raise _Infeasible
+                break
+            prefix = np.delete(np.arange(A.shape[0]), worst)
+            x, chain = _rescan_eliminate(A, b, ids, c, rng, worst, prefix)
+    except _Infeasible:
+        return LpResult(INFEASIBLE, -math.inf, None, ())
+    witness = x * scale
+    if np.max(np.abs(x)) >= (1.0 - 1e-6) * BOX_BOUND:
+        return LpResult(UNBOUNDED, math.inf, witness, ())
+    tight = tuple(dict.fromkeys(i for i in chain if i >= 0))
+    return LpResult(OPTIMAL, float(instance.objective @ witness), witness, tight)
 
 
 def vertex_beta_instance(K, rotation, P):

@@ -5,7 +5,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from _oracles import lp_vertex_oracle, square_fit_scale, vertex_beta_instance
+from _oracles import (
+    lp_vertex_oracle,
+    rescan_seidel_lp,
+    square_fit_scale,
+    vertex_beta_instance,
+)
 from hellyfit.geometry import (
     HPolytope,
     Rotation,
@@ -17,6 +22,7 @@ from hellyfit.geometry import (
     unit_square,
 )
 from hellyfit.lp import (
+    FIRST_BLOCK,
     INFEASIBLE,
     OPTIMAL,
     UNBOUNDED,
@@ -317,3 +323,92 @@ def test_tight_set_rows_are_actually_tight():
         for i in res.tight_set:
             resid = inst.rows[i] @ res.witness - inst.bounds[i]
             assert abs(resid) <= 1e-6 * max(1.0, abs(inst.bounds[i]))
+
+
+# ---------------------------------------------------------------------------
+# the block look-ahead scan against the plain re-scan
+
+
+SCAN_KINDS = ("feasible", "random", "support", "repeated", "zero", "infeasible",
+              "unbounded")
+# block edges of a clean scan sit at 16, 48 and 112 rows
+SCAN_SIZES = (0, 1, 2) + tuple(
+    edge + step for edge in (FIRST_BLOCK, 3 * FIRST_BLOCK, 7 * FIRST_BLOCK)
+    for step in (-1, 0, 1)) + (3000,)
+
+
+def _scan_instance(rng, d, n, kind):
+    """An LP of `n` rows in `d` variables from the row family `kind`."""
+    A = rng.normal(size=(n, d))
+    b = rng.normal(size=n)
+    c = rng.normal(size=d)
+    if kind == "feasible":
+        b = np.abs(b) + 0.1
+    elif kind == "support":
+        # the scale LP of a random body against tangent half-spaces: unit
+        # normals, then the body's support value in each normal
+        if d > 1:
+            U = A[:, :-1] / np.linalg.norm(A[:, :-1], axis=1, keepdims=True)
+            W = rng.normal(size=(int(rng.integers(3, 9)), d - 1))
+            A = np.hstack([U, np.max(U @ W.T, axis=1, keepdims=True)])
+        else:
+            A = np.abs(A) + 0.1
+        b = np.ones(n)
+        c = np.zeros(d)
+        c[-1] = 1.0
+    elif kind == "repeated":
+        pick = rng.integers(0, max(1, n // 4), size=n)
+        A, b = A[pick], b[pick]
+    elif kind == "zero":
+        flat = rng.random(n) < 0.2
+        A[flat] = 0.0
+        b = np.abs(b) + 0.1
+        if rng.random() < 0.3:
+            b[flat] = -b[flat]
+    elif kind == "infeasible":
+        b = np.abs(b) + 0.1
+        if n >= 2:
+            # x_0 <= -1 and -x_0 <= -1 at two random positions
+            i, j = rng.choice(n, size=2, replace=False)
+            A[i], A[j] = 0.0, 0.0
+            A[i, 0], A[j, 0] = 1.0, -1.0
+            b[i], b[j] = -1.0, -1.0
+    elif kind == "unbounded":
+        # every row recedes along c, so the optimum runs off to the box
+        A[A @ c > 0] *= -1.0
+        b = np.abs(b) + 0.1
+    return LpInstance(A, b, c)
+
+
+def _assert_bit_identical(res, ref):
+    assert res.status == ref.status
+    assert np.float64(res.value).tobytes() == np.float64(ref.value).tobytes()
+    assert (res.witness is None) == (ref.witness is None)
+    if ref.witness is not None:
+        assert res.witness.tobytes() == ref.witness.tobytes()
+    assert res.tight_set == ref.tight_set
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.integers(min_value=0, max_value=2**31 - 1),
+       st.integers(min_value=1, max_value=4),
+       st.sampled_from(SCAN_SIZES) | st.integers(min_value=0, max_value=3000),
+       st.sampled_from(SCAN_KINDS))
+def test_block_scan_matches_rescan(seed, d, n, kind):
+    # finding each violator by block look-ahead must not change a bit of
+    # the answer: same random order, same per-row arithmetic
+    inst = _scan_instance(np.random.default_rng(seed), d, n, kind)
+    _assert_bit_identical(seidel_lp(inst, seed=seed), rescan_seidel_lp(inst, seed=seed))
+
+
+def test_block_scan_matches_rescan_at_block_edges():
+    statuses = {OPTIMAL: 0, INFEASIBLE: 0, UNBOUNDED: 0}
+    for d in range(1, 5):
+        for kind in SCAN_KINDS:
+            for n in SCAN_SIZES:
+                seed = 1000 * d + 10 * n + SCAN_KINDS.index(kind)
+                inst = _scan_instance(np.random.default_rng(seed), d, n, kind)
+                ref = rescan_seidel_lp(inst, seed=seed)
+                _assert_bit_identical(seidel_lp(inst, seed=seed), ref)
+                statuses[ref.status] += 1
+    assert min(statuses.values()) >= 20, statuses

@@ -181,6 +181,28 @@ def test_msw_base_case_identical_to_direct():
     assert np.array_equal(b.placement.translation, a.placement.translation)
 
 
+def test_msw_sweeps_once_when_the_sample_is_the_family():
+    # delta = 15 < n <= delta^2 = 225: the first sample, ceil(15 sqrt(n))
+    # half-spaces, would be all of P, so beta_msw is beta_direct's sweep
+    K = regular_polygon(3, 1.0)
+    net = uniform_net(5)
+    for n in (16, 100, 225):
+        P = tangent_family(n, 60 + n)
+        a = beta_direct(K, net, P, seed=n)
+        b = beta_msw(K, net, P, seed=n)
+        assert b.method == "msw"
+        assert b.beta == a.beta
+        assert b.placement.translation.tobytes() == a.placement.translation.tobytes()
+        assert b.basis == a.basis
+        assert b.rotation_index == a.rotation_index
+        assert b.stats.lp_calls == a.stats.lp_calls
+        assert b.stats.violation_tests == 0
+        assert not b.stats.fallback
+    # above delta^2 the first sample leaves half-spaces out and rounds run
+    r = beta_msw(K, net, tangent_family(300, 360), seed=300)
+    assert r.stats.violation_tests >= 300
+
+
 def test_msw_matches_direct_at_larger_n():
     K = regular_polygon(4, 1.0)
     net = uniform_net(4)
