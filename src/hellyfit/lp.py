@@ -10,6 +10,17 @@ of re-scoring every remaining row after each violation; the blocks score
 the rows in the same random order with the same arithmetic, so the output
 does not depend on the block sizes.
 
+Most eliminations go from two variables to one, many of them on prefixes of
+a few rows, where numpy's per-call cost outweighs the rows.  That step is
+fused with the one-variable program it leaves (`_eliminate_2d`): no reduced
+arrays are built, and short prefixes are handled in plain Python floats.
+The result is bit-identical to solving the reduced arrays, because each
+reduced value is one product and one difference, correctly rounded in
+numpy and CPython alike, and the one-variable rule lives in one place
+(`_one_var`).  Scoring rows is another matter: it stays a BLAS
+matrix-vector product (`_excess`), because a plain-Python dot product sums
+in another order, and its last bit could move the first violation.
+
 The solver works inside a large implicit box, which is how unboundedness is
 reported rather than crashed on: an optimum pinned to the box wall means the
 true problem escapes to infinity at the scale of the data.  Degenerate ties
@@ -41,6 +52,7 @@ EVAL_GUARD = 1e-13     # relative guard so fp noise never looks like a violation
 FIT_TOL = 1e-9         # slack used by fit_check
 CANON_SLACK = 1e-11    # pinning slack while canonicalizing witnesses
 FIRST_BLOCK = 16       # rows in the first look-ahead block of a scan
+SMALL = 48             # plain Python below this prefix: the per-call crossover is 48-56 rows
 
 OPTIMAL = "optimal"
 INFEASIBLE = "infeasible"
@@ -122,39 +134,102 @@ def _excess(A, b, b_tols, x):
     return A @ x - b - (b_tols + EVAL_GUARD * (np.abs(A) @ np.abs(x)))
 
 
-def _base_1d(A, b, ids, c):
-    """Solve the one-variable program over [-BOX, BOX]."""
-    a = A[:, 0]
-    pos = a > PIVOT_TOL
-    neg = a < -PIVOT_TOL
-    flat = ~(pos | neg)
-    if flat.any():
-        bf = b[flat]
-        if (bf < -FEAS_TOL * np.maximum(1.0, np.abs(bf))).any():
-            raise _Infeasible
+def _one_var(rows, cred):
+    """Maximize cred * x over [-BOX, BOX] and the rows a * x <= bb.
+
+    `rows` yields (a, bb, id) as Python numbers in scan order, the box rows
+    of an eliminated variable last with id -1.  This is the one place the
+    one-variable rule lives: a row with |a| <= PIVOT_TOL is flat and fails
+    the program when bb < 0 beyond the tolerance; otherwise bb / a bounds x,
+    and a bound replaces the box or an earlier bound only when strictly
+    tighter, so the first row in scan order wins a tie and box rows lose
+    one.  Returns x and its chain: the id of the row that pins it, unless
+    that is a box row or cred is 0.
+    """
     hi, hi_id = BOX_BOUND, -1
     lo, lo_id = -BOX_BOUND, -1
-    if pos.any():
-        ub = b[pos] / a[pos]
-        k = int(ub.argmin())
-        if ub[k] < hi:
-            hi, hi_id = float(ub[k]), int(ids[pos][k])
-    if neg.any():
-        lb = b[neg] / a[neg]
-        k = int(lb.argmax())
-        if lb[k] > lo:
-            lo, lo_id = float(lb[k]), int(ids[neg][k])
+    for a, bb, i in rows:
+        if a > PIVOT_TOL:
+            r = bb / a
+            if r < hi:
+                hi, hi_id = r, i
+        elif a < -PIVOT_TOL:
+            r = bb / a
+            if r > lo:
+                lo, lo_id = r, i
+        elif bb < -FEAS_TOL * max(1.0, abs(bb)):
+            raise _Infeasible
     if lo > hi + FEAS_TOL * max(1.0, abs(lo), abs(hi)):
         raise _Infeasible
     if lo > hi:  # inverted by a rounding hair; collapse
         lo = hi = 0.5 * (lo + hi)
-    if c[0] > 0:
-        x, chain = hi, [hi_id]
-    elif c[0] < 0:
-        x, chain = lo, [lo_id]
+    if cred > 0:
+        return hi, ([hi_id] if hi_id >= 0 else [])
+    if cred < 0:
+        return lo, ([lo_id] if lo_id >= 0 else [])
+    return min(max(0.0, lo), hi), []
+
+
+def _extremes(a, bb, ids):
+    """The rows of a * x <= bb that can decide `_one_var`, found by array passes.
+
+    They are the first row of least ratio bb / a among a > PIVOT_TOL, the
+    first of greatest ratio among a < -PIVOT_TOL (argmin and argmax keep
+    the first occurrence, as `_one_var`'s strict comparison does), and the
+    flat row of least bb, since the flat test fails for it if for any.
+    """
+    up = (a > PIVOT_TOL).nonzero()[0]
+    down = (a < -PIVOT_TOL).nonzero()[0]
+    pick = []
+    if up.size:
+        pick.append(up[(bb[up] / a[up]).argmin()])
+    if down.size:
+        pick.append(down[(bb[down] / a[down]).argmax()])
+    if up.size + down.size < a.shape[0]:
+        flat = (np.abs(a) <= PIVOT_TOL).nonzero()[0]
+        pick.append(flat[bb[flat].argmin()])
+    return list(zip(a[pick].tolist(), bb[pick].tolist(), ids[pick].tolist()))
+
+
+def _base_1d(A, b, ids, c):
+    """Solve the one-variable program over [-BOX, BOX]."""
+    x, chain = _one_var(_extremes(A[:, 0], b, ids), float(c[0]))
+    return np.array([x]), chain
+
+
+def _eliminate_2d(A, b, ids, c, ridx, prefix):
+    """`_eliminate` at two variables, fused with the one-variable program left.
+
+    Each prefix row becomes a = A[i, k] - A[i, j] * ck, bb = b[i] - A[i, j]
+    * rhs, and the box rows of x_j follow as scalars; `_one_var` takes the
+    rows straight from there, with no reduced arrays.  Below SMALL prefix
+    rows they are formed in Python floats, above it by one array pass that
+    `_extremes` cuts to the rows that can win.  Either way each value is
+    rounded as the reduced arrays rounded it: a product, then a difference,
+    each correctly rounded, which numpy and CPython alike never fuse.
+    """
+    row = A[ridx].tolist()
+    j = 0 if abs(row[0]) >= abs(row[1]) else 1  # argmax keeps the first
+    k = 1 - j
+    pv = row[j]
+    ck = row[k] / pv
+    rhs = float(b[ridx]) / pv
+    Ap = A[prefix]
+    if Ap.shape[0] < SMALL:
+        rows = [(r[k] - r[j] * ck, bi - r[j] * rhs, i) for r, bi, i
+                in zip(Ap.tolist(), b[prefix].tolist(), ids[prefix].tolist())]
     else:
-        x, chain = min(max(0.0, lo), hi), []
-    return np.array([x]), [i for i in chain if i >= 0]
+        aj = Ap[:, j]
+        rows = _extremes(Ap[:, k] - aj * ck, b[prefix] - aj * rhs, ids[prefix])
+    # the box rows of x_j, last so that they lose ties
+    rows += [(-ck, BOX_BOUND - rhs, -1), (ck, BOX_BOUND + rhs, -1)]
+    cv = c.tolist()
+    xk, chain = _one_var(rows, cv[k] - cv[j] * ck)
+    x = np.empty(2)
+    x[k] = xk
+    # + 0.0 as in the one-term dot product ck @ x_k: a -0.0 product becomes 0.0
+    x[j] = rhs - (ck * xk + 0.0)
+    return x, ([int(ids[ridx])] if ids[ridx] >= 0 else []) + chain
 
 
 def _eliminate(A, b, ids, c, rng, ridx, prefix):
@@ -164,9 +239,14 @@ def _eliminate(A, b, ids, c, rng, ridx, prefix):
     or an index array).  Returns the lifted solution and its pinning chain.
     Raises _Infeasible when the prefix has no point on the pinned boundary,
     which by the usual incremental argument means the prefix plus the row
-    is empty.
+    is empty.  At two variables the step is `_eliminate_2d`, which computes
+    the reduced rows value for value as the code below would and hands them
+    straight to the one-variable rule.  From three variables up the reduced
+    rows are written out and solved by `_solve` one dimension down.
     """
     d = c.shape[0]
+    if d == 2:
+        return _eliminate_2d(A, b, ids, c, ridx, prefix)
     row, rb = A[ridx], b[ridx]
     j = int(np.abs(row).argmax())
     pv = row[j]
@@ -214,6 +294,9 @@ def _solve(A, b, ids, c, rng):
     builds round a row by its offset in the block (OpenBLAS's Haswell
     kernel at eight variables), where a full re-scan is just as exposed:
     there an excess within rounding of zero can move the first violation.
+    For the same reason the scoring stays in BLAS even where the
+    elimination after it runs in plain Python: a Python dot product would
+    not round as the matrix-vector product does.
     """
     d = c.shape[0]
     if d == 1:

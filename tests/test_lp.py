@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from _oracles import (
+    _rescan_eliminate,
     lp_vertex_oracle,
     rescan_seidel_lp,
     square_fit_scale,
@@ -22,13 +23,17 @@ from hellyfit.geometry import (
     unit_square,
 )
 from hellyfit.lp import (
+    BOX_BOUND,
     FIRST_BLOCK,
     INFEASIBLE,
     OPTIMAL,
+    SMALL,
     UNBOUNDED,
     InfeasibleProblem,
     LpInstance,
     UnboundedProblem,
+    _eliminate,
+    _Infeasible,
     beta_fixed_rotation,
     build_beta_instance,
     chebyshev_inradius,
@@ -412,3 +417,91 @@ def test_block_scan_matches_rescan_at_block_edges():
                 _assert_bit_identical(seidel_lp(inst, seed=seed), ref)
                 statuses[ref.status] += 1
     assert min(statuses.values()) >= 20, statuses
+
+
+# every prefix length on both sides of the plain-Python cut-off, then two
+# that only the array pass sees
+FUSED_SIZES = tuple(range(2 * SMALL + 2)) + (500, 3000)
+FUSED_KINDS = SCAN_KINDS + ("box_tie", "flat")
+
+
+def _fused_case(rng, m, kind):
+    """A two-variable elimination: rows, offsets, ids, objective, pinned row, prefix.
+
+    "box_tie" prefixes repeat the two rows that reduce to exactly the box
+    rows of the eliminated variable, so every bound ties a box row.  "flat"
+    prefixes mix loose random rows with multiples of the pinned row, which
+    reduce to |a| <= PIVOT_TOL with offsets inside or outside the tolerance.
+    """
+    if kind in SCAN_KINDS:
+        inst = _scan_instance(rng, 2, m + 1, kind)
+        A, b, c = inst.rows, inst.bounds, inst.objective
+    else:
+        A, c = rng.normal(size=(m + 1, 2)), rng.normal(size=2)
+        b = np.abs(rng.normal(size=m + 1)) + 0.1
+    ridx = m if rng.random() < 0.5 else int(rng.integers(m + 1))
+    roll = rng.random()
+    if roll < 0.2:
+        A[ridx] = rng.normal() * np.array([1.0, rng.choice([-1.0, 1.0])])  # |a0| == |a1|
+    elif roll < 0.4:
+        # a pinned axis row through the origin: ck and rhs are signed zeros
+        A[ridx] = 0.0
+        A[ridx, int(rng.integers(2))] = rng.choice([-1.0, 1.0])
+        b[ridx] = rng.choice([-0.0, 0.0])
+    elif np.abs(A[ridx]).max() < 1e-3:
+        A[ridx] = rng.normal(size=2)
+    if kind == "flat":
+        b[ridx] = 0.0  # x_k = 0 meets every loose row, so only a flat row can fail
+    row, rb = A[ridx].copy(), b[ridx]
+    j = int(np.abs(row).argmax())
+    ck, rhs = row[1 - j] / row[j], rb / row[j]
+    others = np.delete(np.arange(m + 1), ridx)
+    if kind == "box_tie":
+        tie = np.zeros((2, 2))
+        tie[0, 1 - j], tie[1, 1 - j] = ck, -ck
+        pick = rng.integers(0, 2, m)
+        A[others] = tie[pick]
+        b[others] = np.array([BOX_BOUND + rhs, BOX_BOUND - rhs])[pick]
+    elif kind == "flat":
+        mult = others[rng.random(m) < 0.5]
+        s = rng.normal(size=mult.size)
+        A[mult] = s[:, None] * row
+        gap = rng.choice([0.5, 1e-12, -1e-12, -1e-3], size=mult.size, p=[0.7, 0.1, 0.1, 0.1])
+        b[mult] = s * rb + gap
+    roll = rng.random()
+    if roll < 0.15:
+        c = np.zeros(2)  # cred == 0
+    elif roll < 0.3:
+        c[int(rng.integers(2))] = 0.0
+    ids = np.arange(m + 1)
+    ids[rng.random(m + 1) < 0.2] = -1  # box rows of an enclosing level
+    prefix = slice(0, m) if ridx == m and rng.random() < 0.7 else others
+    return A, b, ids, c, ridx, prefix
+
+
+def _elimination(fn, A, b, ids, c, ridx, prefix):
+    try:
+        x, chain = fn(A, b, ids, c, None, ridx, prefix)
+    except _Infeasible:
+        return None
+    return x.tobytes(), chain
+
+
+def test_fused_1d_step_matches_rescan_elimination():
+    # the fused two-variable step must give the reduced-array elimination's
+    # witness, chain or infeasibility bit for bit, on either side of SMALL;
+    # neither draws from the rng at two variables, so it is None here
+    seen = {}
+    for m in FUSED_SIZES:
+        for kind in FUSED_KINDS:
+            for rep in range(3):
+                seed = 100 * m + 10 * FUSED_KINDS.index(kind) + rep
+                case = _fused_case(np.random.default_rng(seed), m, kind)
+                ref = _elimination(_rescan_eliminate, *case)
+                assert _elimination(_eliminate, *case) == ref, (m, kind, rep)
+                outcome = "infeasible" if ref is None else len(ref[1])
+                key = (m < SMALL, outcome)
+                seen[key] = seen.get(key, 0) + 1
+    for small in (True, False):
+        for outcome in ("infeasible", 1, 2):
+            assert seen.get((small, outcome), 0) >= 10, seen
