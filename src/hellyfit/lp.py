@@ -53,6 +53,7 @@ FIT_TOL = 1e-9         # slack used by fit_check
 CANON_SLACK = 1e-11    # pinning slack while canonicalizing witnesses
 FIRST_BLOCK = 16       # rows in the first look-ahead block of a scan
 SMALL = 48             # plain Python below this prefix: the per-call crossover is 48-56 rows
+DUAL_TOL = 1e-12       # relative residual accepted in a recovered scale-LP dual
 
 OPTIMAL = "optimal"
 INFEASIBLE = "infeasible"
@@ -120,6 +121,11 @@ class LpResult:
         if self.status == UNBOUNDED:
             raise UnboundedProblem("linear program is unbounded")
         return self
+
+
+def _offset_scale(b):
+    """`seidel_lp`'s offset normalization: the largest |b_i|, at least 1."""
+    return max(1.0, float(np.max(np.abs(b)))) if len(b) else 1.0
 
 
 def _offset_tols(b):
@@ -341,7 +347,7 @@ def seidel_lp(instance: LpInstance, seed=0):
     if d == 0:
         raise ValueError("LP needs at least one variable")
     rng = np.random.default_rng(seed)
-    scale = max(1.0, float(np.max(np.abs(instance.bounds))) if len(instance.bounds) else 1.0)
+    scale = _offset_scale(instance.bounds)
     A = instance.rows
     b = instance.bounds / scale
     c = instance.objective
@@ -417,6 +423,71 @@ def build_beta_instance(K: VPolytope, rotation: Rotation, P: HPolytope) -> LpIns
     rows[n, d] = -1.0
     bounds = np.concatenate([off, [0.0]])
     return LpInstance.maximize_last(rows, bounds)
+
+
+@dataclass(eq=False)
+class ScaleDual:
+    """Multipliers lambda >= 0 on half-spaces of P that bound the scale LP
+    at every rotation.
+
+    Summing the rows of `build_beta_instance` at any rotation A with weights
+    lambda gives alpha * lambda . h_A(U) <= lambda . b - <U^T lambda, a>, so
+    alpha <= cap / lambda . h_A(U) wherever that denominator is positive.
+    `cap` is lambda . b plus a cushion that makes the bound hold for any
+    value seidel_lp can report, not just the exact optimum: with scale its
+    offset normalization (`_offset_scale`), every row may be violated by
+    FEAS_TOL * scale, and the residual U^T lambda meets a translation of
+    at most BOX_BOUND * scale per coordinate.  Rounding beyond that is left
+    to the solver layer's pruning slack.
+    """
+
+    normals: np.ndarray   # (k, d) rows u_i of the half-spaces used
+    weights: np.ndarray   # (k,) lambda
+    cap: float
+
+    def bounds(self, K: VPolytope, matrices) -> np.ndarray:
+        """Upper bound on the scale at each rotation of a (t, d, d) stack."""
+        h = (self.normals @ matrices @ K.vertices.T).max(axis=2)
+        denom = h @ self.weights
+        out = np.full(denom.shape, math.inf)
+        pos = denom > 0
+        out[pos] = self.cap / denom[pos]
+        return out
+
+
+def scale_dual(K: VPolytope, rotation: Rotation, P: HPolytope, tight_rows):
+    """The dual of an optimal scale LP on its tight half-spaces T, or None.
+
+    Solves [U_T^T; h_A(U_T)^T] lambda = e_{d+1} (least squares unless
+    |T| = d + 1) and accepts lambda only when it is nonnegative and its
+    residual is within DUAL_TOL of the magnitudes summed; otherwise, e.g.
+    when the sign row -alpha <= 0 pins the optimum, the rotation certifies
+    nothing about the others.
+    """
+    rows = np.asarray(tight_rows, dtype=int)
+    if rows.size == 0:
+        return None
+    U = P.normals[rows]
+    M = np.vstack([U.T, support_values(K, rotation, U)])
+    e = np.zeros(M.shape[0])
+    e[-1] = 1.0
+    try:
+        if rows.size == M.shape[0]:
+            lam = np.linalg.solve(M, e)
+        else:
+            lam = np.linalg.lstsq(M, e, rcond=None)[0]
+    except np.linalg.LinAlgError:
+        return None
+    if not np.all(np.isfinite(lam)):
+        return None
+    lam[(lam < 0) & (lam >= -DUAL_TOL * np.abs(lam).sum())] = 0.0
+    if np.any(lam < 0):
+        return None
+    if np.any(np.abs(M @ lam - e) > DUAL_TOL * (1.0 + np.abs(M) @ lam)):
+        return None
+    cushion = _offset_scale(P.offsets) * (FEAS_TOL * lam.sum()
+                                          + BOX_BOUND * np.abs(U.T @ lam).sum())
+    return ScaleDual(U, lam, float(P.offsets[rows] @ lam + cushion))
 
 
 def _lex_min_translation(inst, placement, seed):

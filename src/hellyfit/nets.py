@@ -33,6 +33,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -97,6 +98,11 @@ class RotationNet:
     @property
     def dim(self):
         return self.rotations[0].dim
+
+    @cached_property
+    def matrices(self):
+        """The rotation matrices stacked into one (t, d, d) array."""
+        return np.stack([r.matrix for r in self.rotations])
 
     def angles(self):
         if self.dim != 2:

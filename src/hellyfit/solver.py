@@ -1,11 +1,18 @@
 """Largest rotated copy over a whole rotation net, three interchangeable ways.
 
-`beta_direct` sweeps every net rotation, `beta_msw` reaches the same value
+`beta_direct` sweeps the net rotations, `beta_msw` reaches the same value
 with an expected-linear number of constraint touches by sampling half-spaces
 (Clarkson-style), and `beta_brute` minimizes over all small subfamilies,
 which the other two must match.  Every method reports the witnessing
 placement, a small basis of half-space indices that already pins the value,
 and counters suitable for scaling measurements.
+
+All of them sweep the net the same way (`_sweep`): best first, solving a
+rotation's LP only while no solved rotation's dual rules it out.  The dual
+of each solved LP (`lp.scale_dual`) bounds the scale at every rotation by
+weak duality, and the sweep stops once every unsolved bound lies below the
+best value by more than the tie slack, so the winner and every rotation
+tied with it are still solved with their own seeds.
 """
 
 import math
@@ -21,12 +28,19 @@ from .geometry import (
     UnsupportedDimensionError,
     VPolytope,
 )
-from .lp import OPTIMAL, beta_fixed_rotation, canonical_placement, support_values
+from .lp import (
+    OPTIMAL,
+    beta_fixed_rotation,
+    canonical_placement,
+    scale_dual,
+    support_values,
+)
 from .nets import RotationNet, cached_net_2d
 
 TIE_TOL = 1e-12      # relative slack when picking the winning rotation
 BASIS_TOL = 1e-9     # value agreement required of a reduced family
 VIOL_TOL = 1e-9      # per-row slack (relative to the offset) in violation tests
+PRUNE_SLACK = 1e-7   # relative margin for LP and rounding error when pruning a rotation
 BRUTE_LIMIT = 10 ** 6
 
 
@@ -82,54 +96,93 @@ def _rotation_seed(seed, i):
 
 
 def _sweep(K, net, P, seed):
-    """One fit LP per net rotation, each with its own seed."""
-    return [beta_fixed_rotation(K, A, P, seed=_rotation_seed(seed, i), canonical=False)
-            for i, A in enumerate(net.rotations)]
+    """The fit LPs of the net rotations that the best value depends on.
+
+    Returns one entry per rotation: `beta_fixed_rotation` with the seed
+    `_rotation_seed(seed, i)`, or None for a rotation that was not solved.
+    Rotation 0 is solved first; each optimal solve's dual bounds every
+    rotation, each rotation keeps the least bound so far, and the open
+    rotation of highest bound (lowest index on a tie) is solved next, until
+    every open bound lies below best - (TIE_TOL + PRUNE_SLACK) * max(1,
+    |best|).  A rotation within TIE_TOL of the best has a bound at least its
+    value, so it is never pruned.  After a solve that is not optimal
+    (unbounded or empty) every remaining rotation is solved in index order.
+    """
+    t = len(net)
+    results = [None] * t
+
+    def solve(i):
+        results[i] = beta_fixed_rotation(K, net.rotations[i], P,
+                                         seed=_rotation_seed(seed, i),
+                                         canonical=False)
+        return results[i]
+
+    bounds = np.full(t, math.inf)   # -inf once solved
+    best, i = -math.inf, 0
+    for solves in range(1, t + 1):
+        res = solve(i)
+        bounds[i] = -math.inf
+        if res.status != OPTIMAL:
+            for j in range(t):
+                if results[j] is None:
+                    solve(j)
+            break
+        best = max(best, res.value)
+        if solves == t:
+            break
+        dual = scale_dual(K, net.rotations[i], P, res.tight_rows)
+        if dual is not None:
+            np.minimum(bounds, dual.bounds(K, net.matrices), out=bounds)
+        i = int(bounds.argmax())
+        if bounds[i] < best - (TIE_TOL + PRUNE_SLACK) * max(1.0, abs(best)):
+            break
+    return results
+
+
+def _solved(results):
+    return sum(r is not None for r in results)
 
 
 def _argmax_rotation(results):
-    best = max(r.value for r in results)
+    solved = [(i, r) for i, r in enumerate(results) if r is not None]
+    best = max(r.value for _, r in solved)
     if math.isinf(best):
-        return next(i for i, r in enumerate(results) if math.isinf(r.value)), best
+        return next(i for i, r in solved if math.isinf(r.value)), best
     slack = TIE_TOL * max(1.0, abs(best))
-    for i, r in enumerate(results):
+    for i, r in solved:
         if r.value >= best - slack:
             return i, best
     raise AssertionError("argmax scan cannot miss its own maximum")
 
 
-def _union_basis(results, index_map=None):
+def _union_basis(results):
     rows = set()
     for r in results:
-        rows.update(r.tight_rows)
-    if index_map is not None:
-        rows = {int(index_map[j]) for j in rows}
+        if r is not None:
+            rows.update(r.tight_rows)
     return sorted(int(j) for j in rows)
 
 
 def _subfamily_value(K, net, P, indices, seed):
     """Max fit scale over the net when only the given half-spaces constrain
     the copy; also reports how many LPs that took."""
-    sub = P.take(list(indices))
-    value, calls = 0.0, 0
-    for i, A in enumerate(net.rotations):
-        res = beta_fixed_rotation(K, A, sub, seed=_rotation_seed(seed, i),
-                                  canonical=False)
-        calls += 1
-        value = max(value, res.value)
-        if math.isinf(value):
-            break
-    return value, calls
+    results = _sweep(K, net, P.take(list(indices)), seed)
+    value = max([0.0] + [r.value for r in results if r is not None])
+    return value, _solved(results)
 
 
 def _finish(K, net, P, results, seed, stats, method):
     """Shared tail of all methods: canonicalize the winning rotation's solve.
 
-    `results` are `_sweep`'s full-family solves.  The winner's value and
-    tight rows are kept as solved; `canonical_placement`, with the seed
-    `_sweep` gave that rotation (counted as one LP call), only replaces its
-    translation, so the placement is bit-equal to `beta_fixed_rotation(...,
-    canonical=True)` at that rotation and seed.
+    `results` are `_sweep`'s full-family solves, None where pruned.  The
+    winner's value and tight rows are kept as solved; `canonical_placement`,
+    with the seed `_sweep` gave that rotation (counted as one LP call), only
+    replaces its translation, so the placement is bit-equal to
+    `beta_fixed_rotation(..., canonical=True)` at that rotation and seed.
+    The basis is the union of the solved rotations' tight rows: each solved
+    rotation is pinned by its rows and each pruned one stays below the best
+    by the dual on a solved rotation's rows, and with at most d + 1 rows
+    per Seidel chain the union never exceeds len(net) * (d + 1).
     """
     i_star, best = _argmax_rotation(results)
     if math.isinf(best):
@@ -142,25 +195,25 @@ def _finish(K, net, P, results, seed, stats, method):
         return FitResult(0.0, None, [], method, stats, i_star)
     placement = canonical_placement(K, win.placement, P, _rotation_seed(seed, i_star))
     stats.lp_calls += 1
-    basis = _union_basis(results)
-    if len(basis) > len(net) * (K.dim + 1):
-        basis = _greedy_prune(K, net, P, basis, win.value, seed, stats)
-    return FitResult(win.value, placement, basis, method, stats, i_star)
+    return FitResult(win.value, placement, _union_basis(results), method, stats,
+                     i_star)
 
 
 def beta_direct(K: VPolytope, net: RotationNet, P: HPolytope, seed=0) -> FitResult:
     """Best scale of a translated, net-rotated copy of K inside P.
 
-    Solves one LP per net rotation and keeps the winner; ties go to the
-    lowest rotation index and, within an LP, to the lexicographically
-    smallest translation, so results are reproducible across seeds.
+    Solves one LP per net rotation that no solved rotation's dual rules
+    out (`_sweep`), best first, and keeps the winner; ties go to the lowest
+    rotation index and, within an LP, to the lexicographically smallest
+    translation, so results are reproducible across seeds and equal to a
+    sweep of every rotation.
     """
     if K.dim != P.dim or net.dim != K.dim:
         raise ValueError("body, net and container disagree on dimension")
     start = time.perf_counter()
     stats = SolveStats()
     results = _sweep(K, net, P, seed)
-    stats.lp_calls += len(net)
+    stats.lp_calls += _solved(results)
     out = _finish(K, net, P, results, seed, stats, "direct")
     stats.wall_time_s = time.perf_counter() - start
     return out
@@ -221,7 +274,7 @@ def beta_msw(K: VPolytope, net: RotationNet, P: HPolytope, seed=0) -> FitResult:
         picked = rng.choice(rest, size=extra, replace=False) if extra else rest[:0]
         subset = np.sort(np.concatenate([np.nonzero(keep)[0], picked]))
         results = _sweep(K, net, P.take(subset), seed)
-        stats.lp_calls += len(net)
+        stats.lp_calls += _solved(results)
         i_star, best = _argmax_rotation(results)
         if math.isinf(best):
             # the sample leaves the copy unbounded: widen and retry
@@ -250,8 +303,8 @@ def beta_msw(K: VPolytope, net: RotationNet, P: HPolytope, seed=0) -> FitResult:
                 reason = (f"full-family certification disagreed with the sample "
                           f"({final.status}, {final.value!r} against {best!r})")
                 break
-            basis = sorted({int(subset[j]) for r in results for j in r.tight_rows}
-                           | set(final.tight_rows))
+            basis = sorted({int(subset[j]) for r in results if r is not None
+                            for j in r.tight_rows} | set(final.tight_rows))
             if len(basis) > delta:
                 basis = _greedy_prune(K, net, P, basis, final.value, seed, stats)
             stats.wall_time_s = time.perf_counter() - start
@@ -300,7 +353,7 @@ def beta_brute(K: VPolytope, net: RotationNet, P: HPolytope) -> FitResult:
     # the minimizing subset pins the value; placement and basis still come
     # from the whole family so the reported copy respects every half-space
     results = _sweep(K, net, P, 0)
-    stats.lp_calls += len(net)
+    stats.lp_calls += _solved(results)
     out = _finish(K, net, P, results, 0, stats, "brute")
     out.beta = best
     stats.wall_time_s = time.perf_counter() - start

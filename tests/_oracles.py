@@ -227,6 +227,46 @@ def highs_scale(K, rotation, P):
     raise RuntimeError(f"HiGHS failed: {res.message}")
 
 
+def full_sweep(K, net, P, seed):
+    """One fit LP per net rotation, each with the seed the solver gives it.
+
+    This is the sweep before dual pruning: no rotation is skipped.
+    """
+    from hellyfit.lp import beta_fixed_rotation
+    from hellyfit.solver import _rotation_seed
+
+    return [beta_fixed_rotation(K, A, P, seed=_rotation_seed(seed, i), canonical=False)
+            for i, A in enumerate(net.rotations)]
+
+
+def full_sweep_fit(K, net, P, seed):
+    """(beta, rotation index, placement, union basis) of `full_sweep`.
+
+    The winner is the lowest index within TIE_TOL of the best value; beta
+    is the winner's value and its placement goes through
+    `canonical_placement` with its own seed, as `beta_direct` does; the
+    basis is every rotation's tight rows.
+    """
+    from hellyfit.lp import canonical_placement
+    from hellyfit.solver import TIE_TOL, _rotation_seed
+
+    results = full_sweep(K, net, P, seed)
+    values = [r.value for r in results]
+    best = max(values)
+    if math.isinf(best):
+        i = values.index(best)
+    else:
+        i = next(k for k, v in enumerate(values)
+                 if v >= best - TIE_TOL * max(1.0, abs(best)))
+    basis = sorted({j for r in results for j in r.tight_rows})
+    if math.isinf(best):
+        return best, i, None, basis
+    if results[i].status != OPTIMAL:
+        return 0.0, i, None, []
+    placement = canonical_placement(K, results[i].placement, P, _rotation_seed(seed, i))
+    return results[i].value, i, placement, basis
+
+
 def beta_angle_scan(K, P, angles, seed=0):
     """Best scale over an explicit list of rotation angles (2-d only)."""
     from hellyfit.geometry import Rotation

@@ -282,8 +282,9 @@ def test_mirror_reflects_first_coordinate_in_3d():
     assert np.array_equal(m.vertices[:, 1:], cube.vertices[:, 1:])
 
 
-def test_fit_and_net_refuse_a_huge_3d_net(capsys, tmp_path):
-    # the unit cube at eps = 0.1 needs 2.2 M radius-ratio rotations
+@pytest.fixture
+def cube_in_box(tmp_path):
+    """The unit cube and the box [0, 2]^3."""
     cube = write_json(tmp_path / "cube.json", {
         "dim": 3,
         "vertices": [[x, y, z] for x in (0, 1) for y in (0, 1) for z in (0, 1)]})
@@ -292,6 +293,22 @@ def test_fit_and_net_refuse_a_huge_3d_net(capsys, tmp_path):
         "halfspaces": [{"normal": n, "offset": o}
                        for n, o in (([1, 0, 0], 2), ([-1, 0, 0], 0), ([0, 1, 0], 2),
                                     ([0, -1, 0], 0), ([0, 0, 1], 2), ([0, 0, -1], 0))]})
+    return cube, box
+
+
+def test_fit_3d_cube_solves_few_of_its_rotations(capsys, cube_in_box):
+    # the eps = 0.9 net has 3 971 rotations; the duals of a few prune the rest
+    cube, box = cube_in_box
+    code, out = run(capsys, "fit", cube, box, "--epsilon", "0.9")
+    assert code == 0
+    doc = json.loads(out)
+    assert doc["beta"] == pytest.approx(2.0, abs=1e-9)
+    assert doc["stats"]["lp_calls"] <= 200
+
+
+def test_fit_and_net_refuse_a_huge_3d_net(capsys, cube_in_box):
+    # the unit cube at eps = 0.1 needs 2.2 M radius-ratio rotations
+    cube, box = cube_in_box
     for argv in (["fit", cube, box, "--epsilon", "0.1"],
                  ["net", cube, "--epsilon", "0.1"]):
         assert main(argv) == 2

@@ -2,10 +2,22 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from hellyfit.geometry import HPolytope, Rotation, VPolytope, regular_polygon, unit_square
+from hellyfit.geometry import (
+    DegenerateGeometryError,
+    HPolytope,
+    Rotation,
+    VPolytope,
+    box_polytope,
+    convex_hull_2d,
+    random_rotation,
+    regular_polygon,
+    unit_square,
+)
 from hellyfit import solver
-from hellyfit.lp import BetaResult, beta_fixed_rotation
+from hellyfit.lp import BetaResult, beta_fixed_rotation, scale_dual
 from hellyfit.nets import SUFFICIENT_BOUND, RotationNet, build_net_2d
 from hellyfit.solver import (
     alpha_reference,
@@ -15,7 +27,7 @@ from hellyfit.solver import (
     extract_basis,
 )
 
-from _oracles import square_fit_scale
+from _oracles import full_sweep_fit, highs_scale, square_fit_scale
 
 EPS_SQUARE = 1.0 - 1.0 / math.sqrt(2.0)
 
@@ -153,6 +165,151 @@ def test_dimension_mismatch_rejected():
     with pytest.raises(ValueError):
         beta_direct(unit_square(), spin_net([0.0]),
                     HPolytope(np.eye(3), np.ones(3)))
+
+
+# ---------------------------------------------------------------------------
+# the pruned sweep
+
+
+def random_instance(seed):
+    """A planar body, net and bounded container, often far from the origin."""
+    rng = np.random.default_rng(seed)
+    while True:
+        pts = rng.uniform(-1.0, 1.0, size=(int(rng.integers(3, 9)), 2))
+        try:
+            idx = convex_hull_2d(pts)
+        except DegenerateGeometryError:
+            continue
+        if len(idx) >= 3:
+            break
+    K = VPolytope(pts[idx] + rng.uniform(-1.0, 1.0, 2) * rng.choice([0.0, 3.0]))
+    t = int(rng.integers(1, 41))
+    angles = rng.uniform(0.0, 2.0 * math.pi, t)
+    if rng.random() < 0.5:
+        angles = np.sort(angles)
+    net = spin_net(angles)
+    extra = rng.uniform(0.0, 2.0 * math.pi, int(rng.integers(0, 11)))
+    U = np.vstack([box(-1.0, 1.0).normals, np.stack([np.cos(extra), np.sin(extra)], 1)])
+    b = np.concatenate([rng.uniform(1.0, 3.0, 4), rng.uniform(0.5, 2.0, extra.size)])
+    P = HPolytope(U, b).translated(rng.uniform(-1.0, 1.0, 2) * rng.choice([0.0, 2.0, 40.0]))
+    return K, net, P.scaled(float(rng.choice([0.1, 1.0, 30.0]))), int(rng.integers(2 ** 31))
+
+
+def assert_sweep_matches_full_sweep(K, net, P, seed):
+    """beta_direct against the unpruned sweep; returns the LPs the sweep solved."""
+    beta, index, placement, basis = full_sweep_fit(K, net, P, seed)
+    r = beta_direct(K, net, P, seed=seed)
+    assert r.beta == beta
+    assert r.rotation_index == index
+    if placement is None:
+        assert r.placement is None
+    else:
+        assert r.placement.scale == placement.scale
+        assert r.placement.translation.tobytes() == placement.translation.tobytes()
+        assert r.placement.rotation is net.rotations[index]
+    assert set(r.basis) <= set(basis)
+    assert len(r.basis) <= len(net) * (K.dim + 1)
+    solved = r.stats.lp_calls - (r.placement is not None)  # less the canonical step
+    assert 1 <= solved <= len(net)
+    if r.placement is not None:
+        again = beta_direct(K, net, P.take(r.basis), seed=5).beta
+        assert abs(again - beta) <= 1e-9 * max(1.0, abs(beta))
+    return solved
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(min_value=0, max_value=2**31 - 1))
+def test_pruned_sweep_matches_full_sweep(seed):
+    assert_sweep_matches_full_sweep(*random_instance(seed))
+
+
+def test_pruned_sweep_matches_full_sweep_on_ties_and_edges():
+    sq = unit_square()
+    angles = [2.0 * math.pi * k / 8 for k in range(1, 9)]
+    # exact ties: four of the eight rotations fit the square equally well;
+    # the shuffled nets put the lowest tied index after others of equal value
+    order = np.random.default_rng(8).permutation(8)
+    nets = [spin_net(angles), spin_net(angles[::-1]), spin_net(np.take(angles, order))]
+    containers = [box(0.0, 2.0), box(-1.3, 0.7), sq.hull_halfspaces(),
+                  box(0.0, 2.0).rotated(Rotation.from_angle(math.pi / 4)),
+                  box(0.0, 2.0).translated([50.0, -20.0])]
+    for net in nets:
+        for P in containers:
+            for seed in (0, 1, 77):
+                assert_sweep_matches_full_sweep(sq, net, P, seed)
+    # unbounded (a half-plane, a quadrant) and empty containers sweep everything
+    unbounded = [HPolytope(np.array([[1.0, 0.0]]), np.array([1.0])),
+                 HPolytope(np.array([[1.0, 0.0], [0.0, 1.0]]), np.array([1.0, 1.0]))]
+    empty = HPolytope(np.array([[1.0, 0.0], [-1.0, 0.0], [0.0, 1.0]]),
+                      np.array([-1.0, -1.0, 1.0]))
+    for P in unbounded + [empty]:
+        assert assert_sweep_matches_full_sweep(regular_polygon(3), nets[0], P, 3) == 8
+    # 3-D: the unit cube in [0, 2]^3 with 40 random rotations and the identity
+    cube = VPolytope(np.array([[x, y, z] for x in (0.0, 1.0) for y in (0.0, 1.0)
+                               for z in (0.0, 1.0)]))
+    rots = [random_rotation(3, seed=s) for s in range(40)]
+    rots.insert(17, Rotation.identity(3))
+    net3 = RotationNet(tuple(rots), 0.5, "", SUFFICIENT_BOUND)
+    cut = HPolytope(np.array([[1.0, 1.0, 1.0]]) / math.sqrt(3.0), np.array([3.0]))
+    for P in (box_polytope([0.0] * 3, [2.0] * 3), box_polytope([0.0] * 3, [2.0, 3.0, 2.5])):
+        assert assert_sweep_matches_full_sweep(cube, net3, P, 4) < len(net3)
+        P = HPolytope(np.vstack([P.normals, cut.normals]), np.concatenate([P.offsets, cut.offsets]))
+        assert_sweep_matches_full_sweep(cube, net3, P, 4)
+
+
+def test_pruned_sweep_solves_few_rotations_of_a_fine_net():
+    K = regular_polygon(3, 1.0)
+    P = tangent_family(25, 100)
+    net = build_net_2d(K, 0.01)
+    solved = assert_sweep_matches_full_sweep(K, net, P, 0)
+    assert solved <= len(net) // 10
+
+
+def _recorded_duals(K, net, P, seed):
+    """The duals `_sweep` accepts while `beta_direct` runs, with their rotations."""
+    duals = []
+
+    def record(K, rotation, P, tight_rows):
+        dual = scale_dual(K, rotation, P, tight_rows)
+        if dual is not None:
+            duals.append((rotation, tight_rows, dual))
+        return dual
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(solver, "scale_dual", record)
+        beta_direct(K, net, P, seed=seed)
+    return duals
+
+
+def _assert_bounds_hold(dual, K, net, truth):
+    bounds = dual.bounds(K, net.matrices)
+    for bound, value in zip(bounds, truth):
+        if value is not None:
+            assert bound >= value - 1e-9 * max(1.0, abs(value)), (bound, value)
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.integers(min_value=0, max_value=2**31 - 1))
+def test_accepted_duals_bound_every_rotation(seed):
+    K, net, P, s = random_instance(seed)
+    duals = _recorded_duals(K, net, P, s)
+    if not duals:
+        return
+    truth = [highs_scale(K, A, P) for A in net.rotations]
+    rng = np.random.default_rng(seed)
+    for rotation, tight, dual in duals:
+        _assert_bounds_hold(dual, K, net, truth)
+        # a dual from a perturbed tight set is rejected or still an upper bound
+        tight = list(tight)
+        other = [int(j) for j in rng.permutation(len(P)) if j not in tight]
+        trials = [tight[1:], tight + other[:1]]
+        if other:
+            trials.append(other[:1] + tight[1:])
+            trials.append(other[:len(tight)])
+        for rows in trials:
+            wrong = scale_dual(K, rotation, P, rows)
+            if wrong is not None:
+                _assert_bounds_hold(wrong, K, net, truth)
 
 
 # ---------------------------------------------------------------------------
