@@ -13,13 +13,12 @@ import math
 import sys
 import time
 from dataclasses import dataclass
-from itertools import combinations
 
 import numpy as np
 
 from .geometry import DimensionMismatchError, HPolytope, VPolytope
 from .jsonio import BodyFormatError, load_body, load_container, read_json
-from .lab import SearchFailure, TangentFamily, cap_body, inflation_search, lower_bound_demo
+from .lab import _demo_run
 from .nets import build_net_2d, build_net_sufficient, verify_net
 from .solver import alpha_reference, beta_brute, beta_direct, beta_msw
 from .svg import render_demo_svg, render_fit_svg
@@ -129,38 +128,11 @@ def cmd_net(config: RunConfig) -> int:
 
 def cmd_demo(config: RunConfig) -> int:
     samples = 4 * config.n if config.samples is None else config.samples
-    verdict = lower_bound_demo(config.n, samples, seed=config.seed)
+    K, family, verdict, placement = _demo_run(config.n, samples, config.seed)
     _emit(json.dumps(verdict, indent=2), config.out)
     if config.svg is not None:
-        _demo_picture(config, samples)
+        render_demo_svg(K, family, placement, path=config.svg)
     return OK if verdict["verdict"] == "pass" else VERDICT_FAIL
-
-
-def _demo_picture(config: RunConfig, samples):
-    """Redraw one certified inflation exactly as the demo found it.
-
-    The copy drawn is that of the first subset, in the demo's order, whose
-    half-planes bound the scale; a capped copy sits at the search budget
-    and would not fit the picture.
-    """
-    root = config.seed % (2 ** 63)
-    rng = np.random.default_rng(np.random.SeedSequence([root, 0]))
-    K = cap_body(config.n, margin=math.pi / (2 * config.n))
-    phase = float(rng.uniform(0.0, 2.0 * math.pi))
-    family = TangentFamily.at_angles(
-        phase + 2.0 * math.pi * np.arange(samples) / samples)
-    placement = None
-    for subset in combinations(range(samples), config.n):
-        sub_seed = np.random.SeedSequence([root, 1, *subset])
-        try:
-            result = inflation_search(K, family.take(subset),
-                                      seed=int(sub_seed.generate_state(1)[0]))
-        except SearchFailure:
-            continue
-        if not result.capped:
-            placement = result.placement
-            break
-    render_demo_svg(K, family, placement, path=config.svg)
 
 
 def _bench_instance(n, seed):

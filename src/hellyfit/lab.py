@@ -370,6 +370,17 @@ def lower_bound_demo(n: int, sample_count: int, seed=0, m: int = 128) -> dict:
     The two checks go through different code paths, and the verdict passes
     only when both hold.
     """
+    return _demo_run(n, sample_count, seed, m)[2]
+
+
+def _demo_run(n, sample_count, seed, m=128):
+    """`lower_bound_demo` with what a picture of it needs.
+
+    Returns (body, family, verdict, placement): the verdict is
+    `lower_bound_demo`'s, and the placement is the first uncapped inflation
+    in the order the subsets were checked (None if there was none; a capped
+    copy sits at the search budget and would not fit a picture).
+    """
     if n < 2:
         raise ValueError("the demonstration needs n >= 2")
     if sample_count < n:
@@ -384,6 +395,7 @@ def lower_bound_demo(n: int, sample_count: int, seed=0, m: int = 128) -> dict:
     delta = math.inf
     checked = 0
     failing = None
+    placement = None
     for subset in _subset_iter(sample_count, n, rng):
         sub_seed = np.random.SeedSequence([root, 1, *subset])
         try:
@@ -397,12 +409,14 @@ def lower_bound_demo(n: int, sample_count: int, seed=0, m: int = 128) -> dict:
             failing = list(subset)
             break
         delta = min(delta, result.delta2)
+        if placement is None and not result.capped:
+            placement = result.placement
 
     net = cached_net_2d(K, DEMO_NET_EPS)
     full_beta = beta_direct(K, net, family.halfspaces, seed=root).beta
     subset_ok = failing is None and checked > 0 and delta > 0.0
     full_ok = full_beta <= 1.0 + 1e-3
-    return {
+    verdict = {
         "n": int(n),
         "delta": None if math.isinf(delta) else float(delta),
         "subsets_checked": int(checked),
@@ -410,3 +424,4 @@ def lower_bound_demo(n: int, sample_count: int, seed=0, m: int = 128) -> dict:
         "verdict": "pass" if (subset_ok and full_ok) else "fail",
         "failing_subset": failing,
     }
+    return K, family, verdict, placement

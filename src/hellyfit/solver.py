@@ -7,6 +7,12 @@ which the other two must match.  Every method reports the witnessing
 placement, a small basis of half-space indices that already pins the value,
 and counters suitable for scaling measurements.
 
+All of them end in one tail, `_finish`: it keeps the winning rotation's
+solve and only canonicalizes its placement over the whole container.  For
+`beta_msw` that solve is a sample's, certified by the violation test that
+found no half-space it leaves, so `beta_msw` never solves the scale LP
+over all of the container.
+
 All of them sweep the net the same way (`_sweep`): best first, solving a
 rotation's LP only while no solved rotation's dual rules it out.  The dual
 of each solved LP (`lp.scale_dual`) bounds the scale at every rotation by
@@ -17,7 +23,7 @@ tied with it are still solved with their own seeds.
 
 import math
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from itertools import combinations
 
 import numpy as np
@@ -174,10 +180,12 @@ def _subfamily_value(K, net, P, indices, seed):
 def _finish(K, net, P, results, seed, stats, method):
     """Shared tail of all methods: canonicalize the winning rotation's solve.
 
-    `results` are `_sweep`'s full-family solves, None where pruned.  The
-    winner's value and tight rows are kept as solved; `canonical_placement`,
-    with the seed `_sweep` gave that rotation (counted as one LP call), only
-    replaces its translation, so the placement is bit-equal to
+    `results` are `_sweep`'s solves, None where pruned, over P itself or
+    over a sample of P whose winning placement leaves no half-space of P
+    (`beta_msw`); their tight rows index P.  The winner's value and tight
+    rows are kept as solved; `canonical_placement` over all of P, with the
+    seed `_sweep` gave that rotation (counted as one LP call), only replaces
+    its translation, so for a sweep over P the placement is bit-equal to
     `beta_fixed_rotation(..., canonical=True)` at that rotation and seed.
     The basis is the union of the solved rotations' tight rows: each solved
     rotation is pinned by its rows and each pruned one stays below the best
@@ -237,14 +245,17 @@ def beta_msw(K: VPolytope, net: RotationNet, P: HPolytope, seed=0) -> FitResult:
     Iteratively solves on a random sample of half-spaces plus everything
     that ever violated a trial placement.  A round is kept only when it
     produces few violators, so at most len(net) * (d + 1) rounds can be
-    kept before no half-space objects; the value is then certified by one
-    full-family solve at the winning rotation.  A family that the first
-    sample, ceil(delta * sqrt(n)) half-spaces with delta = len(net) * (d + 1),
-    would take whole (any n <= delta^2) goes straight to `beta_direct`, and
-    the result is `beta_direct`'s, with `violation_tests` 0.  When sampling
-    cannot finish (samples that stay unbounded, a certification that
-    disagrees with the sample, or the round cap), it sweeps the full family
-    with `beta_direct`, sets `stats.fallback` and names the cause in
+    kept before no half-space objects.  The violation test of that last
+    round is the certificate (Clarkson): a sample optimum that no half-space
+    of P violates is optimal for P, so its sweep goes to `_finish` as it
+    stands, and only the canonical placement touches all n rows again.  β
+    and the rotation are `beta_direct`'s; β agrees to the LP tolerance, not
+    bit for bit.  A family that the first sample, ceil(delta * sqrt(n))
+    half-spaces with delta = len(net) * (d + 1), would take whole (any
+    n <= delta^2) goes straight to `beta_direct`, and the result is
+    `beta_direct`'s, with `violation_tests` 0.  When sampling cannot finish
+    (samples that stay unbounded, or the round cap), it sweeps the full
+    family with `beta_direct`, sets `stats.fallback` and names the cause in
     `stats.note`.
     """
     if K.dim != P.dim or net.dim != K.dim:
@@ -284,32 +295,22 @@ def beta_msw(K: VPolytope, net: RotationNet, P: HPolytope, seed=0) -> FitResult:
                 break
             sample_size = min(n, sample_size * 2)
             continue
-        if results[i_star].placement is None:
-            stats.note = "container is empty"
-            stats.wall_time_s = time.perf_counter() - start
-            return FitResult(0.0, None, [], "msw", stats, i_star)
-        if i_star not in supports:
-            supports[i_star] = support_values(K, net.rotations[i_star], P.normals)
-        bad = _violators(results[i_star].placement, supports[i_star], P)
-        stats.violation_tests += n
+        win = results[i_star]
+        bad = np.empty(0, dtype=int)
+        if win.status == OPTIMAL:
+            if i_star not in supports:
+                supports[i_star] = support_values(K, net.rotations[i_star], P.normals)
+            bad = _violators(win.placement, supports[i_star], P)
+            stats.violation_tests += n
         if bad.size == 0:
-            final = beta_fixed_rotation(K, net.rotations[i_star], P,
-                                        seed=_rotation_seed(seed, i_star),
-                                        canonical=True)
-            stats.lp_calls += 1
-            drift = abs(final.value - best) > 1e-6 * max(1.0, abs(best))
-            if final.status != OPTIMAL or drift:
-                # should not happen; re-derive everything plainly
-                reason = (f"full-family certification disagreed with the sample "
-                          f"({final.status}, {final.value!r} against {best!r})")
-                break
-            basis = sorted({int(subset[j]) for r in results if r is not None
-                            for j in r.tight_rows} | set(final.tight_rows))
-            if len(basis) > delta:
-                basis = _greedy_prune(K, net, P, basis, final.value, seed, stats)
+            # no half-space of P objects, so the sample's optimum is P's
+            # (an empty sample means P is empty): `_finish` keeps it
+            lifted = [None if r is None else replace(
+                r, tight_rows=tuple(int(subset[j]) for j in r.tight_rows))
+                for r in results]
+            out = _finish(K, net, P, lifted, seed, stats, "msw")
             stats.wall_time_s = time.perf_counter() - start
-            return FitResult(final.value, final.placement, basis, "msw", stats,
-                             i_star)
+            return out
         if bad.size <= accept_bound:
             keep[bad] = True
     else:
@@ -360,33 +361,19 @@ def beta_brute(K: VPolytope, net: RotationNet, P: HPolytope) -> FitResult:
     return out
 
 
-def _greedy_prune(K, net, P, basis, target, seed, stats=None):
-    """Drop basis members whose removal leaves the subfamily value intact."""
-    basis = sorted(set(int(j) for j in basis))
-    for j in list(basis):
-        if len(basis) == 1:
-            break
-        trial = [k for k in basis if k != j]
-        value, calls = _subfamily_value(K, net, P, trial, seed)
-        if stats is not None:
-            stats.lp_calls += calls
-        if abs(value - target) <= BASIS_TOL * max(1.0, abs(target)):
-            basis = trial
-    return basis
-
-
 def extract_basis(result: FitResult, K: VPolytope, net: RotationNet,
                   P: HPolytope) -> list:
     """Small set of half-space indices that alone reproduce result.beta.
 
-    Starts from the tight rows recorded in the result, greedily removes
-    anything redundant, and re-solves on the survivors to confirm the
-    value before returning them.
+    Support, then verify: the basis is the result's own, the union of the
+    solved rotations' tight rows, sorted.  It is re-solved once to confirm
+    that it reproduces beta within BASIS_TOL and checked against the
+    len(net) * (d + 1) bound before it is returned.
     """
     if not math.isfinite(result.beta):
         rows = result.basis or range(len(P))
         return sorted(int(j) for j in rows)
-    basis = _greedy_prune(K, net, P, result.basis, result.beta, 0)
+    basis = sorted(int(j) for j in result.basis)
     if not basis:
         return []
     value, _ = _subfamily_value(K, net, P, basis, 0)

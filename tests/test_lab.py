@@ -300,6 +300,27 @@ def test_lower_bound_demo_two_constraints_passes():
     assert out["full_family_beta"] <= 1.0 + 1e-3
 
 
+def test_demo_picture_copy_is_from_a_checked_subset(monkeypatch):
+    # above SUBSET_CAP the demo samples its subsets; the copy it hands to
+    # the picture is its own first uncapped inflation, not a search of the
+    # first subset in plain order
+    from hellyfit import lab
+
+    monkeypatch.setattr(lab, "SUBSET_CAP", 6)
+    found = []
+    plain = lab.inflation_search
+
+    def recording(K, family, seed=0):
+        found.append(plain(K, family, seed=seed))
+        return found[-1]
+
+    monkeypatch.setattr(lab, "inflation_search", recording)
+    K, family, verdict, placement = lab._demo_run(3, 9, 5)
+    assert verdict["subsets_checked"] == 6 == len(found)
+    assert placement is next(r for r in found if not r.capped).placement
+    assert verdict == lower_bound_demo(3, 9, seed=5)
+
+
 def test_lower_bound_demo_rejects_short_samples():
     with pytest.raises(ValueError):
         lower_bound_demo(4, 3)

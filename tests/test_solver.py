@@ -17,7 +17,7 @@ from hellyfit.geometry import (
     unit_square,
 )
 from hellyfit import solver
-from hellyfit.lp import BetaResult, beta_fixed_rotation, scale_dual
+from hellyfit.lp import FEAS_TOL, beta_fixed_rotation, scale_dual
 from hellyfit.nets import SUFFICIENT_BOUND, RotationNet, build_net_2d
 from hellyfit.solver import (
     alpha_reference,
@@ -171,9 +171,8 @@ def test_dimension_mismatch_rejected():
 # the pruned sweep
 
 
-def random_instance(seed):
-    """A planar body, net and bounded container, often far from the origin."""
-    rng = np.random.default_rng(seed)
+def random_body(rng):
+    """A random convex polygon, sometimes moved off the origin."""
     while True:
         pts = rng.uniform(-1.0, 1.0, size=(int(rng.integers(3, 9)), 2))
         try:
@@ -182,7 +181,13 @@ def random_instance(seed):
             continue
         if len(idx) >= 3:
             break
-    K = VPolytope(pts[idx] + rng.uniform(-1.0, 1.0, 2) * rng.choice([0.0, 3.0]))
+    return VPolytope(pts[idx] + rng.uniform(-1.0, 1.0, 2) * rng.choice([0.0, 3.0]))
+
+
+def random_instance(seed):
+    """A planar body, net and bounded container, often far from the origin."""
+    rng = np.random.default_rng(seed)
+    K = random_body(rng)
     t = int(rng.integers(1, 41))
     angles = rng.uniform(0.0, 2.0 * math.pi, t)
     if rng.random() < 0.5:
@@ -422,24 +427,64 @@ def test_msw_canonical_placement_stays_inside_container():
     assert np.all(P.normals @ pts.T <= (P.offsets + tol)[:, None])
 
 
-def test_msw_drift_fallback_names_its_cause(monkeypatch):
-    # a certification that disagrees with the sample optimum sends beta_msw
-    # to the full sweep, and the note must say so rather than blame the
-    # round budget
-    plain = solver.beta_fixed_rotation
-
-    def drifting(K, rotation, P, seed=0, canonical=True):
-        res = plain(K, rotation, P, seed=seed, canonical=canonical)
-        if canonical and res.ok:
-            return BetaResult(1.1 * res.value, res.placement, res.status,
-                              res.tight_rows)
-        return res
-
-    monkeypatch.setattr(solver, "beta_fixed_rotation", drifting)
-    r = beta_msw(unit_square(), uniform_net(4), tangent_family(300, 3), seed=0)
+def test_msw_round_cap_falls_back_flagged(monkeypatch):
+    # a violation test that reports every row keeps no round, so sampling
+    # runs out of rounds and beta_msw sweeps the full family instead
+    monkeypatch.setattr(solver, "_violators",
+                        lambda placement, support, P: np.arange(len(P)))
+    K, net, P = unit_square(), uniform_net(2), tangent_family(100, 3)
+    r = beta_msw(K, net, P, seed=0)
     assert r.stats.fallback
-    assert "certification" in r.stats.note
-    assert "exhausted" not in r.stats.note
+    assert "exhausted" in r.stats.note
+    assert r.beta == beta_direct(K, net, P, seed=0).beta
+
+
+def sampling_instance(seed):
+    """random_instance's body and container placement, with a net small
+    enough and a family large enough that beta_msw samples: n > (t(d+1))^2."""
+    rng = np.random.default_rng(seed)
+    K = random_body(rng)
+    t = int(rng.integers(1, 4))
+    net = spin_net(rng.uniform(0.0, 2.0 * math.pi, t))
+    n = int(rng.integers(2 * (3 * t) ** 2, 401))
+    extra = rng.uniform(0.0, 2.0 * math.pi, n - 4)
+    U = np.vstack([box(-1.0, 1.0).normals, np.stack([np.cos(extra), np.sin(extra)], 1)])
+    b = np.concatenate([rng.uniform(1.0, 3.0, 4), rng.uniform(0.5, 2.0, extra.size)])
+    P = HPolytope(U, b).translated(rng.uniform(-1.0, 1.0, 2) * rng.choice([0.0, 2.0, 40.0]))
+    return K, net, P.scaled(float(rng.choice([0.1, 1.0, 30.0]))), int(rng.integers(2 ** 31))
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(min_value=0, max_value=2**31 - 1))
+def test_msw_certifies_by_violation_test(seed):
+    # the sample's optimum, once no half-space objects, is the answer: no
+    # scale LP over all of P, and beta_direct's rotation, beta and placement
+    K, net, P, s = sampling_instance(seed)
+    n = len(P)
+    assert n > (len(net) * 3) ** 2
+    plain = solver.beta_fixed_rotation
+    whole = []
+
+    def counting(K_, rotation, P_, *args, **kwargs):
+        whole.append(P_ is P)
+        return plain(K_, rotation, P_, *args, **kwargs)
+
+    with pytest.MonkeyPatch.context() as m:
+        m.setattr(solver, "beta_fixed_rotation", counting)
+        r = beta_msw(K, net, P, seed=s)
+    assert whole and not any(whole)
+    assert r.stats.violation_tests >= n
+    a = beta_direct(K, net, P, seed=s)
+    assert r.rotation_index == a.rotation_index
+    assert abs(r.beta - a.beta) <= 1e-9 * abs(a.beta)
+    assert np.all(np.abs(r.placement.translation - a.placement.translation)
+                  <= 1e-9 * np.maximum(1.0, np.abs(a.placement.translation)))
+    assert len(r.basis) <= len(net) * 3
+    again = beta_direct(K, net, P.take(r.basis), seed=s).beta
+    assert abs(again - r.beta) <= 1e-9 * max(1.0, abs(r.beta))
+    pts = r.placement.apply_points(K.vertices)
+    slack = 2.0 * FEAS_TOL * max(1.0, float(np.max(np.abs(P.offsets))))
+    assert np.all(P.normals @ pts.T <= (P.offsets + slack)[:, None])
 
 
 # ---------------------------------------------------------------------------
