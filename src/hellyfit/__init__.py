@@ -9,7 +9,14 @@ The package has three layers:
   scale-maximization solvers built on them,
 * `lab`: plane experiments showing why finitely many half-space tests cannot
   certify inflated isometric copies, the negative side of the story.
+
+Fallbacks, escalations and refusals are also logged to the `hellyfit`
+logger, which has only a `NullHandler` until the application adds one.
 """
+
+import logging
+
+logging.getLogger(__name__).addHandler(logging.NullHandler())
 
 from .geometry import (
     Ball,

@@ -12,14 +12,24 @@ does not depend on the block sizes.
 
 Most eliminations go from two variables to one, many of them on prefixes of
 a few rows, where numpy's per-call cost outweighs the rows.  That step is
-fused with the one-variable program it leaves (`_eliminate_2d`): no reduced
+fused with the one-variable program it leaves (`_step_2d`): no reduced
 arrays are built, and short prefixes are handled in plain Python floats.
 The result is bit-identical to solving the reduced arrays, because each
 reduced value is one product and one difference, correctly rounded in
 numpy and CPython alike, and the one-variable rule lives in one place
-(`_one_var`).  Scoring rows is another matter: it stays a BLAS
-matrix-vector product (`_excess`), because a plain-Python dot product sums
-in another order, and its last bit could move the first violation.
+(`_one_var`).
+
+A level of fewer than SCAN_SMALL rows, and every level below it, runs on
+Python lists (`_scan`): the same permutation, blocks, pivots and reduced
+rows as the array scan, so the same output.  Only the scoring differs in
+kind.  BLAS scores a block by one matrix-vector product (`_excess`), and a
+Python dot product sums in another order, so its last bit could move the
+first violation.  A floating-point filter in the manner of Shewchuk's
+adaptive predicates settles that (`_screen`): a row's Python excess is
+trusted only where an error bound that covers any summation order proves
+its sign equal to BLAS's, and a block with a row inside the bound is scored
+by `_excess` as the array scan scores it.  The lift of an eliminated
+variable from two or more others stays the numpy dot product.
 
 The solver works inside a large implicit box, which is how unboundedness is
 reported rather than crashed on: an optimum pinned to the box wall means the
@@ -33,6 +43,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from operator import mul
 
 import numpy as np
 
@@ -53,6 +64,7 @@ FIT_TOL = 1e-9         # slack used by fit_check
 CANON_SLACK = 1e-11    # pinning slack while canonicalizing witnesses
 FIRST_BLOCK = 16       # rows in the first look-ahead block of a scan
 SMALL = 48             # plain Python below this prefix: the per-call crossover is 48-56 rows
+SCAN_SMALL = 32        # Python lists below this many rows at a level
 DUAL_TOL = 1e-12       # relative residual accepted in a recovered scale-LP dual
 
 OPTIMAL = "optimal"
@@ -203,39 +215,53 @@ def _base_1d(A, b, ids, c):
     return np.array([x]), chain
 
 
-def _eliminate_2d(A, b, ids, c, ridx, prefix):
-    """`_eliminate` at two variables, fused with the one-variable program left.
+def _step_2d(row, rb, prefix, cv):
+    """Pin row . x = rb in two variables and solve the one-variable program left.
 
-    Each prefix row becomes a = A[i, k] - A[i, j] * ck, bb = b[i] - A[i, j]
-    * rhs, and the box rows of x_j follow as scalars; `_one_var` takes the
-    rows straight from there, with no reduced arrays.  Below SMALL prefix
-    rows they are formed in Python floats, above it by one array pass that
-    `_extremes` cuts to the rows that can win.  Either way each value is
-    rounded as the reduced arrays rounded it: a product, then a difference,
-    each correctly rounded, which numpy and CPython alike never fuse.
+    `row`, `rb` and the objective `cv` are Python floats.  `prefix` holds
+    the rows before the pinned one, either as (coefficients, offset, id)
+    triples in Python floats or, for a long prefix, as the arrays (A, b,
+    ids).  With j the first larger |coefficient| of `row`, each prefix row
+    becomes a = r[k] - r[j] * ck, bb = bi - r[j] * rhs, and the box rows of
+    x_j follow; `_one_var` takes the rows straight from there, with no
+    reduced arrays.  Triples are reduced in Python floats, arrays by one
+    array pass that `_extremes` cuts to the rows that can win.  Either way
+    each value is rounded as a reduced array would round it: a product,
+    then a difference, each correctly rounded, which numpy and CPython
+    alike never fuse.  Returns x as a list and the one-variable chain.
     """
-    row = A[ridx].tolist()
     j = 0 if abs(row[0]) >= abs(row[1]) else 1  # argmax keeps the first
     k = 1 - j
     pv = row[j]
     ck = row[k] / pv
-    rhs = float(b[ridx]) / pv
-    Ap = A[prefix]
-    if Ap.shape[0] < SMALL:
-        rows = [(r[k] - r[j] * ck, bi - r[j] * rhs, i) for r, bi, i
-                in zip(Ap.tolist(), b[prefix].tolist(), ids[prefix].tolist())]
-    else:
+    rhs = rb / pv
+    if isinstance(prefix, tuple):
+        Ap, bp, idp = prefix
         aj = Ap[:, j]
-        rows = _extremes(Ap[:, k] - aj * ck, b[prefix] - aj * rhs, ids[prefix])
+        rows = _extremes(Ap[:, k] - aj * ck, bp - aj * rhs, idp)
+    else:
+        rows = [(r[k] - r[j] * ck, bi - r[j] * rhs, i) for r, bi, i in prefix]
     # the box rows of x_j, last so that they lose ties
     rows += [(-ck, BOX_BOUND - rhs, -1), (ck, BOX_BOUND + rhs, -1)]
-    cv = c.tolist()
     xk, chain = _one_var(rows, cv[k] - cv[j] * ck)
-    x = np.empty(2)
+    x = [0.0, 0.0]
     x[k] = xk
     # + 0.0 as in the one-term dot product ck @ x_k: a -0.0 product becomes 0.0
     x[j] = rhs - (ck * xk + 0.0)
-    return x, ([int(ids[ridx])] if ids[ridx] >= 0 else []) + chain
+    return x, chain
+
+
+def _eliminate_2d(A, b, ids, c, ridx, prefix):
+    """`_eliminate` at two variables: `_step_2d` on the prefix rows.
+
+    Below SMALL prefix rows they go to it in Python floats, above it as
+    arrays.
+    """
+    Ap, bp, idp = A[prefix], b[prefix], ids[prefix]
+    rows = (Ap, bp, idp) if bp.shape[0] >= SMALL else zip(
+        Ap.tolist(), bp.tolist(), idp.tolist())
+    x, chain = _step_2d(A[ridx].tolist(), float(b[ridx]), rows, c.tolist())
+    return np.array(x), ([int(ids[ridx])] if ids[ridx] >= 0 else []) + chain
 
 
 def _eliminate(A, b, ids, c, rng, ridx, prefix):
@@ -300,17 +326,19 @@ def _solve(A, b, ids, c, rng):
     builds round a row by its offset in the block (OpenBLAS's Haswell
     kernel at eight variables), where a full re-scan is just as exposed:
     there an excess within rounding of zero can move the first violation.
-    For the same reason the scoring stays in BLAS even where the
-    elimination after it runs in plain Python: a Python dot product would
-    not round as the matrix-vector product does.
+    A level of fewer than SCAN_SMALL rows goes to `_scan`, which keeps these
+    blocks for the rows whose sign only BLAS can settle.
     """
     d = c.shape[0]
     if d == 1:
         return _base_1d(A, b, ids, c)
     n = A.shape[0]
+    if n < SCAN_SMALL:
+        x, chain = _scan(A.tolist(), b.tolist(), ids.tolist(), c.tolist(), rng)
+        return np.array(x), chain
     x = np.where(c > 0, BOX_BOUND, np.where(c < 0, -BOX_BOUND, 0.0))
     chain = []
-    order = rng.permutation(n) if n else np.empty(0, dtype=int)
+    order = rng.permutation(n)
     A, b, ids = A[order], b[order], ids[order]
     b_tols = _offset_tols(b)
     pos, size = 0, FIRST_BLOCK
@@ -332,6 +360,111 @@ def _solve(A, b, ids, c, rng):
             continue
         x, chain = _eliminate(A, b, ids, c, rng, at, slice(0, at))
     return x, chain
+
+
+def _screen(A, b, tols, x, pos, end):
+    """The first row of A[pos:end] that `_excess` might not score negative.
+
+    Returns its index (`end` if there is none) and whether its excess is
+    certainly positive.  Each row's excess e is computed in Python floats,
+    with S = sum |a_k x_k|, and its sign is trusted only where |e| > gamma
+    * (S + |b_i| + tol_i), gamma = 2 (d + 4) u with u = 2^-53.  This e and
+    the one `_excess` computes in BLAS, in whatever order and with or
+    without FMA, each lie within (d + 2) u (S + |b_i| + tol_i) of the exact
+    excess, up to terms of order u^2 and EVAL_GUARD * u; beyond twice that
+    both have the exact excess's sign.  The spare 4u of gamma covers those
+    terms and the rounding of S and of the bound itself.  Underflow cannot
+    break the bound, since tol_i >= FEAS_TOL, and an overflow or NaN fails
+    both comparisons, so the row counts as undecided.
+    """
+    gamma = (2 * len(x) + 8) * 2.0 ** -53
+    for i in range(pos, end):
+        s = m = 0.0
+        for p in map(mul, A[i], x):
+            s += p
+            m += abs(p)
+        bi, t = b[i], tols[i]
+        e = s - bi - (t + EVAL_GUARD * m)
+        bound = gamma * (m + abs(bi) + t)
+        if not e < -bound:
+            return i, e > bound
+    return end, False
+
+
+def _scan(A, b, ids, c, rng):
+    """`_solve` on Python lists, for a level of fewer than SCAN_SMALL rows.
+
+    It draws the same permutation, scans the same blocks and eliminates as
+    `_eliminate` does, value for value, so its output is `_solve`'s bit for
+    bit.  Rows are scored by `_screen`; when a row's sign is within rounding
+    before the first certain violation, the whole block is scored by
+    `_excess` on arrays laid out as `_solve`'s, and its verdict is taken.
+    """
+    n = len(A)
+    x = [BOX_BOUND if ci > 0 else -BOX_BOUND if ci < 0 else 0.0 for ci in c]
+    chain = []
+    if n:
+        order = rng.permutation(n).tolist()
+        A = [A[i] for i in order]
+        b = [b[i] for i in order]
+        ids = [ids[i] for i in order]
+    tols = [FEAS_TOL * max(1.0, abs(bi)) for bi in b]
+    arrays = None
+    pos, size = 0, FIRST_BLOCK
+    while pos < n:
+        end = min(n, pos + size)
+        if end == n - 1:
+            end = n  # as in `_solve`, for the blocks `_excess` may score
+        at, bad = _screen(A, b, tols, x, pos, end)
+        if at < end and not bad:
+            if arrays is None:
+                arrays = np.array(A), np.array(b), np.array(tols)
+            An, bn, tn = arrays
+            hit = _excess(An[pos:end], bn[pos:end], tn[pos:end], np.array(x)) > 0
+            first = int(hit.argmax())
+            at = pos + first if hit[first] else end
+        if at == end:
+            pos, size = end, 2 * size
+            continue
+        pos, size = at + 1, max(FIRST_BLOCK, at // 4)
+        row = A[at]
+        if max(map(abs, row)) < PIVOT_TOL:
+            if b[at] < -FEAS_TOL * max(1.0, abs(b[at])):
+                raise _Infeasible
+            continue
+        x, chain = _eliminate_list(A, b, ids, c, rng, at)
+    return x, chain
+
+
+def _eliminate_list(A, b, ids, c, rng, at):
+    """`_eliminate` on lists: pin row `at`, solve the rows before it.
+
+    At two variables this is `_step_2d`.  From three up, the reduced rows
+    are formed as `_eliminate` forms them, value for value, and solved by
+    `_scan`; the eliminated variable is lifted by the same numpy dot
+    product as there, since a Python sum of two or more products may round
+    otherwise.
+    """
+    row, rb, rid = A[at], b[at], ids[at]
+    head = [rid] if rid >= 0 else []
+    d = len(c)
+    if d == 2:
+        x, chain = _step_2d(row, rb, zip(A[:at], b[:at], ids[:at]), c)
+        return x, head + chain
+    j = max(range(d), key=lambda k: abs(row[k]))  # the first largest
+    pv = row[j]
+    keep = [k for k in range(d) if k != j]
+    ck = [row[k] / pv for k in keep]
+    rhs = rb / pv
+    # the prefix rows with x_j substituted, then the box rows of x_j
+    Ared = [[r[k] - r[j] * q for k, q in zip(keep, ck)] for r in A[:at]]
+    Ared += [[-q for q in ck], ck]
+    bred = [bi - r[j] * rhs for r, bi in zip(A[:at], b)]
+    bred += [BOX_BOUND - rhs, BOX_BOUND + rhs]
+    cred = [c[k] - c[j] * q for k, q in zip(keep, ck)]
+    xsub, chain = _scan(Ared, bred, ids[:at] + [-1, -1], cred, rng)
+    x = xsub[:j] + [float(rhs - np.array(ck) @ np.array(xsub))] + xsub[j:]
+    return x, head + chain
 
 
 def seidel_lp(instance: LpInstance, seed=0):
@@ -359,7 +492,12 @@ def seidel_lp(instance: LpInstance, seed=0):
         for _ in range(4):
             if A.shape[0] == 0 or np.max(np.abs(x)) >= 0.999 * BOX_BOUND:
                 break
-            resid = _excess(A, b, _offset_tols(b), x)
+            b_tols = _offset_tols(b)
+            if A.shape[0] < SCAN_SMALL and _screen(
+                    A.tolist(), b.tolist(), b_tols.tolist(), x.tolist(), 0,
+                    A.shape[0])[0] == A.shape[0]:
+                break  # every row certainly clean
+            resid = _excess(A, b, b_tols, x)
             worst = int(np.argmax(resid))
             if resid[worst] <= 0:
                 break

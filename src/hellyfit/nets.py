@@ -31,6 +31,7 @@ with q above 1 - eps has full slack and needs no scan at all.
 
 from __future__ import annotations
 
+import logging
 import math
 from dataclasses import dataclass
 from functools import cached_property
@@ -59,6 +60,8 @@ CEIL_SLACK = 1e-6      # protects t = ceil(pi/alpha) from fp noise in alpha
 BOUND_SLACK = 1e-7     # LP error allowed for by the clean radius of the scan
 REFINE_ROUNDS = 3      # parabola rounds, each moving at most one grid cell
 NET_LIMIT = 20_000     # most rotations build_net_sufficient will build
+
+log = logging.getLogger(__name__)
 
 EXACT_2D = "exact_2d"
 SUFFICIENT_BOUND = "sufficient_bound"
@@ -379,9 +382,10 @@ def build_net_sufficient(K: VPolytope, epsilon: float, d: int | None = None) -> 
         n2 = int(math.ceil(math.pi / s)) + 1
         count = n1 * n1 * n2
     if count > NET_LIMIT:
-        raise NetTooLargeError(
-            f"a radius-ratio net at epsilon {epsilon:g} needs {count} rotations,"
-            f" above the limit of {NET_LIMIT}; increase epsilon")
+        msg = (f"a radius-ratio net at epsilon {epsilon:g} needs {count} rotations,"
+               f" above the limit of {NET_LIMIT}; increase epsilon")
+        log.warning("refused: %s", msg)
+        raise NetTooLargeError(msg)
 
     if d == 2:
         rots = tuple(Rotation.from_angle(2.0 * math.pi * j / t)

@@ -21,6 +21,7 @@ best value by more than the tie slack, so the winner and every rotation
 tied with it are still solved with their own seeds.
 """
 
+import logging
 import math
 import time
 from dataclasses import dataclass, replace
@@ -48,6 +49,8 @@ BASIS_TOL = 1e-9     # value agreement required of a reduced family
 VIOL_TOL = 1e-9      # per-row slack (relative to the offset) in violation tests
 PRUNE_SLACK = 1e-7   # relative margin for LP and rounding error when pruning a rotation
 BRUTE_LIMIT = 10 ** 6
+
+log = logging.getLogger(__name__)
 
 
 @dataclass
@@ -293,7 +296,10 @@ def beta_msw(K: VPolytope, net: RotationNet, P: HPolytope, seed=0) -> FitResult:
             if escalations > 3 or sample_size >= n:
                 reason = f"samples left the copy unbounded after {escalations} widenings"
                 break
-            sample_size = min(n, sample_size * 2)
+            wider = min(n, sample_size * 2)
+            log.info("msw: a sample of %d half-spaces left the copy unbounded;"
+                     " widening it to %d", sample_size, wider)
+            sample_size = wider
             continue
         win = results[i_star]
         bad = np.empty(0, dtype=int)
@@ -317,6 +323,7 @@ def beta_msw(K: VPolytope, net: RotationNet, P: HPolytope, seed=0) -> FitResult:
         # round budget exhausted (adversarial or degenerate input)
         reason = f"sampling rounds exhausted after {round_cap} rounds"
 
+    log.warning("msw: %s, sweeping the full family of %d half-spaces", reason, n)
     inner = beta_direct(K, net, P, seed=seed)
     stats.lp_calls += inner.stats.lp_calls
     stats.fallback = True
@@ -342,9 +349,10 @@ def beta_brute(K: VPolytope, net: RotationNet, P: HPolytope) -> FitResult:
     size = min(len(net) * (K.dim + 1), n)
     count = math.comb(n, size)
     if count > BRUTE_LIMIT:
-        raise ValueError(
-            f"brute enumeration needs C({n}, {size}) = {count} tuples, "
-            f"over the {BRUTE_LIMIT} limit")
+        msg = (f"brute enumeration needs C({n}, {size}) = {count} tuples, "
+               f"over the {BRUTE_LIMIT} limit")
+        log.warning("refused: %s", msg)
+        raise ValueError(msg)
     stats = SolveStats()
     best = math.inf
     for subset in combinations(range(n), size):

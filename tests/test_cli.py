@@ -2,11 +2,15 @@
 
 import json
 import math
+import os
+import subprocess
+import sys
 import xml.etree.ElementTree as ET
 
 import numpy as np
 import pytest
 
+import hellyfit
 from hellyfit.cli import RunConfig, _mirror, main
 from hellyfit.geometry import VPolytope
 
@@ -315,3 +319,17 @@ def test_fit_and_net_refuse_a_huge_3d_net(capsys, cube_in_box):
         err = capsys.readouterr().err
         assert "2232368 rotations" in err
         assert "limit of 20000" in err
+
+
+def test_refusal_prints_only_the_error_line(cube_in_box):
+    # the refusal is logged to the `hellyfit` logger, whose NullHandler keeps
+    # logging's last-resort handler from adding it to the CLI's stderr
+    cube, box = cube_in_box
+    src = os.path.dirname(os.path.dirname(hellyfit.__file__))
+    proc = subprocess.run(
+        [sys.executable, "-m", "hellyfit.cli", "fit", cube, box, "--epsilon", "0.1"],
+        capture_output=True, text=True, env={**os.environ, "PYTHONPATH": src})
+    assert proc.returncode == 2
+    assert proc.stdout == ""
+    [line] = proc.stderr.splitlines()
+    assert line.startswith("error: ") and "limit of 20000" in line

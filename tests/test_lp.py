@@ -22,18 +22,25 @@ from hellyfit.geometry import (
     regular_polygon,
     unit_square,
 )
+from hellyfit import lp
 from hellyfit.lp import (
     BOX_BOUND,
+    EVAL_GUARD,
+    FEAS_TOL,
     FIRST_BLOCK,
     INFEASIBLE,
+    MAX_DIM,
     OPTIMAL,
+    SCAN_SMALL,
     SMALL,
     UNBOUNDED,
     InfeasibleProblem,
     LpInstance,
     UnboundedProblem,
     _eliminate,
+    _excess,
     _Infeasible,
+    _screen,
     beta_fixed_rotation,
     build_beta_instance,
     chebyshev_inradius,
@@ -505,3 +512,96 @@ def test_fused_1d_step_matches_rescan_elimination():
     for small in (True, False):
         for outcome in ("infeasible", 1, 2):
             assert seen.get((small, outcome), 0) >= 10, seen
+
+
+# ---------------------------------------------------------------------------
+# the list levels below SCAN_SMALL and their sign screen
+
+
+# every level size on both sides of the list cut-off; at eight variables,
+# where BLAS may round a row by its offset in the block, the smallest sizes
+# and those at the first block edge, since larger eight-variable programs
+# take seconds each
+CUT_SIZES = {d: tuple(range(2 * SCAN_SMALL + 2)) for d in (1, 2, 3, 4)}
+CUT_SIZES[MAX_DIM] = (0, 1, 2, 3, FIRST_BLOCK - 1, FIRST_BLOCK, FIRST_BLOCK + 1)
+
+
+def test_list_levels_match_rescan_across_the_cut_off():
+    statuses = {OPTIMAL: 0, INFEASIBLE: 0, UNBOUNDED: 0}
+    for d, sizes in CUT_SIZES.items():
+        for kind in SCAN_KINDS:
+            for n in sizes:
+                seed = 100000 * d + 100 * n + SCAN_KINDS.index(kind)
+                inst = _scan_instance(np.random.default_rng(seed), d, n, kind)
+                ref = rescan_seidel_lp(inst, seed=seed)
+                _assert_bit_identical(seidel_lp(inst, seed=seed), ref)
+                statuses[ref.status] += 1
+    assert min(statuses.values()) >= 50, statuses
+
+
+def _near_zero_offsets(A, x, rng):
+    """Offsets that put each row's `_excess` at x within a few ulps of 0."""
+    b = A @ x - EVAL_GUARD * (np.abs(A) @ np.abs(x))
+    b -= FEAS_TOL * np.maximum(1.0, np.abs(b))
+    for _ in range(2):
+        b += _excess(A, b, FEAS_TOL * np.maximum(1.0, np.abs(b)), x)
+    return b + rng.integers(-4, 5, size=b.shape) * np.spacing(b)
+
+
+def test_screen_falls_back_to_blas_within_rounding(monkeypatch):
+    # the scan starts at the box corner x0 = BOX_BOUND * sign(c); rows whose
+    # excess at x0 is within a few ulps of 0 cannot be signed in Python
+    # floats, so their block must be scored by `_excess`, and the answer
+    # must still be the re-scan's bit for bit
+    blocks = []
+
+    def counting_excess(A, b, b_tols, x):
+        blocks.append(A.shape[0])
+        return _excess(A, b, b_tols, x)
+
+    monkeypatch.setattr(lp, "_excess", counting_excess)
+    fell_back = 0
+    for trial in range(60):
+        rng = np.random.default_rng(trial)
+        d = int(rng.integers(2, 5))
+        n = int(rng.integers(FIRST_BLOCK, SCAN_SMALL))
+        c = rng.choice([-1.0, 1.0], size=d) * rng.uniform(0.5, 2.0, size=d)
+        x0 = np.where(c > 0, BOX_BOUND, -BOX_BOUND)
+        # |A @ x0| <= 0.5 and |b| <= 1, so seidel_lp does not rescale b
+        A = rng.uniform(-1.0, 1.0, size=(n, d)) * (0.5 / (d * BOX_BOUND))
+        b = _near_zero_offsets(A, x0, rng)
+        loose = rng.random(n) < 0.3
+        b[loose] += rng.uniform(-0.5, 0.5, size=loose.sum())
+        inst = LpInstance(A, b, c)
+        blocks.clear()
+        res = seidel_lp(inst, seed=trial)
+        fell_back += blocks.count(FIRST_BLOCK) > 0
+        _assert_bit_identical(res, rescan_seidel_lp(inst, seed=trial))
+    assert fell_back >= 30, fell_back
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(min_value=0, max_value=2**31 - 1),
+       st.sampled_from((1, 2, 3, 4, MAX_DIM)),
+       st.integers(min_value=1, max_value=40))
+def test_screen_commits_only_to_the_blas_sign(seed, d, n):
+    # wherever `_screen` calls a row certainly clean or certainly violated,
+    # `_excess` agrees, whether BLAS scores the row in a block or alone
+    rng = np.random.default_rng(seed)
+    A = rng.normal(size=(n, d)) * 10.0 ** rng.integers(-8, 4, size=(n, 1))
+    A[rng.random((n, d)) < 0.1] = 0.0
+    x = rng.normal(size=d) * 10.0 ** rng.integers(-3, 8, size=d)
+    x[rng.random(d) < 0.2] = rng.choice([-BOX_BOUND, 0.0, BOX_BOUND])
+    b = _near_zero_offsets(A, x, rng)
+    far = rng.random(n) < 0.3
+    b[far] = rng.normal(size=far.sum()) * 10.0 ** rng.integers(-3, 3, size=far.sum())
+    tols = FEAS_TOL * np.maximum(1.0, np.abs(b))
+    block = _excess(A, b, tols, x) > 0
+    rows = A.tolist(), b.tolist(), tols.tolist(), x.tolist()
+    for i in range(n):
+        alone = _excess(A[i:i + 1], b[i:i + 1], tols[i:i + 1], x)[0] > 0
+        at, violated = _screen(*rows, i, i + 1)
+        if at == i + 1:
+            assert not block[i] and not alone, i
+        elif violated:
+            assert block[i] and alone, i

@@ -1,3 +1,4 @@
+import logging
 import math
 
 import numpy as np
@@ -18,7 +19,13 @@ from hellyfit.geometry import (
 )
 from hellyfit import solver
 from hellyfit.lp import FEAS_TOL, beta_fixed_rotation, scale_dual
-from hellyfit.nets import SUFFICIENT_BOUND, RotationNet, build_net_2d
+from hellyfit.nets import (
+    SUFFICIENT_BOUND,
+    NetTooLargeError,
+    RotationNet,
+    build_net_2d,
+    build_net_sufficient,
+)
 from hellyfit.solver import (
     alpha_reference,
     beta_brute,
@@ -437,6 +444,37 @@ def test_msw_round_cap_falls_back_flagged(monkeypatch):
     assert r.stats.fallback
     assert "exhausted" in r.stats.note
     assert r.beta == beta_direct(K, net, P, seed=0).beta
+
+
+def test_fallbacks_escalations_and_refusals_are_logged(caplog, monkeypatch):
+    caplog.set_level(logging.INFO, logger="hellyfit")
+    K, net = unit_square(), uniform_net(2)
+    # 1997 lids y <= b and three walls: a sample that misses a wall leaves
+    # the copy free to slide, so beta_msw widens it
+    n = 2000
+    U = np.vstack([np.tile([0.0, 1.0], (n - 3, 1)),
+                   [[1.0, 0.0], [-1.0, 0.0], [0.0, -1.0]]])
+    P = HPolytope(U, np.concatenate([np.linspace(2.0, 3.0, n - 3), [2.0, 2.0, 2.0]]))
+    beta_msw(K, net, P, seed=0)
+    widened = [r for r in caplog.records if "widening" in r.getMessage()]
+    assert widened and all(r.levelno == logging.INFO for r in widened)
+    caplog.clear()
+    monkeypatch.setattr(solver, "_violators",
+                        lambda placement, support, P: np.arange(len(P)))
+    beta_msw(K, net, tangent_family(100, 3), seed=0)
+    [fell] = caplog.records
+    assert fell.levelno == logging.WARNING and "exhausted" in fell.getMessage()
+    caplog.clear()
+    with pytest.raises(ValueError, match="limit"):
+        beta_brute(regular_polygon(3, 1.0), uniform_net(4), tangent_family(200, 0))
+    cube = VPolytope(np.array([[x, y, z] for x in (0, 1) for y in (0, 1)
+                               for z in (0, 1)], dtype=float))
+    with pytest.raises(NetTooLargeError):
+        build_net_sufficient(cube, 0.1)
+    refusals = [r.getMessage() for r in caplog.records]
+    assert len(refusals) == 2 and all(m.startswith("refused: ") for m in refusals)
+    assert "1000000 limit" in refusals[0] and "limit of 20000" in refusals[1]
+    assert all(r.name.startswith("hellyfit.") for r in caplog.records)
 
 
 def sampling_instance(seed):
