@@ -25,15 +25,12 @@ from .geometry import (
     DegenerateGeometryError,
     DimensionMismatchError,
     HPolytope,
-    HalfSpace,
     Placement,
     Rotation,
     SimilarityTransform,
     UnsupportedDimensionError,
     VPolytope,
     cap_measure_2d,
-    cap_measure_mc,
-    contains,
     miniball,
     normalize_to_unit_ball,
     random_rotation,
@@ -41,10 +38,8 @@ from .geometry import (
     unit_square,
 )
 from .lp import (
-    InfeasibleProblem,
     LpInstance,
     LpResult,
-    UnboundedProblem,
     beta_fixed_rotation,
     build_beta_instance,
     chebyshev_inradius,

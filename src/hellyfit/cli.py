@@ -1,9 +1,13 @@
 """Command-line surface: fit, net, demo, bench, and oracle commands.
 
 Exit codes are a stable contract: 0 for success, 1 for a verification or
-verdict failure, 2 for usage and input errors.  All outputs are
-deterministic given --seed; timings are the one exception and only appear
-in bench CSV lines.
+verdict failure, 2 for usage and input errors.  Outputs are deterministic
+given --seed, apart from wall-clock times: `wall_time_s` in fit's stats and
+the mean times of the bench CSV lines.
+
+Each `cmd_*` takes the argparse namespace.  Checks that argparse cannot make
+(epsilon, --sizes, --reps) raise ValueError, which `main` turns into one
+`error:` line and exit code 2.
 """
 
 import argparse
@@ -12,7 +16,6 @@ import json
 import math
 import sys
 import time
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -24,41 +27,6 @@ from .solver import alpha_reference, beta_brute, beta_direct, beta_msw
 from .svg import render_demo_svg, render_fit_svg
 
 OK, VERDICT_FAIL, USAGE_ERROR = 0, 1, 2
-
-_METHODS = {"direct", "msw", "brute"}
-_COMMANDS = {"fit", "net", "demo", "bench", "oracle"}
-
-
-@dataclass
-class RunConfig:
-    """Checked bundle of everything one command invocation needs."""
-
-    command: str
-    epsilon: float = 0.1
-    seed: int = 0
-    method: str = "msw"
-    inputs: tuple = ()
-    out: str | None = None
-    svg: str | None = None
-    with_reflection: bool = False
-    n: int = 3
-    samples: int | None = None
-    sizes: tuple = (1000, 10000)
-    reps: int = 3
-    fine_eps: float = 0.005
-
-    def __post_init__(self):
-        if self.command not in _COMMANDS:
-            raise ValueError(f"unknown command {self.command!r}")
-        if self.method not in _METHODS:
-            raise ValueError(f"unknown method {self.method!r}")
-        if self.command in ("fit", "net") and not 0.0 < self.epsilon < 1.0:
-            raise ValueError("epsilon must lie strictly between 0 and 1")
-        self.seed = int(self.seed)
-        self.sizes = tuple(int(s) for s in self.sizes)
-        if any(a >= b for a, b in zip(self.sizes, self.sizes[1:])):
-            raise ValueError("sizes must be strictly ascending")
-
 
 def _emit(text, out_path):
     if out_path is None:
@@ -84,40 +52,53 @@ def _build_net(K, epsilon):
 _SOLVERS = {"direct": beta_direct, "msw": beta_msw, "brute": beta_brute}
 
 
-def cmd_fit(config: RunConfig) -> int:
-    body_doc, container_doc = (read_json(p) for p in config.inputs)
+def _check_epsilon(epsilon):
+    if not 0.0 < epsilon < 1.0:
+        raise ValueError("epsilon must lie strictly between 0 and 1")
+
+
+def _load_instance(args):
+    """Body and container; both files are read before either is parsed."""
+    body_doc, container_doc = read_json(args.body), read_json(args.container)
     K = load_body(body_doc)
     P = load_container(container_doc)
     if K.dim != P.normals.shape[1]:
         raise BodyFormatError("body and container disagree on dimension")
-    if config.svg is not None and K.dim != 2:
+    return K, P
+
+
+def cmd_fit(args) -> int:
+    _check_epsilon(args.epsilon)
+    K, P = _load_instance(args)
+    if args.svg is not None and K.dim != 2:
         raise BodyFormatError("SVG output needs a planar instance")
-    solve = _SOLVERS[config.method]
+    solve = _SOLVERS[args.method]
 
     def run(body):
-        net = _build_net(body, config.epsilon)
-        if config.method == "brute":
+        net = _build_net(body, args.epsilon)
+        if args.method == "brute":
             return body, net, solve(body, net, P)
-        return body, net, solve(body, net, P, seed=config.seed)
+        return body, net, solve(body, net, P, seed=args.seed)
 
     body, net, result = run(K)
-    if config.with_reflection:
+    if args.with_reflection:
         m_body, m_net, mirrored = run(_mirror(K))
         if mirrored.beta > result.beta:
             body, net, result = m_body, m_net, mirrored
             result.stats.note = (result.stats.note + "; " if result.stats.note
                                  else "") + "reflected copy wins"
-    _emit(json.dumps(result.to_json(), indent=2), config.out)
-    if config.svg is not None:
-        render_fit_svg(body, P, result, path=config.svg)
+    _emit(json.dumps(result.to_json(), indent=2), args.out)
+    if args.svg is not None:
+        render_fit_svg(body, P, result, path=args.svg)
     return OK
 
 
-def cmd_net(config: RunConfig) -> int:
-    K = load_body(read_json(config.inputs[0]))
-    net = _build_net(K, config.epsilon)
-    report = verify_net(net, K, trials=64, seed=config.seed)
-    _emit(json.dumps(net.to_json(), indent=2), config.out)
+def cmd_net(args) -> int:
+    _check_epsilon(args.epsilon)
+    K = load_body(read_json(args.body))
+    net = _build_net(K, args.epsilon)
+    report = verify_net(net, K, trials=64, seed=args.seed)
+    _emit(json.dumps(net.to_json(), indent=2), args.out)
     if not report.ok:
         sys.stderr.write(
             f"net verification failed {report.failures}/{report.trials}"
@@ -126,12 +107,12 @@ def cmd_net(config: RunConfig) -> int:
     return OK
 
 
-def cmd_demo(config: RunConfig) -> int:
-    samples = 4 * config.n if config.samples is None else config.samples
-    K, family, verdict, placement = _demo_run(config.n, samples, config.seed)
-    _emit(json.dumps(verdict, indent=2), config.out)
-    if config.svg is not None:
-        render_demo_svg(K, family, placement, path=config.svg)
+def cmd_demo(args) -> int:
+    samples = 4 * args.n if args.samples is None else args.samples
+    K, family, verdict, placement = _demo_run(args.n, samples, args.seed)
+    _emit(json.dumps(verdict, indent=2), args.out)
+    if args.svg is not None:
+        render_demo_svg(K, family, placement, path=args.svg)
     return OK if verdict["verdict"] == "pass" else VERDICT_FAIL
 
 
@@ -142,41 +123,50 @@ def _bench_instance(n, seed):
     return HPolytope(normals, np.ones(n))
 
 
-def cmd_bench(config: RunConfig) -> int:
+def _sizes(text):
+    try:
+        sizes = tuple(int(s) for s in text.split(","))
+    except ValueError as exc:
+        raise ValueError(f"bad --sizes value {text!r}") from exc
+    if any(a >= b for a, b in zip(sizes, sizes[1:])):
+        raise ValueError("sizes must be strictly ascending")
+    return sizes
+
+
+def cmd_bench(args) -> int:
+    sizes = _sizes(args.sizes)
+    _check_epsilon(args.epsilon)
+    if args.reps < 1:
+        raise ValueError("reps must be at least 1")
     K = VPolytope(np.array([[1.0, 1.0], [-1.0, 1.0], [-1.0, -1.0],
                             [1.0, -1.0]]) * 0.5)
-    fallback = 1.0 - 1.0 / math.sqrt(2.0)
-    net = _build_net(K, config.epsilon if 0.0 < config.epsilon < 1.0 else fallback)
-    solve = _SOLVERS[config.method]
+    net = _build_net(K, args.epsilon)
+    solve = _SOLVERS[args.method]
     lines = io.StringIO()
     lines.write("n,method,mean_time_s,lp_calls,violation_tests\n")
-    for n in config.sizes:
-        P = _bench_instance(n, config.seed)
+    for n in sizes:
+        P = _bench_instance(n, args.seed)
         times, result = [], None
-        for _ in range(max(1, config.reps)):
+        for _ in range(args.reps):
             t0 = time.perf_counter()
-            if config.method == "brute":
+            if args.method == "brute":
                 result = solve(K, net, P)
             else:
-                result = solve(K, net, P, seed=config.seed)
+                result = solve(K, net, P, seed=args.seed)
             times.append(time.perf_counter() - t0)
-        lines.write(f"{n},{config.method},{np.mean(times):.6f},"
+        lines.write(f"{n},{args.method},{np.mean(times):.6f},"
                     f"{result.stats.lp_calls},{result.stats.violation_tests}\n")
-    _emit(lines.getvalue(), config.out)
+    _emit(lines.getvalue(), args.out)
     return OK
 
 
-def cmd_oracle(config: RunConfig) -> int:
-    body_doc, container_doc = (read_json(p) for p in config.inputs)
-    K = load_body(body_doc)
-    P = load_container(container_doc)
-    if K.dim != P.normals.shape[1]:
-        raise BodyFormatError("body and container disagree on dimension")
-    alpha = alpha_reference(K, P, config.fine_eps, seed=config.seed)
-    if config.with_reflection:
-        alpha = max(alpha, alpha_reference(_mirror(K), P, config.fine_eps,
-                                           seed=config.seed))
-    _emit(json.dumps({"alpha": alpha, "fine_eps": config.fine_eps}), config.out)
+def cmd_oracle(args) -> int:
+    K, P = _load_instance(args)
+    alpha = alpha_reference(K, P, args.fine_eps, seed=args.seed)
+    if args.with_reflection:
+        alpha = max(alpha, alpha_reference(_mirror(K), P, args.fine_eps,
+                                           seed=args.seed))
+    _emit(json.dumps({"alpha": alpha, "fine_eps": args.fine_eps}), args.out)
     return OK
 
 
@@ -195,7 +185,7 @@ def _parser():
     fit.add_argument("body")
     fit.add_argument("container")
     fit.add_argument("--epsilon", type=float, default=0.1)
-    fit.add_argument("--method", choices=sorted(_METHODS), default="msw")
+    fit.add_argument("--method", choices=sorted(_SOLVERS), default="msw")
     fit.add_argument("--svg", default=None)
     fit.add_argument("--with-reflection", action="store_true")
     common(fit)
@@ -214,7 +204,7 @@ def _parser():
     bench = sub.add_parser("bench", help="time the solvers on growing families")
     bench.add_argument("--sizes", default="1000,10000")
     bench.add_argument("--reps", type=int, default=3)
-    bench.add_argument("--method", choices=sorted(_METHODS), default="msw")
+    bench.add_argument("--method", choices=sorted(_SOLVERS), default="msw")
     # the coarse square net keeps every common size in the sampling regime
     bench.add_argument("--epsilon", type=float, default=1.0 - 1.0 / math.sqrt(2.0))
     common(bench)
@@ -228,26 +218,6 @@ def _parser():
     return top
 
 
-def _config_from(args) -> RunConfig:
-    fields = {"command": args.command, "seed": args.seed, "out": args.out}
-    if args.command in ("fit", "oracle"):
-        fields["inputs"] = (args.body, args.container)
-    if args.command == "net":
-        fields["inputs"] = (args.body,)
-    for name in ("epsilon", "method", "svg", "n", "samples", "reps",
-                 "fine_eps"):
-        if hasattr(args, name):
-            fields[name] = getattr(args, name)
-    if getattr(args, "with_reflection", False):
-        fields["with_reflection"] = True
-    if hasattr(args, "sizes"):
-        try:
-            fields["sizes"] = tuple(int(s) for s in str(args.sizes).split(","))
-        except ValueError as exc:
-            raise ValueError(f"bad --sizes value {args.sizes!r}") from exc
-    return RunConfig(**fields)
-
-
 _RUNNERS = {"fit": cmd_fit, "net": cmd_net, "demo": cmd_demo,
             "bench": cmd_bench, "oracle": cmd_oracle}
 
@@ -255,8 +225,7 @@ _RUNNERS = {"fit": cmd_fit, "net": cmd_net, "demo": cmd_demo,
 def main(argv=None) -> int:
     try:
         args = _parser().parse_args(argv)
-        config = _config_from(args)
-        return _RUNNERS[config.command](config)
+        return _RUNNERS[args.command](args)
     except (BodyFormatError, DimensionMismatchError, ValueError) as exc:
         sys.stderr.write(f"error: {exc}\n")
         return USAGE_ERROR

@@ -22,7 +22,6 @@ TWO_PI = 2.0 * math.pi
 
 UNIT_NORM_TOL = 1e-12      # unit-normal invariant for half-spaces
 ORTHO_TOL = 1e-10          # orthogonality / determinant tolerance for rotations
-CONTAIN_TOL = 1e-9         # default membership slack
 MINIBALL_TOL = 1e-9        # guaranteed accuracy of miniball results
 
 
@@ -52,39 +51,6 @@ def as_point(x, dim=None):
 
 # ---------------------------------------------------------------------------
 # half-spaces and polytopes
-
-
-@dataclass(frozen=True, eq=False)
-class HalfSpace:
-    """Closed half-space {x : <normal, x> <= offset} with a unit normal."""
-
-    normal: np.ndarray
-    offset: float
-
-    def __post_init__(self):
-        n = as_point(self.normal)
-        norm = float(np.linalg.norm(n))
-        if abs(norm - 1.0) > UNIT_NORM_TOL:
-            raise ValueError(f"half-space normal must be unit length, |n| = {norm!r}")
-        object.__setattr__(self, "normal", n)
-        object.__setattr__(self, "offset", float(self.offset))
-
-    @classmethod
-    def from_general(cls, normal, offset):
-        """Build from an unnormalized row <a, x> <= b, rejecting zero normals."""
-        a = as_point(normal)
-        norm = float(np.linalg.norm(a))
-        if norm < 1e-14:
-            raise DegenerateGeometryError("zero normal in half-space")
-        return cls(a / norm, float(offset) / norm)
-
-    @property
-    def dim(self):
-        return self.normal.shape[0]
-
-    def signed_violation(self, x):
-        """<normal, x> - offset; positive means x is outside."""
-        return float(self.normal @ as_point(x, self.dim) - self.offset)
 
 
 @dataclass(eq=False)
@@ -120,22 +86,12 @@ class HPolytope:
             raise DegenerateGeometryError("zero normal in half-space data")
         return cls(A / norms[:, None], b / norms)
 
-    @classmethod
-    def from_halfspaces(cls, halfspaces):
-        hs = list(halfspaces)
-        if not hs:
-            raise DegenerateGeometryError("empty half-space list")
-        return cls(np.stack([h.normal for h in hs]), np.array([h.offset for h in hs]))
-
     @property
     def dim(self):
         return self.normals.shape[1]
 
     def __len__(self):
         return self.normals.shape[0]
-
-    def halfspace(self, i):
-        return HalfSpace(self.normals[i], self.offsets[i])
 
     def take(self, indices):
         idx = np.asarray(indices, dtype=int)
@@ -152,25 +108,6 @@ class HPolytope:
         if lam <= 0:
             raise ValueError("scale must be positive")
         return HPolytope(self.normals.copy(), self.offsets * float(lam))
-
-    def to_json(self):
-        return {
-            "dim": self.dim,
-            "halfspaces": [
-                {"normal": list(map(float, n)), "offset": float(b)}
-                for n, b in zip(self.normals, self.offsets)
-            ],
-        }
-
-    @classmethod
-    def from_json(cls, obj):
-        d = int(obj["dim"])
-        rows, offs = [], []
-        for h in obj["halfspaces"]:
-            n = as_point(h["normal"], d)
-            rows.append(n)
-            offs.append(float(h["offset"]))
-        return cls.from_rows(np.stack(rows), np.array(offs))
 
 
 @dataclass(eq=False)
@@ -222,17 +159,6 @@ class VPolytope:
             eq = hull.equations
             return HPolytope.from_rows(eq[:, :-1], -eq[:, -1])
         raise UnsupportedDimensionError(f"hull half-spaces unsupported in d={self.dim}")
-
-    def to_json(self):
-        return {"dim": self.dim, "vertices": [list(map(float, v)) for v in self.vertices]}
-
-    @classmethod
-    def from_json(cls, obj):
-        d = int(obj["dim"])
-        V = np.asarray(obj["vertices"], dtype=float)
-        if V.ndim != 2 or V.shape[1] != d:
-            raise DimensionMismatchError("vertex array does not match declared dim")
-        return cls(V)
 
 
 def convex_hull_2d(points):
@@ -326,11 +252,6 @@ class Rotation:
         return Rotation(self.matrix @ other.matrix)
 
 
-def rotation_distance(a, b):
-    """Operator-norm distance between two rotations."""
-    return float(np.linalg.norm(a.matrix - b.matrix, ord=2))
-
-
 @dataclass(eq=False)
 class Placement:
     """Similarity a + scale * rotation * x applied to a body."""
@@ -352,22 +273,12 @@ class Placement:
     def apply_points(self, points):
         return self.translation + self.scale * self.rotation.apply(points)
 
-    def realize(self, body: VPolytope):
-        return VPolytope(self.apply_points(body.vertices))
-
     def to_json(self):
         return {
             "translation": list(map(float, self.translation)),
             "scale": float(self.scale),
             "rotation": [float(x) for x in self.rotation.matrix.reshape(-1)],
         }
-
-    @classmethod
-    def from_json(cls, obj):
-        t = as_point(obj["translation"])
-        d = t.shape[0]
-        M = np.asarray(obj["rotation"], dtype=float).reshape(d, d)
-        return cls(t, float(obj["scale"]), Rotation(M))
 
 
 @dataclass(eq=False)
@@ -384,11 +295,6 @@ class Ball:
     @property
     def dim(self):
         return self.center.shape[0]
-
-    def contains(self, points, tol=CONTAIN_TOL):
-        pts = np.atleast_2d(np.asarray(points, dtype=float))
-        dist = np.linalg.norm(pts - self.center, axis=1)
-        return bool(np.all(dist <= self.radius + tol))
 
 
 @dataclass(eq=False)
@@ -419,18 +325,6 @@ class Cap:
     def angular_halfwidth(self):
         """Half-width of the cap as an angle from `direction`."""
         return math.acos(-min(self.slack, 1.0))
-
-    def contains_directions(self, points, tol=0.0):
-        pts = np.atleast_2d(np.asarray(points, dtype=float))
-        return pts @ self.direction >= -self.slack - tol
-
-
-def contains(polytope: HPolytope, x, tol=CONTAIN_TOL):
-    """Membership of a point in an H-polytope, within additive slack `tol`."""
-    p = as_point(x, polytope.dim)
-    if len(polytope) == 0:
-        return True
-    return bool(np.all(polytope.normals @ p - polytope.offsets <= tol))
 
 
 # ---------------------------------------------------------------------------
@@ -650,21 +544,6 @@ def cap_measure_2d(body, cap: Cap):
             raise UnsupportedDimensionError("cap_measure_2d requires a 2-d body")
         return 0.0
     return arcs.cap_overlap(cap) / TWO_PI
-
-
-def cap_measure_mc(membership, cap: Cap, samples=100_000, seed=0):
-    """Monte Carlo estimate of mu({x in S^(d-1) : x in body} ∩ cap).
-
-    `membership` maps an (n, d) array of unit vectors to a boolean mask.
-    The estimate carries the usual 1/sqrt(samples) statistical error; the
-    exact 2-d arc route should be preferred whenever it applies.
-    """
-    rng = np.random.default_rng(seed)
-    d = cap.dim
-    g = rng.standard_normal((samples, d))
-    g /= np.linalg.norm(g, axis=1)[:, None]
-    inside = np.asarray(membership(g), dtype=bool)
-    return float(np.mean(inside & cap.contains_directions(g)))
 
 
 # ---------------------------------------------------------------------------

@@ -1,4 +1,4 @@
-"""Loading and saving the JSON descriptions of bodies and containers.
+"""Loading the JSON descriptions of bodies and containers.
 
 Bodies travel as vertex lists (or as arc-body recipes in the plane) and
 containers as half-space lists.  Loaders normalize what they can and raise
@@ -74,20 +74,6 @@ def load_container(obj) -> HPolytope:
     if "dim" in obj and int(obj["dim"]) != A.shape[1]:
         raise BodyFormatError("'dim' disagrees with the normal coordinates")
     return HPolytope(A, np.asarray(offsets))
-
-
-def dump_body(body) -> dict:
-    if hasattr(body, "to_json"):
-        return body.to_json()
-    return {"dim": body.dim, "vertices": body.vertices.tolist()}
-
-
-def dump_container(P: HPolytope) -> dict:
-    return {
-        "dim": int(P.normals.shape[1]),
-        "halfspaces": [{"normal": u.tolist(), "offset": float(b)}
-                       for u, b in zip(P.normals, P.offsets)],
-    }
 
 
 def read_json(path):

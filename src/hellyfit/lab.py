@@ -75,21 +75,11 @@ class CapBody(VPolytope):
     def retained_measure(self):
         return (TWO_PI - self.removed_width) / TWO_PI
 
-    def to_json(self):
-        return {
-            "dim": 2,
-            "arc_body": {
-                "removed_center_angle": self.removed_center_angle,
-                "removed_width": self.removed_width,
-                "vertex_count": len(self),
-            },
-        }
-
     @classmethod
     def from_json(cls, obj):
         data = obj["arc_body"]
-        # vertex_count is our own round-trip extra; plain descriptions get
-        # the default discretization
+        # vertex_count is optional; without it the body gets the default
+        # discretization
         m = int(data.get("vertex_count", 130)) - 2
         return cls.of_width(data["removed_center_angle"],
                             data["removed_width"], m)

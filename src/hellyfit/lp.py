@@ -72,14 +72,6 @@ INFEASIBLE = "infeasible"
 UNBOUNDED = "unbounded"
 
 
-class InfeasibleProblem(RuntimeError):
-    """Raised by `LpResult.require_optimal` on an infeasible program."""
-
-
-class UnboundedProblem(RuntimeError):
-    """Raised by `LpResult.require_optimal` on an unbounded program."""
-
-
 class _Infeasible(Exception):
     pass
 
@@ -126,13 +118,6 @@ class LpResult:
     value: float
     witness: np.ndarray | None
     tight_set: tuple
-
-    def require_optimal(self):
-        if self.status == INFEASIBLE:
-            raise InfeasibleProblem("linear program is infeasible")
-        if self.status == UNBOUNDED:
-            raise UnboundedProblem("linear program is unbounded")
-        return self
 
 
 def _offset_scale(b):

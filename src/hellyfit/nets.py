@@ -65,9 +65,8 @@ log = logging.getLogger(__name__)
 
 EXACT_2D = "exact_2d"
 SUFFICIENT_BOUND = "sufficient_bound"
-VERIFIED_SAMPLING = "verified_sampling"
 
-_CERTIFICATES = (EXACT_2D, SUFFICIENT_BOUND, VERIFIED_SAMPLING)
+_CERTIFICATES = (EXACT_2D, SUFFICIENT_BOUND)
 
 
 class NetTooLargeError(ValueError):
@@ -118,18 +117,6 @@ class RotationNet:
             "certificate": self.certificate,
             "rotations": [r.matrix.reshape(-1).tolist() for r in self.rotations],
         }
-
-    @classmethod
-    def from_json(cls, obj, shape_hash=""):
-        rots = []
-        for flat in obj["rotations"]:
-            flat = np.asarray(flat, dtype=float)
-            d = round(math.isqrt(flat.size))
-            if d * d != flat.size:
-                raise ValueError("rotation entry is not a square matrix")
-            rots.append(Rotation(flat.reshape(d, d)))
-        return cls(tuple(rots), float(obj["epsilon"]), shape_hash,
-                   str(obj["certificate"]))
 
 
 # ---------------------------------------------------------------------------
@@ -436,15 +423,6 @@ class NetReport:
     @property
     def ok(self):
         return self.failures == 0
-
-    def to_json(self):
-        return {
-            "trials": self.trials,
-            "passes": self.passes,
-            "failures": self.failures,
-            "worst_margin": self.worst_margin,
-            "failed_rotations": [m.reshape(-1).tolist() for m in self.failed_rotations],
-        }
 
 
 def verify_net(net: RotationNet, K: VPolytope, trials: int = 100, seed: int = 0,

@@ -1,8 +1,9 @@
 """Slow, independent reference implementations used to pin down expected values.
 
 Everything here trades speed for obviousness: exhaustive vertex enumeration
-for linear programs and dense angle scans for best-fit problems.  Test
-modules import these to cross-check the fast implementations.
+for linear programs and dense angle scans for best-fit problems and arc
+measures.  Test modules import these to cross-check the fast
+implementations.
 """
 
 import itertools
@@ -296,6 +297,26 @@ def triangle_fit_scale(theta):
     """
     t = abs(math.remainder(theta, 2.0 * math.pi / 3.0))
     return 1.0 / (2.0 * math.cos(math.pi / 3.0 - t))
+
+
+def arc_cap_overlap_grid(arcs, cap, cells):
+    """Arc length of `arcs` inside a planar `cap`, counted on an angle grid.
+
+    Each of `cells` equal cells of the circle counts 2*pi/cells when its
+    midpoint angle lies on an arc (taken modulo 2*pi) and its direction u
+    has <u, cap.direction> >= -cap.slack.  Uses neither the cap's interval
+    nor any shift bookkeeping, so it is independent of
+    `CircleArcs.cap_overlap`.  An overlap made of k intervals is counted to
+    within k cells.
+    """
+    step = 2.0 * math.pi / cells
+    theta = (np.arange(cells) + 0.5) * step
+    on_arc = np.zeros(cells, dtype=bool)
+    for a, b in arcs.arcs:
+        on_arc |= np.mod(theta - a, 2.0 * math.pi) <= b - a
+    u = np.stack([np.cos(theta), np.sin(theta)], axis=1)
+    in_cap = u @ cap.direction >= -cap.slack
+    return float(np.count_nonzero(on_arc & in_cap)) * step
 
 
 def _grid_first_stop(margin, sign, tol):

@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 
 import hellyfit
-from hellyfit.cli import RunConfig, _mirror, main
+from hellyfit.cli import _mirror, main
 from hellyfit.geometry import VPolytope
 
 FIT_KEYS = {"beta", "placement", "basis", "method", "stats"}
@@ -149,6 +149,7 @@ def test_fit_rejects_dimension_mismatch(capsys, tmp_path, bigsquare):
 def test_fit_rejects_epsilon_outside_unit_interval(capsys, square, bigsquare):
     assert main(["fit", "--epsilon", "1.5", square, bigsquare]) == 2
     assert main(["fit", "--epsilon", "0", square, bigsquare]) == 2
+    assert main(["fit", "--epsilon", "1.0", square, bigsquare]) == 2
 
 
 def test_fit_empty_container_is_flagged_success(capsys, tmp_path, square):
@@ -239,7 +240,13 @@ def test_bench_brute_refuses_huge_subset_counts(capsys):
 
 
 def test_bench_rejects_unsorted_sizes(capsys):
-    assert main(["bench", "--sizes", "200,100"]) == 2
+    for argv in (["bench", "--sizes", "200,100"],
+                 ["bench", "--sizes", "100", "--epsilon", "1.5"],
+                 ["bench", "--sizes", "100", "--epsilon", "-3"],
+                 ["bench", "--sizes", "100", "--reps", "0"],
+                 ["bench", "--sizes", "100", "--reps", "-2"]):
+        assert main(argv) == 2
+        assert capsys.readouterr().err.count("error:") == 1
 
 
 # ---------------------------------------------------------------------------
@@ -255,26 +262,14 @@ def test_oracle_reports_the_reference_scale(capsys, square, bigsquare):
 
 
 # ---------------------------------------------------------------------------
-# config object
+# argument checks
 
 
-def test_run_config_validates_fields():
-    with pytest.raises(ValueError):
-        RunConfig(command="sing")
-    with pytest.raises(ValueError):
-        RunConfig(command="fit", method="magic")
-    with pytest.raises(ValueError):
-        RunConfig(command="fit", epsilon=1.0)
-    with pytest.raises(ValueError):
-        RunConfig(command="bench", sizes=(200, 100))
-    cfg = RunConfig(command="bench", sizes=(100, 200))
-    assert cfg.seed == 0 and cfg.method == "msw"
-
-
-def test_unknown_subcommand_exits_via_argparse(capsys):
-    with pytest.raises(SystemExit) as info:
-        main(["warble"])
-    assert info.value.code == 2
+def test_unknown_subcommand_exits_via_argparse(capsys, square, bigsquare):
+    for argv in (["warble"], ["fit", square, bigsquare, "--method", "magic"]):
+        with pytest.raises(SystemExit) as info:
+            main(argv)
+        assert info.value.code == 2
 
 
 def test_mirror_reflects_first_coordinate_in_3d():

@@ -34,9 +34,7 @@ from hellyfit.lp import (
     SCAN_SMALL,
     SMALL,
     UNBOUNDED,
-    InfeasibleProblem,
     LpInstance,
-    UnboundedProblem,
     _eliminate,
     _excess,
     _Infeasible,
@@ -69,16 +67,12 @@ def test_contradictory_pair_is_infeasible():
     inst = LpInstance(np.array([[1.0], [-1.0]]), np.array([1.0, -2.0]), np.array([1.0]))
     res = seidel_lp(inst)
     assert res.status == INFEASIBLE
-    with pytest.raises(InfeasibleProblem):
-        res.require_optimal()
 
 
 def test_unbounded_direction():
     inst = LpInstance(np.array([[-1.0, 0.0]]), np.array([0.0]), np.array([1.0, 0.0]))
     res = seidel_lp(inst)
     assert res.status == UNBOUNDED
-    with pytest.raises(UnboundedProblem):
-        res.require_optimal()
 
 
 def test_zero_row_constraints():

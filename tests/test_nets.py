@@ -237,18 +237,6 @@ def test_net_rejects_zero_slack():
         build_net_2d(regular_polygon(3, 1.0), 1e-9)
 
 
-def test_net_json_round_trip():
-    net = build_net_2d(random_hexagon(), 0.15)
-    blob = net.to_json()
-    assert set(blob) == {"epsilon", "certificate", "rotations"}
-    back = RotationNet.from_json(blob)
-    assert len(back) == len(net)
-    assert back.epsilon == net.epsilon
-    assert back.certificate == net.certificate
-    for a, b in zip(net.rotations, back.rotations):
-        assert np.allclose(a.matrix, b.matrix, atol=1e-15)
-
-
 # ---------------------------------------------------------------------------
 # build_net_sufficient
 
@@ -316,16 +304,6 @@ def test_verify_flags_a_known_bad_net():
     assert rep.failures == 1
     assert rep.worst_margin < 0.0
     assert len(rep.failed_rotations) == 1
-    blob = rep.to_json()
-    assert blob["failures"] == 1
-
-
-def test_verify_report_json_shape():
-    net = build_net_2d(unit_square(), EPS_SQUARE)
-    rep = verify_net(net, unit_square(), trials=5, seed=3)
-    blob = rep.to_json()
-    assert set(blob) == {"trials", "passes", "failures", "worst_margin",
-                         "failed_rotations"}
 
 
 def test_net_requires_matching_dimension():
