@@ -128,6 +128,8 @@ def _sizes(text):
         sizes = tuple(int(s) for s in text.split(","))
     except ValueError as exc:
         raise ValueError(f"bad --sizes value {text!r}") from exc
+    if any(n < 1 for n in sizes):
+        raise ValueError(f"--sizes entries must be at least 1, got {text!r}")
     if any(a >= b for a, b in zip(sizes, sizes[1:])):
         raise ValueError("sizes must be strictly ascending")
     return sizes

@@ -82,6 +82,10 @@ class HPolytope:
         if A.ndim != 2 or A.shape[0] != b.shape[0]:
             raise DimensionMismatchError("bad constraint arrays")
         norms = np.linalg.norm(A, axis=1)
+        if not np.all(np.isfinite(norms)):
+            raise DegenerateGeometryError(
+                "half-space normal has a non-finite norm: the hull overflowed;"
+                " scale the body down")
         if np.any(norms < 1e-14):
             raise DegenerateGeometryError("zero normal in half-space data")
         return cls(A / norms[:, None], b / norms)
@@ -148,16 +152,23 @@ class VPolytope:
         return bool(s.shape[0] >= self.dim and s[self.dim - 1] > tol * max(1.0, s[0]))
 
     def hull_halfspaces(self):
-        """Facet half-spaces of the hull (full-dimensional input required)."""
+        """Facet half-spaces of the hull (full-dimensional input required).
+
+        Coordinates so large that the facet rows overflow raise
+        DegenerateGeometryError from `HPolytope.from_rows`, without numpy's
+        overflow warnings.
+        """
         if self.dim == 2:
-            return _hull_halfspaces_2d(self.vertices)
+            with np.errstate(over="ignore", invalid="ignore"):
+                return _hull_halfspaces_2d(self.vertices)
         if self.dim == 3:
             from scipy.spatial import ConvexHull
 
             hull = ConvexHull(self.vertices)
             # scipy rows are [a, b] with a.x + b <= 0
             eq = hull.equations
-            return HPolytope.from_rows(eq[:, :-1], -eq[:, -1])
+            with np.errstate(over="ignore", invalid="ignore"):
+                return HPolytope.from_rows(eq[:, :-1], -eq[:, -1])
         raise UnsupportedDimensionError(f"hull half-spaces unsupported in d={self.dim}")
 
 
@@ -490,7 +501,7 @@ class CircleArcs:
         lo, hi = self._cap_interval(cap)
         total = 0.0
         for a, b in self.arcs:
-            for k in (-2, -1, 0, 1, 2):
+            for k in (-1, 0, 1):
                 total += max(0.0, min(b, hi + k * TWO_PI) - max(a, lo + k * TWO_PI))
         return total
 
@@ -499,7 +510,7 @@ class CircleArcs:
         lo, hi = self._cap_interval(cap)
         pieces = []
         for a, b in self.arcs:
-            for k in (-2, -1, 0, 1, 2):
+            for k in (-1, 0, 1):
                 s = max(a, lo + k * TWO_PI)
                 e = min(b, hi + k * TWO_PI)
                 if e - s > 1e-15:

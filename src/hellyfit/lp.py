@@ -43,6 +43,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from itertools import combinations
 from operator import mul
 
 import numpy as np
@@ -66,6 +67,7 @@ FIRST_BLOCK = 16       # rows in the first look-ahead block of a scan
 SMALL = 48             # plain Python below this prefix: the per-call crossover is 48-56 rows
 SCAN_SMALL = 32        # Python lists below this many rows at a level
 DUAL_TOL = 1e-12       # relative residual accepted in a recovered scale-LP dual
+NEAR_TIGHT = 12        # most nearly tight rows whose (d+1)-subsets near_tight_dual tries
 
 OPTIMAL = "optimal"
 INFEASIBLE = "infeasible"
@@ -507,12 +509,19 @@ def seidel_lp(instance: LpInstance, seed=0):
 
 @dataclass(eq=False)
 class BetaResult:
-    """Outcome of maximizing the scale of a placed copy at one rotation."""
+    """Outcome of maximizing the scale of a placed copy at one rotation.
+
+    `beta_fixed_rotation` reports the Seidel chain as `tight_rows`; the
+    solver layer replaces them by the support of a checked dual, whose
+    weights are positive and whose normals sum to zero with them, and then
+    sets `dual_support`.
+    """
 
     value: float
     placement: Placement | None
     status: str
     tight_rows: tuple   # indices of half-spaces of P that pin the optimum
+    dual_support: bool = False
 
     @property
     def ok(self):
@@ -561,12 +570,16 @@ class ScaleDual:
     offset normalization (`_offset_scale`), every row may be violated by
     FEAS_TOL * scale, and the residual U^T lambda meets a translation of
     at most BOX_BOUND * scale per coordinate.  Rounding beyond that is left
-    to the solver layer's pruning slack.
+    to the solver layer's pruning slack.  `value` is the bound without the
+    cushion at the solved rotation, lambda . b / lambda . h_A(U): the scale
+    that the rows with positive weight alone allow there.
     """
 
+    rows: np.ndarray      # (k,) indices of the half-spaces used, into P
     normals: np.ndarray   # (k, d) rows u_i of the half-spaces used
     weights: np.ndarray   # (k,) lambda
     cap: float
+    value: float
 
     def bounds(self, K: VPolytope, matrices) -> np.ndarray:
         """Upper bound on the scale at each rotation of a (t, d, d) stack."""
@@ -576,6 +589,11 @@ class ScaleDual:
         pos = denom > 0
         out[pos] = self.cap / denom[pos]
         return out
+
+    @property
+    def support(self):
+        """The sorted indices of the half-spaces with positive weight."""
+        return tuple(sorted(int(j) for j in self.rows[self.weights > 0]))
 
 
 def scale_dual(K: VPolytope, rotation: Rotation, P: HPolytope, tight_rows):
@@ -608,9 +626,38 @@ def scale_dual(K: VPolytope, rotation: Rotation, P: HPolytope, tight_rows):
         return None
     if np.any(np.abs(M @ lam - e) > DUAL_TOL * (1.0 + np.abs(M) @ lam)):
         return None
+    pinned = float(P.offsets[rows] @ lam)
     cushion = _offset_scale(P.offsets) * (FEAS_TOL * lam.sum()
                                           + BOX_BOUND * np.abs(U.T @ lam).sum())
-    return ScaleDual(U, lam, float(P.offsets[rows] @ lam + cushion))
+    return ScaleDual(rows, U, lam, pinned + cushion, pinned / float(M[-1] @ lam))
+
+
+def near_tight_dual(K: VPolytope, placement: Placement, P: HPolytope):
+    """The accepted dual of least value on the rows nearly tight at an optimum.
+
+    For an optimal `placement` whose Seidel chain yields no accepted dual:
+    the chain can keep d + 1 rows whose normals lie in a half-space while
+    another row is just as tight, and those rows alone leave the scale
+    unbounded.  The candidates are the rows whose slack
+    b_i - <u_i, a> - alpha * h_A(u_i) is within four times seidel_lp's row
+    tolerance, FEAS_TOL times `_offset_scale`, at most NEAR_TIGHT of them,
+    smallest slack first: the reported optimum may lie up to the tolerance
+    outside some rows, so a row tight at the exact optimum can show a
+    slack of a few tolerances there.  Every (d + 1)-subset of them goes
+    through `scale_dual`, and the accepted dual whose `value` is least is
+    returned, or None.
+    """
+    rotation = placement.rotation
+    h = support_values(K, rotation, P.normals)
+    slack = P.offsets - P.normals @ placement.translation - placement.scale * h
+    near = np.flatnonzero(slack <= 4 * FEAS_TOL * _offset_scale(P.offsets))
+    near = near[np.argsort(slack[near], kind="stable")][:NEAR_TIGHT]
+    best = None
+    for rows in combinations(near.tolist(), K.dim + 1):
+        dual = scale_dual(K, rotation, P, rows)
+        if dual is not None and (best is None or dual.value < best.value):
+            best = dual
+    return best
 
 
 def _lex_min_translation(inst, placement, seed):

@@ -13,7 +13,8 @@ only the inradius/circumradius ratio and covers the rotation group at
 operator-norm resolution eps*r/R, which is sufficient for any convex body
 but typically far from tight; it refuses nets of more than NET_LIMIT
 rotations.  Neither builder exploits symmetries of K: a square gets four
-rotations even though one would do.
+rotations even though one would do.  The solver does, by solving the
+rotations whose copies of K are translates of one another only once.
 
 Both rest on one bound.  Let B(z, r) be K's inball, B(c, R) its miniball
 and q = r/R.  If a + beta*R_theta K lies in K, rotate that copy by delta
@@ -238,6 +239,19 @@ def _first_stop(margin, sign, tol, m_zero, target, q):
     return math.pi
 
 
+def _circumradius(K: VPolytope) -> float:
+    """K's miniball radius, which the nets divide by.
+
+    `miniball` works to an absolute tolerance, so a body of side about 1e-8
+    gets radius 0; such a body is refused rather than divided by.
+    """
+    R = miniball(K.vertices).radius
+    if not R > 0.0:
+        raise DegenerateGeometryError(
+            "body is too small: its circumradius rounds to 0; scale it up")
+    return R
+
+
 def max_angle_2d(K: VPolytope, epsilon: float, tol: float = ANGLE_TOL) -> float:
     """Largest alpha such that (1-eps)R_theta K fits in K for all |theta| <= alpha.
 
@@ -265,7 +279,7 @@ def max_angle_2d(K: VPolytope, epsilon: float, tol: float = ANGLE_TOL) -> float:
         raise ValueError("tol must be positive")
     PK = K.hull_halfspaces()
     target = 1.0 - epsilon
-    q = max(0.0, chebyshev_inradius(PK).radius) / miniball(K.vertices).radius
+    q = max(0.0, chebyshev_inradius(PK).radius) / _circumradius(K)
     if q > target + TOUCH_TOL + BOUND_SLACK:
         return math.pi
     margin = _margin_fn(K, epsilon, PK)
@@ -357,7 +371,7 @@ def build_net_sufficient(K: VPolytope, epsilon: float, d: int | None = None) -> 
     if inr.status != "optimal" or inr.radius <= 0.0:
         raise DegenerateGeometryError("body has empty interior")
     r = inr.radius
-    R = miniball(K.vertices).radius
+    R = _circumradius(K)
     rho = min(1.0, epsilon * r / R)
 
     if d == 2:

@@ -18,18 +18,30 @@ rotation's LP only while no solved rotation's dual rules it out.  The dual
 of each solved LP (`lp.scale_dual`) bounds the scale at every rotation by
 weak duality, and the sweep stops once every unsolved bound lies below the
 best value by more than the tie slack, so the winner and every rotation
-tied with it are still solved with their own seeds.
+tied with it are still solved with their own seeds.  Rotations whose
+copies of K are translates of one another (`_class_map`: the four net
+rotations of a square give one shape) have the same value, so the sweep
+solves each such class once, at its lowest index, and the tie rule still
+picks the index a sweep of every rotation would.
+
+The same duals make the basis.  The at most d + 1 half-spaces on which a
+solve's checked dual is positive (`_certified`) bound the scale at its
+rotation to the value solved, and pruned rotations stay below the best
+by a solved dual, so the union over the solved classes pins beta with
+at most (number of classes) * (d + 1) half-spaces.
 """
 
 import logging
 import math
 import time
+import weakref
 from dataclasses import dataclass, replace
 from itertools import combinations
 
 import numpy as np
 
 from .geometry import (
+    DegenerateGeometryError,
     HPolytope,
     Placement,
     UnsupportedDimensionError,
@@ -37,17 +49,22 @@ from .geometry import (
 )
 from .lp import (
     OPTIMAL,
+    LpInstance,
     beta_fixed_rotation,
     canonical_placement,
+    near_tight_dual,
     scale_dual,
+    seidel_lp,
     support_values,
 )
 from .nets import RotationNet, cached_net_2d
 
 TIE_TOL = 1e-12      # relative slack when picking the winning rotation
+MERGE_TOL = TIE_TOL / 100   # relative vertex distance within which rotated copies merge
 BASIS_TOL = 1e-9     # value agreement required of a reduced family
 VIOL_TOL = 1e-9      # per-row slack (relative to the offset) in violation tests
 PRUNE_SLACK = 1e-7   # relative margin for LP and rounding error when pruning a rotation
+FREE_TOL = 1e-6      # least |w_j| of a unit-cube direction that counts as free
 BRUTE_LIMIT = 10 ** 6
 
 log = logging.getLogger(__name__)
@@ -78,8 +95,11 @@ class FitResult:
     """Best scale over a net, its witness, and a pinning subfamily.
 
     `basis` lists half-space indices of the container whose intersection
-    alone already forces the same beta; its size never exceeds
-    len(net) * (d + 1).  `rotation_index` is the winning net element.
+    alone already forces the same beta: the supports of the solved
+    rotations' checked duals, plus any rows that keep the copy from
+    sliding (`_pin_translation`).  Its size never exceeds c * (d + 1) for
+    a net whose rotations fall into c translation classes, which is at
+    most len(net) * (d + 1).  `rotation_index` is the winning net element.
     """
 
     beta: float
@@ -104,44 +124,147 @@ def _rotation_seed(seed, i):
     return int(np.random.SeedSequence([root, int(i)]).generate_state(1)[0])
 
 
+_CLASS_MAPS = weakref.WeakKeyDictionary()   # net -> {body key: `_class_map`}
+
+
+def _rotation_classes(K, net):
+    """`_class_map(K, net)`, computed on first use and kept while the net lives."""
+    maps = _CLASS_MAPS.setdefault(net, {})
+    key = (K.vertices.shape, K.vertices.tobytes())
+    rep = maps.get(key)
+    if rep is None:
+        rep = maps[key] = _class_map(K, net)
+    return rep
+
+
+def _class_count(K, net):
+    """How many translation classes `_class_map` finds among the net's rotations."""
+    rep = _rotation_classes(K, net)
+    return int(np.count_nonzero(rep == np.arange(len(net))))
+
+
+def _class_map(K, net):
+    """rep[i]: the lowest net index whose copy of K is a translate of A_i K.
+
+    Let c be the mean of K's vertices, rho > 0 the distance from c to the
+    boundary of K, and C_i = {A_i (v - c)} the centred vertex set of
+    rotation i.  Rotation i joins the class of j < i when a bijection of
+    C_i onto C_j moves no vertex by more than delta = MERGE_TOL * rho.
+    Then the values differ by a relative MERGE_TOL at most, for any
+    container.  Write X_i = A_i K - A_i c.  Every point of X_i is a convex
+    combination of C_i, so it lies within delta of the same combination of
+    C_j, and X_i lies in X_j + delta B.  X_j contains the ball rho B, and it
+    is convex, so X_j + delta B lies in (1 + delta / rho) X_j =
+    (1 + MERGE_TOL) X_j.  The inverse bijection gives X_j in
+    (1 + MERGE_TOL) X_i the same way.  A container holding a translate of
+    beta X_i thus holds one of beta / (1 + MERGE_TOL) X_j, so beta_j >=
+    beta_i / (1 + MERGE_TOL), and the same holds with i and j swapped.
+    MERGE_TOL is TIE_TOL / 100, so a merged rotation could move the best
+    value by a hundredth of the tie slack: the lowest index within TIE_TOL
+    of the best, which is its class's lowest index, stays the winner unless
+    a value lies within MERGE_TOL of the tie threshold.  This bounds the
+    LPs' exact values.  Where several rows are nearly tight at the optimum,
+    the values seidel_lp computes for one class can still differ by its row
+    tolerance; a sweep of every rotation then keeps the largest of them,
+    and the class sweep the lowest index's.  The test reads vertex sets
+    computed in floating point, so it asks for distance delta less a
+    rounding bound of a few units in the last place of R, the largest
+    |v - c|.  Candidates are grouped by their sorted vertices rounded to a
+    grid of 2^-20 R, far coarser than delta; a pair that the grid splits is
+    not merged, which costs only a solve.  The hull, for rho, is built only
+    when two rotations share a grid key; a body whose hull this cannot
+    compute, e.g. outside d = 2, 3, merges nothing.
+    """
+    t = len(net)
+    rep = np.arange(t)
+    V = K.vertices
+    c = V.mean(axis=0)
+    R = float(np.linalg.norm(V - c, axis=1).max())
+    if t == 1 or not R > 0.0:
+        return rep
+    C = (V - c) @ net.matrices.transpose(0, 2, 1)       # (t, m, d)
+    Q = np.round(C * (2.0 ** 20 / R)).astype(np.int64)
+    order = np.lexsort(Q.transpose(2, 0, 1)[::-1], axis=-1)[..., None]
+    C = np.take_along_axis(C, order, axis=1)
+    Q = np.take_along_axis(Q, order, axis=1).reshape(t, -1)
+    first = {}
+    cand = np.array([first.setdefault(key.tobytes(), i) for i, key in enumerate(Q)])
+    if np.array_equal(cand, rep):
+        return rep
+    try:
+        facets = K.hull_halfspaces()
+    except (DegenerateGeometryError, UnsupportedDimensionError):
+        return rep
+    rho = float(np.min(facets.offsets - facets.normals @ c))
+    delta = MERGE_TOL * rho - 4.0 * (K.dim + 2) * np.finfo(float).eps * R
+    close = np.linalg.norm(C - C[cand], axis=2).max(axis=1) <= delta
+    return np.where(close, cand, rep)
+
+
+def _certified(K, rotation, P, res):
+    """An optimal solve with its tight rows cut to a checked dual's support.
+
+    The dual is `scale_dual` on the Seidel chain or, when that is rejected,
+    `near_tight_dual`.  Its support replaces the chain when the scale it
+    allows at this rotation (`ScaleDual.value`) matches the solve's value
+    within BASIS_TOL: then those at most d + 1 rows alone pin the value.
+    Otherwise the chain stays and a warning is logged.  Returns the solve
+    and the dual, None when no dual was accepted.
+    """
+    dual = scale_dual(K, rotation, P, res.tight_rows)
+    if dual is None:
+        dual = near_tight_dual(K, res.placement, P)
+    if dual is not None and abs(dual.value - res.value) <= BASIS_TOL * max(1.0, abs(res.value)):
+        return replace(res, tight_rows=dual.support, dual_support=True), dual
+    log.warning("no checked dual pins the scale %.17g of a net rotation; its"
+                " basis keeps the %d rows of its Seidel chain",
+                res.value, len(res.tight_rows))
+    return res, dual
+
+
 def _sweep(K, net, P, seed):
-    """The fit LPs of the net rotations that the best value depends on.
+    """The fit LPs of the rotation classes that the best value depends on.
 
     Returns one entry per rotation: `beta_fixed_rotation` with the seed
     `_rotation_seed(seed, i)`, or None for a rotation that was not solved.
-    Rotation 0 is solved first; each optimal solve's dual bounds every
-    rotation, each rotation keeps the least bound so far, and the open
-    rotation of highest bound (lowest index on a tie) is solved next, until
-    every open bound lies below best - (TIE_TOL + PRUNE_SLACK) * max(1,
-    |best|).  A rotation within TIE_TOL of the best has a bound at least its
-    value, so it is never pruned.  After a solve that is not optimal
-    (unbounded or empty) every remaining rotation is solved in index order.
+    Only the lowest index of a class (`_class_map`) is ever solved, with its
+    own seed, and that solve stands for the whole class.  Rotation 0's
+    class is solved first; each optimal solve's dual (`_certified`) bounds
+    every rotation, each rotation keeps the least bound so far, and the
+    class of the open rotation of highest bound (lowest index on a tie) is
+    solved next, until every open bound lies below best - (TIE_TOL +
+    PRUNE_SLACK) * max(1, |best|).  A rotation within TIE_TOL of the best
+    has a bound at least its value, so its class is never pruned.  After a
+    solve that is not optimal (unbounded or empty) every remaining class is
+    solved in index order.  Each optimal entry's tight rows are the support
+    of its checked dual where one pins its value.
     """
     t = len(net)
+    rep = _rotation_classes(K, net)
     results = [None] * t
+    bounds = np.full(t, math.inf)   # -inf once its class is solved
 
     def solve(i):
-        results[i] = beta_fixed_rotation(K, net.rotations[i], P,
-                                         seed=_rotation_seed(seed, i),
-                                         canonical=False)
-        return results[i]
+        rotation = net.rotations[i]
+        res = beta_fixed_rotation(K, rotation, P, seed=_rotation_seed(seed, i),
+                                  canonical=False)
+        bounds[rep == i] = -math.inf
+        if res.status == OPTIMAL:
+            res, dual = _certified(K, rotation, P, res)
+            if dual is not None:
+                np.minimum(bounds, dual.bounds(K, net.matrices), out=bounds)
+        results[i] = res
+        return res
 
-    bounds = np.full(t, math.inf)   # -inf once solved
     best, i = -math.inf, 0
-    for solves in range(1, t + 1):
-        res = solve(i)
-        bounds[i] = -math.inf
+    while True:
+        res = solve(int(rep[i]))
         if res.status != OPTIMAL:
             for j in range(t):
-                if results[j] is None:
+                if rep[j] == j and results[j] is None:
                     solve(j)
             break
         best = max(best, res.value)
-        if solves == t:
-            break
-        dual = scale_dual(K, net.rotations[i], P, res.tight_rows)
-        if dual is not None:
-            np.minimum(bounds, dual.bounds(K, net.matrices), out=bounds)
         i = int(bounds.argmax())
         if bounds[i] < best - (TIE_TOL + PRUNE_SLACK) * max(1.0, abs(best)):
             break
@@ -172,6 +295,59 @@ def _union_basis(results):
     return sorted(int(j) for j in rows)
 
 
+def _free_direction(U):
+    """A unit w with <u_i, w> <= 0 for every row u_i of U, or None.
+
+    None means the rows positively span R^d, so the half-spaces they bound
+    leave a placed copy no direction to slide in.  Each of the 2d LPs
+    maximizes +-w_j over U w <= 0 and the cube |w|_inf <= 1; a value above
+    FREE_TOL gives w.
+    """
+    d = U.shape[1]
+    rows = np.vstack([U, np.eye(d), -np.eye(d)])
+    bounds = np.concatenate([np.zeros(U.shape[0]), np.ones(2 * d)])
+    for c in np.vstack([np.eye(d), -np.eye(d)]):
+        res = seidel_lp(LpInstance(rows, bounds, c))
+        if res.status == OPTIMAL and res.value > FREE_TOL:
+            return res.witness / np.linalg.norm(res.witness)
+    return None
+
+
+def _pin_translation(P, results, budget):
+    """The solved rows, plus rows of P that keep the copy from sliding.
+
+    The checked duals' supports pin the scale, but their normals need not
+    positively span R^d: two opposite walls of a box can pin it alone and
+    leave a direction along which the copy slides.  The scale on those
+    rows is still beta, yet seidel_lp reports an LP whose witness runs to
+    its box as unbounded, so a re-solve on them would read infinity.  Each
+    support's normals sum to zero with positive weights, so a union of
+    supports positively spans R^d exactly when it has rank d, which the
+    determinant of their Gram matrix shows when it exceeds FREE_TOL; then
+    no row is added.  Otherwise, while the rows leave a free direction w
+    (`_free_direction`) and stay within `budget`, the row of P with the
+    largest <u_i, w> is added, which cuts w off.  A subfamily of P never
+    allows less than P does, and adding rows never raises its value, so
+    the rows still pin beta.
+    """
+    rows = _union_basis(results)
+    if not rows:
+        return rows
+    solved = [r for r in results if r is not None and r.ok]
+    if all(r.dual_support for r in solved) and \
+            np.linalg.det(P.normals[rows].T @ P.normals[rows]) > FREE_TOL:
+        return rows
+    while len(rows) < budget:
+        w = _free_direction(P.normals[rows])
+        if w is None:
+            break
+        k = int(np.argmax(P.normals @ w))
+        if P.normals[k] @ w <= FREE_TOL:
+            break   # P itself leaves w free
+        rows.append(k)
+    return sorted(rows)
+
+
 def _subfamily_value(K, net, P, indices, seed):
     """Max fit scale over the net when only the given half-spaces constrain
     the copy; also reports how many LPs that took."""
@@ -183,17 +359,21 @@ def _subfamily_value(K, net, P, indices, seed):
 def _finish(K, net, P, results, seed, stats, method):
     """Shared tail of all methods: canonicalize the winning rotation's solve.
 
-    `results` are `_sweep`'s solves, None where pruned, over P itself or
-    over a sample of P whose winning placement leaves no half-space of P
-    (`beta_msw`); their tight rows index P.  The winner's value and tight
-    rows are kept as solved; `canonical_placement` over all of P, with the
-    seed `_sweep` gave that rotation (counted as one LP call), only replaces
-    its translation, so for a sweep over P the placement is bit-equal to
+    `results` are `_sweep`'s solves, None where pruned or stood for by
+    their class, over P itself or over a sample of P whose winning
+    placement leaves no half-space of P (`beta_msw`); their tight rows
+    index P.  The winner's value and tight rows are kept as solved;
+    `canonical_placement` over all of P, with the seed `_sweep` gave that
+    rotation (counted as one LP call), only replaces its translation, so
+    for a sweep over P the placement is bit-equal to
     `beta_fixed_rotation(..., canonical=True)` at that rotation and seed.
-    The basis is the union of the solved rotations' tight rows: each solved
-    rotation is pinned by its rows and each pruned one stays below the best
-    by the dual on a solved rotation's rows, and with at most d + 1 rows
-    per Seidel chain the union never exceeds len(net) * (d + 1).
+    The basis is the union of the solved rotations' tight rows, which are
+    the supports of their checked duals: each solved rotation is pinned by
+    its rows, each member of its class is a translate of it, and each
+    pruned one stays below the best by the dual on a solved rotation's
+    rows.  With at most d + 1 rows per solved class, the union, completed
+    by `_pin_translation` within the same budget, never exceeds
+    `_class_count` * (d + 1).
     """
     i_star, best = _argmax_rotation(results)
     if math.isinf(best):
@@ -206,18 +386,18 @@ def _finish(K, net, P, results, seed, stats, method):
         return FitResult(0.0, None, [], method, stats, i_star)
     placement = canonical_placement(K, win.placement, P, _rotation_seed(seed, i_star))
     stats.lp_calls += 1
-    return FitResult(win.value, placement, _union_basis(results), method, stats,
-                     i_star)
+    basis = _pin_translation(P, results, _class_count(K, net) * (K.dim + 1))
+    return FitResult(win.value, placement, basis, method, stats, i_star)
 
 
 def beta_direct(K: VPolytope, net: RotationNet, P: HPolytope, seed=0) -> FitResult:
     """Best scale of a translated, net-rotated copy of K inside P.
 
-    Solves one LP per net rotation that no solved rotation's dual rules
-    out (`_sweep`), best first, and keeps the winner; ties go to the lowest
-    rotation index and, within an LP, to the lexicographically smallest
-    translation, so results are reproducible across seeds and equal to a
-    sweep of every rotation.
+    Solves one LP per class of net rotations that no solved rotation's
+    dual rules out (`_sweep`), best first, and keeps the winner; ties go
+    to the lowest rotation index and, within an LP, to the
+    lexicographically smallest translation, so results are reproducible
+    across seeds and equal to a sweep of every rotation.
     """
     if K.dim != P.dim or net.dim != K.dim:
         raise ValueError("body, net and container disagree on dimension")
@@ -374,9 +554,10 @@ def extract_basis(result: FitResult, K: VPolytope, net: RotationNet,
     """Small set of half-space indices that alone reproduce result.beta.
 
     Support, then verify: the basis is the result's own, the union of the
-    solved rotations' tight rows, sorted.  It is re-solved once to confirm
-    that it reproduces beta within BASIS_TOL and checked against the
-    len(net) * (d + 1) bound before it is returned.
+    supports of the solved rotations' checked duals (see `FitResult`),
+    sorted.  It is re-solved once to confirm that it reproduces beta
+    within BASIS_TOL and checked against the bound of d + 1 rows per
+    rotation class (`_class_count`) before it is returned.
     """
     if not math.isfinite(result.beta):
         rows = result.basis or range(len(P))
@@ -388,7 +569,7 @@ def extract_basis(result: FitResult, K: VPolytope, net: RotationNet,
     if abs(value - result.beta) > BASIS_TOL * max(1.0, abs(result.beta)):
         raise RuntimeError(
             f"basis {basis} reproduces {value}, expected {result.beta}")
-    if len(basis) > len(net) * (K.dim + 1):
+    if len(basis) > _class_count(K, net) * (K.dim + 1):
         raise RuntimeError(f"basis of size {len(basis)} exceeds the bound")
     return basis
 

@@ -241,12 +241,11 @@ def full_sweep(K, net, P, seed):
 
 
 def full_sweep_fit(K, net, P, seed):
-    """(beta, rotation index, placement, union basis) of `full_sweep`.
+    """(beta, rotation index, placement) of `full_sweep`.
 
     The winner is the lowest index within TIE_TOL of the best value; beta
     is the winner's value and its placement goes through
-    `canonical_placement` with its own seed, as `beta_direct` does; the
-    basis is every rotation's tight rows.
+    `canonical_placement` with its own seed, as `beta_direct` does.
     """
     from hellyfit.lp import canonical_placement
     from hellyfit.solver import TIE_TOL, _rotation_seed
@@ -255,17 +254,13 @@ def full_sweep_fit(K, net, P, seed):
     values = [r.value for r in results]
     best = max(values)
     if math.isinf(best):
-        i = values.index(best)
-    else:
-        i = next(k for k, v in enumerate(values)
-                 if v >= best - TIE_TOL * max(1.0, abs(best)))
-    basis = sorted({j for r in results for j in r.tight_rows})
-    if math.isinf(best):
-        return best, i, None, basis
+        return best, values.index(best), None
+    i = next(k for k, v in enumerate(values)
+             if v >= best - TIE_TOL * max(1.0, abs(best)))
     if results[i].status != OPTIMAL:
-        return 0.0, i, None, []
+        return 0.0, i, None
     placement = canonical_placement(K, results[i].placement, P, _rotation_seed(seed, i))
-    return results[i].value, i, placement, basis
+    return results[i].value, i, placement
 
 
 def beta_angle_scan(K, P, angles, seed=0):

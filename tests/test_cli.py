@@ -146,6 +146,19 @@ def test_fit_rejects_dimension_mismatch(capsys, tmp_path, bigsquare):
     assert main(["fit", cube, bigsquare]) == 2
 
 
+@pytest.mark.parametrize("scale, message", [(1e-8, "circumradius rounds to 0"),
+                                            (1e200, "the hull overflowed")])
+def test_fit_refuses_bodies_too_small_or_too_large(capsys, tmp_path, bigsquare,
+                                                   scale, message):
+    # a square of side 1e-8 has miniball radius 0, and one of side 1e200
+    # overflows its hull's normals: each is one error line and exit 2
+    body = write_json(tmp_path / "body.json", {
+        "dim": 2, "vertices": [[0, 0], [scale, 0], [scale, scale], [0, scale]]})
+    assert main(["fit", body, bigsquare, "--epsilon", "0.5"]) == 2
+    [line] = capsys.readouterr().err.splitlines()
+    assert line.startswith("error: ") and message in line
+
+
 def test_fit_rejects_epsilon_outside_unit_interval(capsys, square, bigsquare):
     assert main(["fit", "--epsilon", "1.5", square, bigsquare]) == 2
     assert main(["fit", "--epsilon", "0", square, bigsquare]) == 2
@@ -247,6 +260,10 @@ def test_bench_rejects_unsorted_sizes(capsys):
                  ["bench", "--sizes", "100", "--reps", "-2"]):
         assert main(argv) == 2
         assert capsys.readouterr().err.count("error:") == 1
+    for sizes in ("-5", "0", "10,-3"):
+        assert main(["bench", "--sizes=" + sizes]) == 2
+        [line] = capsys.readouterr().err.splitlines()
+        assert line.startswith("error: ") and "--sizes" in line
 
 
 # ---------------------------------------------------------------------------

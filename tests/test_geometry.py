@@ -297,6 +297,21 @@ def test_arcs_cap_overlap_wraparound():
     assert abs(got - 2.0 * w) <= 1e-9
 
 
+def test_arcs_and_caps_straddling_zero_match_angle_grid():
+    # arcs and cap intervals that cross 2*pi, so the shifts -1 and +1 both count
+    cells = 1 << 16
+    tol = 4 * 2.0 * math.pi / cells
+    for arcs in (CircleArcs(((5.8, 6.8),)), CircleArcs(((-0.3, 0.4), (2.0, 2.5))),
+                 CircleArcs(((6.0, 6.2), (0.1, 5.9)))):
+        for angle in (0.0, 0.05, -0.1, 2.0 * math.pi - 0.02, math.pi):
+            for slack in (0.0, 0.5, 0.95):
+                cap = Cap(np.array([math.cos(angle), math.sin(angle)]), slack)
+                expected = arc_cap_overlap_grid(arcs, cap, cells)
+                assert abs(arcs.cap_overlap(cap) - expected) <= tol
+                pieces = arcs.restrict_to_cap(cap)
+                assert abs(pieces.measure() * 2.0 * math.pi - expected) <= tol
+
+
 def test_arcs_restrict_then_measure_matches_overlap():
     arcs = CircleArcs(((0.2, 1.0), (3.0, 5.5)))
     cap = Cap(np.array([math.cos(0.4), math.sin(0.4)]), 0.3)

@@ -209,7 +209,7 @@ def random_instance(seed):
 
 def assert_sweep_matches_full_sweep(K, net, P, seed):
     """beta_direct against the unpruned sweep; returns the LPs the sweep solved."""
-    beta, index, placement, basis = full_sweep_fit(K, net, P, seed)
+    beta, index, placement = full_sweep_fit(K, net, P, seed)
     r = beta_direct(K, net, P, seed=seed)
     assert r.beta == beta
     assert r.rotation_index == index
@@ -219,10 +219,11 @@ def assert_sweep_matches_full_sweep(K, net, P, seed):
         assert r.placement.scale == placement.scale
         assert r.placement.translation.tobytes() == placement.translation.tobytes()
         assert r.placement.rotation is net.rotations[index]
-    assert set(r.basis) <= set(basis)
-    assert len(r.basis) <= len(net) * (K.dim + 1)
+    assert r.basis == sorted(set(r.basis)) and set(r.basis) <= set(range(len(P)))
+    classes = np.unique(solver._rotation_classes(K, net))
+    assert len(r.basis) <= classes.size * (K.dim + 1)
     solved = r.stats.lp_calls - (r.placement is not None)  # less the canonical step
-    assert 1 <= solved <= len(net)
+    assert 1 <= solved <= classes.size
     if r.placement is not None:
         again = beta_direct(K, net, P.take(r.basis), seed=5).beta
         assert abs(again - beta) <= 1e-9 * max(1.0, abs(beta))
@@ -267,6 +268,83 @@ def test_pruned_sweep_matches_full_sweep_on_ties_and_edges():
         assert assert_sweep_matches_full_sweep(cube, net3, P, 4) < len(net3)
         P = HPolytope(np.vstack([P.normals, cut.normals]), np.concatenate([P.offsets, cut.offsets]))
         assert_sweep_matches_full_sweep(cube, net3, P, 4)
+
+
+def centred_square():
+    return VPolytope(np.array([[0.5, 0.5], [-0.5, 0.5], [-0.5, -0.5], [0.5, -0.5]]))
+
+
+def test_class_sweep_matches_full_sweep_on_symmetric_bodies():
+    # rotations whose copies are translates of one another are solved once,
+    # at the lowest index of their class, and the fit is the full sweep's
+    sq = centred_square()
+    order = np.random.default_rng(3).permutation(12)
+    cases = [(sq, build_net_2d(sq, EPS_SQUARE)), (sq, uniform_net(12)),
+             (sq, spin_net(np.take([2.0 * math.pi * k / 12 for k in range(12)], order)))]
+    for k in (3, 5, 6, 8):
+        for phase in (0.0, 0.4, 1.3):
+            # 2k rotations a half-symmetry apart: two classes of k
+            cases.append((regular_polygon(k, 1.0, phase),
+                          spin_net([0.25 + math.pi * j / k for j in range(2 * k)])))
+    containers = [tangent_family(40, 7), tangent_family(300, 8), box(-1.3, 0.7),
+                  box(0.0, 2.0).rotated(Rotation.from_angle(0.3)).translated([5.0, -2.0])]
+    for K, net in cases:
+        assert np.unique(solver._rotation_classes(K, net)).size < len(net)
+        for P in containers:
+            for seed in (0, 11):
+                assert_sweep_matches_full_sweep(K, net, P, seed)
+    # the cube at eps 0.9: 3 971 rotations, in a box cut by a slanted plane
+    cube = VPolytope(np.array([[x, y, z] for x in (0.0, 1.0) for y in (0.0, 1.0)
+                               for z in (0.0, 1.0)]))
+    net3 = build_net_sufficient(cube, 0.9)
+    assert np.unique(solver._rotation_classes(cube, net3)).size < len(net3)
+    P = box_polytope([0.0] * 3, [2.0, 3.0, 2.5])
+    P = HPolytope(np.vstack([P.normals, np.ones((1, 3)) / math.sqrt(3.0)]),
+                  np.concatenate([P.offsets, [3.5]]))
+    assert assert_sweep_matches_full_sweep(cube, net3, P, 4) <= 3
+
+
+def test_near_symmetric_bodies_do_not_merge():
+    # uniform_net(20) holds every multiple of 90 and of 72 degrees, so the
+    # square and the pentagon merge, and jittered copies of them must not
+    net = uniform_net(20)
+    rng = np.random.default_rng(20)
+    for K in (centred_square(), regular_polygon(5, 1.0, 0.2)):
+        assert np.unique(solver._rotation_classes(K, net)).size < len(net)
+        for jitter in (1e-12, 1e-9):
+            Kj = VPolytope(K.vertices + rng.uniform(-jitter, jitter, K.vertices.shape))
+            assert np.array_equal(solver._rotation_classes(Kj, net), np.arange(len(net)))
+            assert_sweep_matches_full_sweep(Kj, net, tangent_family(60, 21), 2)
+
+
+def test_square_solves_a_quarter_of_its_rotations():
+    # the four rotations of the square's t = 4 net give one shape, and on a
+    # tangent family no dual can prune a rotation tied with the best
+    sq = centred_square()
+    net = build_net_2d(sq, EPS_SQUARE)
+    assert len(net) == 4
+    for n, seed in ((50, 1), (2000, 2)):
+        r = beta_direct(sq, net, tangent_family(n, seed), seed=seed)
+        assert r.stats.lp_calls == len(net) // 4 + 1   # plus the canonical step
+        assert len(r.basis) <= 3
+
+
+def test_basis_pins_beta_where_the_seidel_chain_does_not():
+    # the square with only the first rotation of its t = 4 net, against
+    # 30 000 tangent lines: four rows are tight to about 1e-10, and the
+    # Seidel chain keeps three whose normals lie in a half-plane, which
+    # alone leave the scale unbounded
+    sq = centred_square()
+    net = build_net_2d(sq, EPS_SQUARE)
+    one = RotationNet(net.rotations[:1], net.epsilon, net.shape_hash, net.certificate)
+    ang = np.random.default_rng(np.random.SeedSequence([9201, 1, 25])).uniform(
+        0.0, 2.0 * math.pi, 30000)
+    P = HPolytope(np.stack([np.cos(ang), np.sin(ang)], axis=1), np.ones(30000))
+    r = beta_direct(sq, one, P, seed=25)
+    basis = extract_basis(r, sq, one, P)
+    assert len(basis) <= 3
+    again = beta_direct(sq, one, P.take(basis), seed=5).beta
+    assert abs(again - r.beta) <= 1e-9 * r.beta
 
 
 def test_pruned_sweep_solves_few_rotations_of_a_fine_net():
