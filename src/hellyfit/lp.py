@@ -509,19 +509,12 @@ def seidel_lp(instance: LpInstance, seed=0):
 
 @dataclass(eq=False)
 class BetaResult:
-    """Outcome of maximizing the scale of a placed copy at one rotation.
-
-    `beta_fixed_rotation` reports the Seidel chain as `tight_rows`; the
-    solver layer replaces them by the support of a checked dual, whose
-    weights are positive and whose normals sum to zero with them, and then
-    sets `dual_support`.
-    """
+    """Outcome of maximizing the scale of a placed copy at one rotation."""
 
     value: float
     placement: Placement | None
     status: str
     tight_rows: tuple   # indices of half-spaces of P that pin the optimum
-    dual_support: bool = False
 
     @property
     def ok(self):

@@ -20,22 +20,25 @@ weak duality, and the sweep stops once every unsolved bound lies below the
 best value by more than the tie slack, so the winner and every rotation
 tied with it are still solved with their own seeds.  Rotations whose
 copies of K are translates of one another (`_class_map`: the four net
-rotations of a square give one shape) have the same value, so the sweep
-solves each such class once, at its lowest index, and the tie rule still
-picks the index a sweep of every rotation would.
+rotations of a square give one shape) have the same exact value, so the
+sweep solves each such class once, at its lowest index.  The values
+seidel_lp computes for one class can differ by its row tolerance, so the
+result matches a sweep of every rotation up to that tolerance, with the
+class's lowest index as the winner where a sweep of every rotation might
+keep another member's slightly larger reading.
 
-The same duals make the basis.  The at most d + 1 half-spaces on which a
-solve's checked dual is positive (`_certified`) bound the scale at its
-rotation to the value solved, and pruned rotations stay below the best
-by a solved dual, so the union over the solved classes pins beta with
-at most (number of classes) * (d + 1) half-spaces.
+`_finish` makes the basis from duals too.  The at most d + 1 half-spaces
+on which a solve's checked dual is positive (`_certified`) bound the
+scale at its rotation to the value solved, and pruned rotations stay
+below the best by a solved dual, so the union over the solved classes
+pins beta with at most (number of classes) * (d + 1) half-spaces.
 """
 
 import logging
 import math
 import time
 import weakref
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from itertools import combinations
 
 import numpy as np
@@ -60,11 +63,11 @@ from .lp import (
 from .nets import RotationNet, cached_net_2d
 
 TIE_TOL = 1e-12      # relative slack when picking the winning rotation
-MERGE_TOL = TIE_TOL / 100   # relative vertex distance within which rotated copies merge
+MERGE_TOL = TIE_TOL / 10    # relative vertex distance within which rotated copies merge
 BASIS_TOL = 1e-9     # value agreement required of a reduced family
 VIOL_TOL = 1e-9      # per-row slack (relative to the offset) in violation tests
 PRUNE_SLACK = 1e-7   # relative margin for LP and rounding error when pruning a rotation
-FREE_TOL = 1e-6      # least |w_j| of a unit-cube direction that counts as free
+FREE_TOL = 1e-6      # least w_j, and least <u, w>, that count in a free direction w
 BRUTE_LIMIT = 10 ** 6
 
 log = logging.getLogger(__name__)
@@ -159,36 +162,46 @@ def _class_map(K, net):
     (1 + MERGE_TOL) X_i the same way.  A container holding a translate of
     beta X_i thus holds one of beta / (1 + MERGE_TOL) X_j, so beta_j >=
     beta_i / (1 + MERGE_TOL), and the same holds with i and j swapped.
-    MERGE_TOL is TIE_TOL / 100, so a merged rotation could move the best
-    value by a hundredth of the tie slack: the lowest index within TIE_TOL
-    of the best, which is its class's lowest index, stays the winner unless
-    a value lies within MERGE_TOL of the tie threshold.  This bounds the
-    LPs' exact values.  Where several rows are nearly tight at the optimum,
-    the values seidel_lp computes for one class can still differ by its row
-    tolerance; a sweep of every rotation then keeps the largest of them,
-    and the class sweep the lowest index's.  The test reads vertex sets
-    computed in floating point, so it asks for distance delta less a
-    rounding bound of a few units in the last place of R, the largest
-    |v - c|.  Candidates are grouped by their sorted vertices rounded to a
-    grid of 2^-20 R, far coarser than delta; a pair that the grid splits is
-    not merged, which costs only a solve.  The hull, for rho, is built only
-    when two rotations share a grid key; a body whose hull this cannot
-    compute, e.g. outside d = 2, 3, merges nothing.
+    MERGE_TOL is TIE_TOL / 10, so a merged rotation could move the best
+    value by a tenth of the tie slack: the lowest index within TIE_TOL of
+    the best, which is its class's lowest index, stays the winner unless a
+    value lies within MERGE_TOL of the tie threshold.  This bounds the LPs'
+    exact values only.  Where several rows are nearly tight at the optimum,
+    the values seidel_lp computes for one class can differ by its row
+    tolerance (about 1e-10 relative has been seen on the square), far above
+    TIE_TOL; a sweep of every rotation then keeps the largest of them, and
+    the class sweep the lowest index's, so beta and the rotation index
+    match that sweep only up to the row tolerance.  The test reads vertex
+    sets computed in floating point, so it asks for distance delta less a
+    rounding bound of 4 (d + 2) units in the last place of R, the largest
+    |v - c|.  That bound exceeds delta when rho / R < 4 (d + 2) eps /
+    MERGE_TOL, about 0.036 for d = 2 and 0.044 for d = 3: such thin bodies
+    never merge, and every rotation of theirs is solved.  Candidates are
+    grouped by keys rounded to a grid of 2^-20 R, far coarser than delta;
+    a pair that the grid splits is not merged, which costs only a solve.
+    The first key is the coordinate ranges of C_i, which equal vertex sets
+    share; only when two rotations share one are the sorted vertex sets
+    built and grouped, and only when two of those share a key is the hull,
+    for rho, built.  A body whose hull this cannot compute, e.g. outside
+    d = 2, 3, merges nothing.
     """
     t = len(net)
     rep = np.arange(t)
-    V = K.vertices
-    c = V.mean(axis=0)
-    R = float(np.linalg.norm(V - c, axis=1).max())
+    c = K.vertices.mean(axis=0)
+    V = K.vertices - c
+    R = float(np.linalg.norm(V, axis=1).max())
     if t == 1 or not R > 0.0:
         return rep
-    C = (V - c) @ net.matrices.transpose(0, 2, 1)       # (t, m, d)
-    Q = np.round(C * (2.0 ** 20 / R)).astype(np.int64)
+    grid = 2.0 ** 20 / R
+    ranges = np.stack([f(V @ net.matrices[:, k].T, axis=0)
+                       for k in range(K.dim) for f in (np.min, np.max)], axis=1)
+    if np.array_equal(_first_with_key(np.round(ranges * grid).astype(np.int64)), rep):
+        return rep
+    C = V @ net.matrices.transpose(0, 2, 1)       # (t, m, d)
+    Q = np.round(C * grid).astype(np.int64)
     order = np.lexsort(Q.transpose(2, 0, 1)[::-1], axis=-1)[..., None]
     C = np.take_along_axis(C, order, axis=1)
-    Q = np.take_along_axis(Q, order, axis=1).reshape(t, -1)
-    first = {}
-    cand = np.array([first.setdefault(key.tobytes(), i) for i, key in enumerate(Q)])
+    cand = _first_with_key(np.take_along_axis(Q, order, axis=1).reshape(t, -1))
     if np.array_equal(cand, rep):
         return rep
     try:
@@ -201,25 +214,10 @@ def _class_map(K, net):
     return np.where(close, cand, rep)
 
 
-def _certified(K, rotation, P, res):
-    """An optimal solve with its tight rows cut to a checked dual's support.
-
-    The dual is `scale_dual` on the Seidel chain or, when that is rejected,
-    `near_tight_dual`.  Its support replaces the chain when the scale it
-    allows at this rotation (`ScaleDual.value`) matches the solve's value
-    within BASIS_TOL: then those at most d + 1 rows alone pin the value.
-    Otherwise the chain stays and a warning is logged.  Returns the solve
-    and the dual, None when no dual was accepted.
-    """
-    dual = scale_dual(K, rotation, P, res.tight_rows)
-    if dual is None:
-        dual = near_tight_dual(K, res.placement, P)
-    if dual is not None and abs(dual.value - res.value) <= BASIS_TOL * max(1.0, abs(res.value)):
-        return replace(res, tight_rows=dual.support, dual_support=True), dual
-    log.warning("no checked dual pins the scale %.17g of a net rotation; its"
-                " basis keeps the %d rows of its Seidel chain",
-                res.value, len(res.tight_rows))
-    return res, dual
+def _first_with_key(keys):
+    """For each row of `keys`, the lowest row index with the same values."""
+    first = {}
+    return np.array([first.setdefault(row.tobytes(), i) for i, row in enumerate(keys)])
 
 
 def _sweep(K, net, P, seed):
@@ -229,15 +227,14 @@ def _sweep(K, net, P, seed):
     `_rotation_seed(seed, i)`, or None for a rotation that was not solved.
     Only the lowest index of a class (`_class_map`) is ever solved, with its
     own seed, and that solve stands for the whole class.  Rotation 0's
-    class is solved first; each optimal solve's dual (`_certified`) bounds
-    every rotation, each rotation keeps the least bound so far, and the
-    class of the open rotation of highest bound (lowest index on a tie) is
-    solved next, until every open bound lies below best - (TIE_TOL +
-    PRUNE_SLACK) * max(1, |best|).  A rotation within TIE_TOL of the best
-    has a bound at least its value, so its class is never pruned.  After a
-    solve that is not optimal (unbounded or empty) every remaining class is
-    solved in index order.  Each optimal entry's tight rows are the support
-    of its checked dual where one pins its value.
+    class is solved first; each optimal solve's dual (`lp.scale_dual` on
+    its Seidel chain) bounds every rotation, each rotation keeps the least
+    bound so far, and the class of the open rotation of highest bound
+    (lowest index on a tie) is solved next, until every open bound lies
+    below best - (TIE_TOL + PRUNE_SLACK) * max(1, |best|).  A rotation
+    within TIE_TOL of the best has a bound at least its value, so its class
+    is never pruned.  After a solve that is not optimal (unbounded or
+    empty) every remaining class is solved in index order.
     """
     t = len(net)
     rep = _rotation_classes(K, net)
@@ -245,26 +242,27 @@ def _sweep(K, net, P, seed):
     bounds = np.full(t, math.inf)   # -inf once its class is solved
 
     def solve(i):
-        rotation = net.rotations[i]
-        res = beta_fixed_rotation(K, rotation, P, seed=_rotation_seed(seed, i),
-                                  canonical=False)
+        results[i] = beta_fixed_rotation(K, net.rotations[i], P,
+                                         seed=_rotation_seed(seed, i),
+                                         canonical=False)
         bounds[rep == i] = -math.inf
-        if res.status == OPTIMAL:
-            res, dual = _certified(K, rotation, P, res)
-            if dual is not None:
-                np.minimum(bounds, dual.bounds(K, net.matrices), out=bounds)
-        results[i] = res
-        return res
+        return results[i]
 
     best, i = -math.inf, 0
     while True:
-        res = solve(int(rep[i]))
+        i = int(rep[i])
+        res = solve(i)
         if res.status != OPTIMAL:
             for j in range(t):
                 if rep[j] == j and results[j] is None:
                     solve(j)
             break
         best = max(best, res.value)
+        if bounds.max() == -math.inf:
+            break
+        dual = scale_dual(K, net.rotations[i], P, res.tight_rows)
+        if dual is not None:
+            np.minimum(bounds, dual.bounds(K, net.matrices), out=bounds)
         i = int(bounds.argmax())
         if bounds[i] < best - (TIE_TOL + PRUNE_SLACK) * max(1.0, abs(best)):
             break
@@ -295,6 +293,26 @@ def _union_basis(results):
     return sorted(int(j) for j in rows)
 
 
+def _certified(K, rotation, P, res):
+    """The rows that pin an optimal solve's value: a checked dual's support.
+
+    The dual is `scale_dual` on the Seidel chain or, when that is rejected,
+    `near_tight_dual`.  Its support, at most d + 1 rows, is returned when
+    the scale it allows at this rotation (`ScaleDual.value`) matches the
+    solve's value within BASIS_TOL.  Otherwise the chain is returned and a
+    warning is logged.
+    """
+    dual = scale_dual(K, rotation, P, res.tight_rows)
+    if dual is None:
+        dual = near_tight_dual(K, res.placement, P)
+    if dual is not None and abs(dual.value - res.value) <= BASIS_TOL * max(1.0, abs(res.value)):
+        return dual.support
+    log.warning("no checked dual pins the scale %.17g of a net rotation; its"
+                " basis keeps the %d rows of its Seidel chain",
+                res.value, len(res.tight_rows))
+    return res.tight_rows
+
+
 def _free_direction(U):
     """A unit w with <u_i, w> <= 0 for every row u_i of U, or None.
 
@@ -313,31 +331,21 @@ def _free_direction(U):
     return None
 
 
-def _pin_translation(P, results, budget):
-    """The solved rows, plus rows of P that keep the copy from sliding.
+def _pin_translation(P, rows, budget):
+    """`rows`, plus rows of P that keep the copy from sliding.
 
     The checked duals' supports pin the scale, but their normals need not
     positively span R^d: two opposite walls of a box can pin it alone and
     leave a direction along which the copy slides.  The scale on those
     rows is still beta, yet seidel_lp reports an LP whose witness runs to
-    its box as unbounded, so a re-solve on them would read infinity.  Each
-    support's normals sum to zero with positive weights, so a union of
-    supports positively spans R^d exactly when it has rank d, which the
-    determinant of their Gram matrix shows when it exceeds FREE_TOL; then
-    no row is added.  Otherwise, while the rows leave a free direction w
-    (`_free_direction`) and stay within `budget`, the row of P with the
-    largest <u_i, w> is added, which cuts w off.  A subfamily of P never
-    allows less than P does, and adding rows never raises its value, so
-    the rows still pin beta.
+    its box as unbounded, so a re-solve on them would read infinity.  So
+    while the rows leave a free direction w (`_free_direction`) and stay
+    within `budget`, the row of P with the largest <u_i, w> is added, which
+    cuts w off.  A subfamily of P never allows less than P does, and adding
+    rows never raises its value, so the rows still pin beta.
     """
-    rows = _union_basis(results)
-    if not rows:
-        return rows
-    solved = [r for r in results if r is not None and r.ok]
-    if all(r.dual_support for r in solved) and \
-            np.linalg.det(P.normals[rows].T @ P.normals[rows]) > FREE_TOL:
-        return rows
-    while len(rows) < budget:
+    rows = list(rows)
+    while rows and len(rows) < budget:
         w = _free_direction(P.normals[rows])
         if w is None:
             break
@@ -356,37 +364,43 @@ def _subfamily_value(K, net, P, indices, seed):
     return value, _solved(results)
 
 
-def _finish(K, net, P, results, seed, stats, method):
+def _finish(K, net, P, results, seed, stats, method, subset=None):
     """Shared tail of all methods: canonicalize the winning rotation's solve.
 
     `results` are `_sweep`'s solves, None where pruned or stood for by
-    their class, over P itself or over a sample of P whose winning
-    placement leaves no half-space of P (`beta_msw`); their tight rows
-    index P.  The winner's value and tight rows are kept as solved;
-    `canonical_placement` over all of P, with the seed `_sweep` gave that
-    rotation (counted as one LP call), only replaces its translation, so
-    for a sweep over P the placement is bit-equal to
-    `beta_fixed_rotation(..., canonical=True)` at that rotation and seed.
-    The basis is the union of the solved rotations' tight rows, which are
-    the supports of their checked duals: each solved rotation is pinned by
-    its rows, each member of its class is a translate of it, and each
-    pruned one stays below the best by the dual on a solved rotation's
-    rows.  With at most d + 1 rows per solved class, the union, completed
-    by `_pin_translation` within the same budget, never exceeds
-    `_class_count` * (d + 1).
+    their class, over P itself or, for `beta_msw`, over the sample
+    P.take(subset) whose winning placement leaves no half-space of P.  The
+    winner's value is kept as solved; `canonical_placement` over all of P,
+    with the seed `_sweep` gave that rotation (counted as one LP call),
+    only replaces its translation, so for a sweep over P the placement is
+    bit-equal to `beta_fixed_rotation(..., canonical=True)` at that
+    rotation and seed.  The basis, as indices into P, is the union over the
+    solved rotations of the rows that pin their values (`_certified`, at
+    most d + 1 each): each member of a class is a translate of its solved
+    rotation, and each pruned one stays below the best by the dual on a
+    solved rotation's chain.  `_pin_translation` completes it within
+    `_class_count` * (d + 1) rows.
     """
+    lift = sorted if subset is None else \
+        (lambda rows: sorted(int(subset[j]) for j in rows))
     i_star, best = _argmax_rotation(results)
     if math.isinf(best):
         stats.note = "container does not bound the copy"
-        return FitResult(math.inf, None, _union_basis(results), method, stats,
-                         i_star)
+        return FitResult(math.inf, None, lift(_union_basis(results)), method,
+                         stats, i_star)
     win = results[i_star]
     if win.status != OPTIMAL:
         stats.note = "container is empty"
         return FitResult(0.0, None, [], method, stats, i_star)
     placement = canonical_placement(K, win.placement, P, _rotation_seed(seed, i_star))
     stats.lp_calls += 1
-    basis = _pin_translation(P, results, _class_count(K, net) * (K.dim + 1))
+    solved_over = P if subset is None else P.take(subset)
+    rows = set()
+    for i, r in enumerate(results):
+        if r is not None:
+            rows.update(_certified(K, net.rotations[i], solved_over, r) if r.ok
+                        else r.tight_rows)
+    basis = _pin_translation(P, lift(rows), _class_count(K, net) * (K.dim + 1))
     return FitResult(win.value, placement, basis, method, stats, i_star)
 
 
@@ -397,7 +411,9 @@ def beta_direct(K: VPolytope, net: RotationNet, P: HPolytope, seed=0) -> FitResu
     dual rules out (`_sweep`), best first, and keeps the winner; ties go
     to the lowest rotation index and, within an LP, to the
     lexicographically smallest translation, so results are reproducible
-    across seeds and equal to a sweep of every rotation.
+    across seeds.  They match a sweep of every rotation up to seidel_lp's
+    row tolerance: within a class only the lowest index is solved, and it
+    wins where another member's reading would be larger by that tolerance.
     """
     if K.dim != P.dim or net.dim != K.dim:
         raise ValueError("body, net and container disagree on dimension")
@@ -491,10 +507,7 @@ def beta_msw(K: VPolytope, net: RotationNet, P: HPolytope, seed=0) -> FitResult:
         if bad.size == 0:
             # no half-space of P objects, so the sample's optimum is P's
             # (an empty sample means P is empty): `_finish` keeps it
-            lifted = [None if r is None else replace(
-                r, tight_rows=tuple(int(subset[j]) for j in r.tight_rows))
-                for r in results]
-            out = _finish(K, net, P, lifted, seed, stats, "msw")
+            out = _finish(K, net, P, results, seed, stats, "msw", subset)
             stats.wall_time_s = time.perf_counter() - start
             return out
         if bad.size <= accept_bound:

@@ -279,8 +279,11 @@ def test_class_sweep_matches_full_sweep_on_symmetric_bodies():
     # at the lowest index of their class, and the fit is the full sweep's
     sq = centred_square()
     order = np.random.default_rng(3).permutation(12)
+    # a centred 3:1 rectangle (rho / R about 0.32) merges its half turns
+    rect = VPolytope(np.array([[1.5, 0.5], [-1.5, 0.5], [-1.5, -0.5], [1.5, -0.5]]))
     cases = [(sq, build_net_2d(sq, EPS_SQUARE)), (sq, uniform_net(12)),
-             (sq, spin_net(np.take([2.0 * math.pi * k / 12 for k in range(12)], order)))]
+             (sq, spin_net(np.take([2.0 * math.pi * k / 12 for k in range(12)], order))),
+             (rect, uniform_net(12))]
     for k in (3, 5, 6, 8):
         for phase in (0.0, 0.4, 1.3):
             # 2k rotations a half-symmetry apart: two classes of k
