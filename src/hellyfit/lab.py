@@ -32,6 +32,8 @@ INFLATION_BUDGET = 1e6   # scale cap when a subfamily cannot bound the copy
 RECESSION_BOX = 1e6      # |a_k| bound of the recession LP, in units of max |h_AK|
 DEMO_NET_EPS = 0.05      # net accuracy for the full-family fit in the demo
 SUBSET_CAP = 10 ** 4     # exhaustive subset check limit, else sampled
+SEARCH_TRIES = 4096      # uniform angles per rotation of an inflation search
+SEARCH_ROTATIONS = 8     # rotations an inflation search tries before failing
 MEASURE_TOL = 1e-12
 
 
@@ -267,30 +269,27 @@ class InflationResult:
     delta2: float
     placement: Placement
     rotation_tries: int
-    epsilon1: float
     capped: bool = False
 
     def __iter__(self):
         return iter((self.delta2, self.placement))
 
 
-def inflation_search(K, family: TangentFamily, seed=0,
-                     max_tries: int = 4096, attempts: int = 8) -> InflationResult:
+def inflation_search(K, family: TangentFamily, seed=0) -> InflationResult:
     """Placement of K strictly inflated inside a tangent subfamily.
 
-    Follows the rotate-then-translate-then-optimize recipe: shrink a
-    slacked half-circle around the body's hole until the arc inside it
-    measures below 1/n, rotate so that restricted arc clears every contact
-    point, nudge the body toward the hole, then let an LP pick the best
-    translation and scale at that rotation.  That LP carries the box
-    |a_k| <= 2 * INFLATION_BUDGET, so it has an optimum even where a
-    translation ray recedes (two opposite tangents pin the scale but let
-    the copy slide along their strip).  Only when a box row pins that
-    optimum, or the scale escapes the solver's own bound, does a recession
-    LP decide whether the subfamily bounds the scale at all: one that does
-    not is reported `capped`, with a placement at the budget scale.  Every
-    placement returned has scale above 1 and passes a containment check of
-    its vertex images against every half-plane.
+    Follows the rotate-then-optimize recipe: shrink a slacked half-circle
+    around the body's hole until the arc inside it measures below 1/n, and
+    rotate so that restricted arc clears every contact point.  At that
+    rotation a recession LP first decides whether the subfamily bounds the
+    scale at all.  One that does not is reported `capped`, with a placement
+    at the budget scale along the recession direction.  One that does gets
+    an LP for the best translation and scale, boxed by |a_k| <= 2 *
+    INFLATION_BUDGET so that it has an optimum even where a translation ray
+    recedes (two opposite tangents pin the scale but let the copy slide
+    along their strip).  Every placement returned has scale above 1 and
+    passes a containment check of its vertex images against every
+    half-plane; up to SEARCH_ROTATIONS rotations are tried.
     """
     n = len(family)
     arcs = getattr(K, "boundary_arcs", None) or CircleArcs(())
@@ -307,37 +306,30 @@ def inflation_search(K, family: TangentFamily, seed=0,
     near_hole = arcs.restrict_to_cap(Cap(u, eps1))
 
     P = family.halfspaces
-    reach = 2.0 * INFLATION_BUDGET
     rng = np.random.default_rng(seed)
-    last = None
-    for _ in range(attempts):
-        theta, dist, tries = _avoiding_angle(near_hole, family.contact_points,
-                                             max_tries, rng)
+    for _ in range(SEARCH_ROTATIONS):
+        theta, _, tries = _avoiding_angle(near_hole, family.contact_points,
+                                          SEARCH_TRIES, rng)
         rotation = Rotation.from_angle(theta)
         lp_seed = int(rng.integers(2 ** 31))
         inst = build_beta_instance(K, rotation, P)
-        res = seidel_lp(_boxed(inst, inst.bounds, reach), seed=lp_seed)
-        if res.status != OPTIMAL or any(r > n for r in res.tight_set):
-            a0 = _scale_recession(inst)
-            if a0 is not None:
-                # the scale itself is unbounded; report it at the budget,
-                # moved out from the origin (inside every tangent half-plane)
-                # along the recession direction
-                at_budget = Placement(INFLATION_BUDGET * a0, INFLATION_BUDGET,
-                                      rotation)
-                if _inside(K, at_budget, P):
-                    return InflationResult(at_budget.scale - 1.0, at_budget,
-                                           tries, eps1, capped=True)
-                last = ("budget placement leaves the subfamily", theta)
-                continue
-        # the nudge toward the hole is subsumed by the LP's translation;
-        # report the optimized placement, not the warm start
-        if res.status == OPTIMAL and res.value > 1.0:
-            placement = Placement(res.witness[:K.dim], res.value, rotation)
-            if _inside(K, placement, P):
-                return InflationResult(res.value - 1.0, placement, tries, eps1)
-        last = ("no inflation at this rotation", res.value, theta, dist)
-    raise SearchFailure(f"inflation failed after {attempts} rotations: {last}")
+        a0 = _scale_recession(inst)
+        placement = None
+        if a0 is not None:
+            # the unbounded scale goes to the budget, out from the origin
+            # (inside every tangent half-plane) along the recession direction
+            placement = Placement(INFLATION_BUDGET * a0, INFLATION_BUDGET, rotation)
+        else:
+            res = seidel_lp(_boxed(inst, inst.bounds, 2.0 * INFLATION_BUDGET),
+                            seed=lp_seed)
+            if res.status == OPTIMAL and res.value > 1.0:
+                placement = Placement(res.witness[:K.dim], res.value, rotation)
+        if placement is not None and _inside(K, placement, P):
+            return InflationResult(placement.scale - 1.0, placement, tries,
+                                   capped=a0 is not None)
+        last = theta
+    raise SearchFailure(f"inflation failed after {SEARCH_ROTATIONS} rotations "
+                        f"(the last at angle {last})")
 
 
 def _subset_iter(sample_count, n, rng):
@@ -350,7 +342,7 @@ def _subset_iter(sample_count, n, rng):
         yield tuple(int(i) for i in pick)
 
 
-def lower_bound_demo(n: int, sample_count: int, seed=0, m: int = 128) -> dict:
+def lower_bound_demo(n: int, sample_count: int, seed=0) -> dict:
     """Every n-subfamily admits strict inflation; the full family does not.
 
     Builds the cap body tuned to n, spreads `sample_count` tangent
@@ -360,10 +352,10 @@ def lower_bound_demo(n: int, sample_count: int, seed=0, m: int = 128) -> dict:
     The two checks go through different code paths, and the verdict passes
     only when both hold.
     """
-    return _demo_run(n, sample_count, seed, m)[2]
+    return _demo_run(n, sample_count, seed)[2]
 
 
-def _demo_run(n, sample_count, seed, m=128):
+def _demo_run(n, sample_count, seed):
     """`lower_bound_demo` with what a picture of it needs.
 
     Returns (body, family, verdict, placement): the verdict is
@@ -377,7 +369,7 @@ def _demo_run(n, sample_count, seed, m=128):
         raise ValueError("cannot draw n-subsets from fewer than n half-planes")
     root = int(seed) % (2 ** 63)
     rng = np.random.default_rng(np.random.SeedSequence([root, 0]))
-    K = cap_body(n, margin=math.pi / (2 * n), m=m)
+    K = cap_body(n, margin=math.pi / (2 * n))
     phase = float(rng.uniform(0.0, TWO_PI))
     family = TangentFamily.at_angles(phase + TWO_PI * np.arange(sample_count)
                                      / sample_count)

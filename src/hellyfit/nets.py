@@ -11,7 +11,7 @@ directly (`max_angle_2d`) and spaces rotations accordingly; it produces the
 smallest nets this module knows how to certify.  The general builder uses
 only the inradius/circumradius ratio and covers the rotation group at
 operator-norm resolution eps*r/R, which is sufficient for any convex body
-but typically far from tight; it refuses nets of more than NET_LIMIT
+but typically far from tight.  Both refuse nets of more than NET_LIMIT
 rotations.  Neither builder exploits symmetries of K: a square gets four
 rotations even though one would do.  The solver does, by solving the
 rotations whose copies of K are translates of one another only once.
@@ -29,8 +29,6 @@ within the radius of `_clean_radius` are proven positive and not solved.  Applie
 inball alone, the bound gives beta(theta) >= q at every theta, so a body
 with q above 1 - eps has full slack and needs no scan at all.
 """
-
-from __future__ import annotations
 
 import logging
 import math
@@ -60,7 +58,9 @@ ANGLE_TOL = 1e-3       # default scan resolution for max_angle_2d
 CEIL_SLACK = 1e-6      # protects t = ceil(pi/alpha) from fp noise in alpha
 BOUND_SLACK = 1e-7     # LP error allowed for by the clean radius of the scan
 REFINE_ROUNDS = 3      # parabola rounds, each moving at most one grid cell
-NET_LIMIT = 20_000     # most rotations build_net_sufficient will build
+REFINE_STEP = 1e-4     # half-width of the parabola refine's 3-point stencil
+BISECT_TOL = 1e-9      # angle to which a proper failure's boundary is bisected
+NET_LIMIT = 20_000     # most rotations any net builder will build
 
 log = logging.getLogger(__name__)
 
@@ -72,6 +72,26 @@ _CERTIFICATES = (EXACT_2D, SUFFICIENT_BOUND)
 
 class NetTooLargeError(ValueError):
     """A net would hold more than NET_LIMIT rotations."""
+
+
+def _refuse_above_limit(count, kind, epsilon):
+    """Raise NetTooLargeError, logged, when a net would exceed NET_LIMIT."""
+    if count > NET_LIMIT:
+        msg = (f"a {kind} net at epsilon {epsilon:g} needs {count} rotations,"
+               f" above the limit of {NET_LIMIT}; increase epsilon")
+        log.warning("refused: %s", msg)
+        raise NetTooLargeError(msg)
+
+
+def _ring(t):
+    """The t planar rotations at angles 2*pi*j/t, j = 1..t."""
+    return tuple(Rotation.from_angle(2.0 * math.pi * j / t) for j in range(1, t + 1))
+
+
+def _margin(K, rotation, PK, target):
+    """K's scale inside its hull PK at a rotation, less target; -1 unless optimal."""
+    res = beta_fixed_rotation(K, rotation, PK, canonical=False)
+    return res.value - target if res.ok else -1.0
 
 
 @dataclass(eq=False)
@@ -137,10 +157,7 @@ def _margin_fn(K: VPolytope, epsilon: float, PK=None):
     target = 1.0 - epsilon
 
     def margin(theta):
-        res = beta_fixed_rotation(K, Rotation.from_angle(theta), PK, canonical=False)
-        if not res.ok:
-            return -1.0
-        return res.value - target
+        return _margin(K, Rotation.from_angle(theta), PK, target)
 
     return margin
 
@@ -160,29 +177,27 @@ def _clean_radius(beta, target, q):
     return q * (beta - tau) / (tau * beta)
 
 
-def _parabola_refine(margin, center, h=1e-4, rounds=REFINE_ROUNDS, max_step=None):
+def _parabola_refine(margin, center, max_step):
     """Locate a smooth local minimum by repeated 3-point parabola fits.
 
     The true minimum may sit up to a grid cell away from `center`, so the
-    per-round step is clipped at `max_step` (defaults to the sample width).
+    per-round step is clipped at `max_step`, the grid cell.
     """
-    clip = h if max_step is None else max_step
+    h = REFINE_STEP
     v = center
-    for _ in range(rounds):
+    for _ in range(REFINE_ROUNDS):
         m_l, m_c, m_r = margin(v - h), margin(v), margin(v + h)
         denom = m_l - 2.0 * m_c + m_r
         if denom <= 0.0:
             break
         step = 0.5 * h * (m_l - m_r) / denom
-        v += float(np.clip(step, -clip, clip))
+        v += float(np.clip(step, -max_step, max_step))
     return v, margin(v)
 
 
-def _cross_boundary(margin, lo, hi, tol=1e-9):
+def _cross_boundary(margin, lo, hi):
     """Bisect for the edge of {margin > TOUCH_TOL}; lo is clean, hi is not."""
-    for _ in range(64):
-        if hi - lo <= tol:
-            break
+    while hi - lo > BISECT_TOL:
         mid = 0.5 * (lo + hi)
         if margin(mid) > TOUCH_TOL:
             lo = mid
@@ -298,6 +313,7 @@ def build_net_2d(K: VPolytope, epsilon: float, tol: float = ANGLE_TOL) -> Rotati
     is taken with a small slack because alpha itself is resolved numerically;
     a direct fit probe at the worst-case relative angle then confirms the
     spacing (and densifies as a last resort, which no known input triggers).
+    Above NET_LIMIT rotations it raises NetTooLargeError before building any.
     """
     if K.dim != 2:
         raise UnsupportedDimensionError("build_net_2d is planar only")
@@ -315,8 +331,8 @@ def build_net_2d(K: VPolytope, epsilon: float, tol: float = ANGLE_TOL) -> Rotati
            fit_check(K, Rotation.from_angle(-math.pi / t), target, PK):
             break
         t += 1
-    rots = tuple(Rotation.from_angle(2.0 * math.pi * j / t) for j in range(1, t + 1))
-    return RotationNet(rots, epsilon, shape_digest(K), EXACT_2D)
+    _refuse_above_limit(t, "planar", epsilon)
+    return RotationNet(_ring(t), epsilon, shape_digest(K), EXACT_2D)
 
 
 _NETS_2D = {}
@@ -345,7 +361,7 @@ def _euler_zyz(p1, p2, p3):
     return rz1 @ ry @ rz3
 
 
-def build_net_sufficient(K: VPolytope, epsilon: float, d: int | None = None) -> RotationNet:
+def build_net_sufficient(K: VPolytope, epsilon: float) -> RotationNet:
     """Net from the inradius/circumradius ratio alone.
 
     If B(c, r) lies in K and K lies in B(c, R), then K contains
@@ -357,10 +373,7 @@ def build_net_sufficient(K: VPolytope, epsilon: float, d: int | None = None) -> 
     rotation count is known before anything is built: above NET_LIMIT the
     builder raises NetTooLargeError instead.
     """
-    if d is None:
-        d = K.dim
-    if d != K.dim:
-        raise ValueError("requested dimension disagrees with the body")
+    d = K.dim
     if not (0.0 < epsilon < 1.0):
         raise ValueError("epsilon must lie in (0, 1)")
     if d not in (2, 3):
@@ -375,22 +388,16 @@ def build_net_sufficient(K: VPolytope, epsilon: float, d: int | None = None) -> 
     rho = min(1.0, epsilon * r / R)
 
     if d == 2:
-        t = int(math.ceil(math.pi / math.asin(rho / 2.0)))
-        count = t
+        count = t = int(math.ceil(math.pi / math.asin(rho / 2.0)))
     else:
         s = 4.0 * math.asin(min(1.0, rho / 6.0))
         n1 = int(math.ceil(2.0 * math.pi / s))
         n2 = int(math.ceil(math.pi / s)) + 1
         count = n1 * n1 * n2
-    if count > NET_LIMIT:
-        msg = (f"a radius-ratio net at epsilon {epsilon:g} needs {count} rotations,"
-               f" above the limit of {NET_LIMIT}; increase epsilon")
-        log.warning("refused: %s", msg)
-        raise NetTooLargeError(msg)
+    _refuse_above_limit(count, "radius-ratio", epsilon)
 
     if d == 2:
-        rots = tuple(Rotation.from_angle(2.0 * math.pi * j / t)
-                     for j in range(1, t + 1))
+        rots = _ring(t)
     else:
         mats = []
         for p1 in 2.0 * math.pi * np.arange(n1) / n1:
@@ -400,7 +407,7 @@ def build_net_sufficient(K: VPolytope, epsilon: float, d: int | None = None) -> 
         rots = tuple(Rotation(m) for m in mats)
 
     net = RotationNet(rots, epsilon, shape_digest(K), SUFFICIENT_BOUND)
-    mats = np.stack([rot.matrix for rot in net.rotations])
+    mats = net.matrices
     target = 1.0 - epsilon
     for trial in range(20):
         D = random_rotation(d, seed=trial)
@@ -459,7 +466,7 @@ def verify_net(net: RotationNet, K: VPolytope, trials: int = 100, seed: int = 0,
     else:
         tests = [random_rotation(K.dim, seed=int(s))
                  for s in np.random.SeedSequence(seed).generate_state(trials)]
-    mats = np.stack([rot.matrix for rot in net.rotations])
+    mats = net.matrices
     passes = 0
     failed = []
     worst = math.inf
@@ -469,8 +476,7 @@ def verify_net(net: RotationNet, K: VPolytope, trials: int = 100, seed: int = 0,
         hit = False
         for j in order:
             rel = D.inverse().compose(net.rotations[int(j)])
-            res = beta_fixed_rotation(K, rel, PK, canonical=False)
-            m = (res.value - target) if res.ok else -1.0
+            m = _margin(K, rel, PK, target)
             trial_best = max(trial_best, m)
             if m >= -1e-9:
                 hit = True

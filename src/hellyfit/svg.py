@@ -20,7 +20,6 @@ def _hull_points(pts):
 
 VIEW_SIZE = 480.0
 PAD_FRACTION = 0.12
-CLIP_TOL = 1e-9
 
 _STYLE = (
     "polygon.copy{fill:#7db8e8;fill-opacity:.55;stroke:#1f5fa8;stroke-width:1.5}"
@@ -33,26 +32,27 @@ _STYLE = (
 
 
 def _clip_to_box(P: HPolytope, lo, hi):
-    """Vertices of P intersected with the box [lo, hi]^2, hull ordered."""
-    box_normals = np.array([[1.0, 0.0], [-1.0, 0.0], [0.0, 1.0], [0.0, -1.0]])
-    box_offsets = np.array([hi[0], -lo[0], hi[1], -lo[1]])
-    A = np.vstack([P.normals, box_normals])
-    b = np.concatenate([P.offsets, box_offsets])
-    pts = []
-    n = len(b)
-    for i in range(n):
-        for j in range(i + 1, n):
-            M = np.stack([A[i], A[j]])
-            det = M[0, 0] * M[1, 1] - M[0, 1] * M[1, 0]
-            if abs(det) < 1e-12:
-                continue
-            v = np.linalg.solve(M, np.array([b[i], b[j]]))
-            if np.all(A @ v <= b + CLIP_TOL * (1.0 + np.abs(b))):
-                pts.append(v)
-    if len(pts) < 3:
-        return np.zeros((0, 2))
+    """Vertices of P intersected with the box [lo, hi]^2, hull ordered.
+
+    Sutherland-Hodgman: each half-plane in turn cuts the convex polygon,
+    which keeps its inside vertices and gains the crossings of its edges.
+    """
+    poly = np.array([lo, [hi[0], lo[1]], hi, [lo[0], hi[1]]], dtype=float)
+    for u, b in zip(P.normals, P.offsets):
+        s = poly @ u - b
+        inside = s <= 0.0
+        if inside.all():
+            continue
+        if not inside.any():
+            return np.zeros((0, 2))
+        nxt, s_nxt = np.roll(poly, -1, axis=0), np.roll(s, -1)
+        cross = inside != np.roll(inside, -1)
+        t = s[cross] / (s[cross] - s_nxt[cross])
+        parts = np.stack([poly, poly], axis=1)
+        parts[cross, 1] = poly[cross] + t[:, None] * (nxt[cross] - poly[cross])
+        poly = parts[np.stack([inside, cross], axis=1)]
     try:
-        return _hull_points(np.asarray(pts))
+        return _hull_points(poly)
     except DegenerateGeometryError:
         return np.zeros((0, 2))
 

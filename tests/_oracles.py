@@ -359,3 +359,34 @@ def grid_scan_max_angle(K, epsilon, tol=1e-3):
     a_pos = _grid_first_stop(margin, +1.0, tol)
     a_neg = _grid_first_stop(margin, -1.0, tol)
     return min(a_pos, a_neg, math.pi)
+
+
+def pairwise_clip_to_box(P, lo, hi, tol=1e-9):
+    """P intersected with the box [lo, hi]^2 by enumerating vertices.
+
+    Intersects every pair of rows (P's and the box's), keeps the points that
+    satisfy every row within `tol` relative, and returns their hull in
+    counterclockwise order, or an empty (0, 2) array when fewer than three
+    such points span an area.  Cubic in the number of rows.
+    """
+    from hellyfit.geometry import DegenerateGeometryError, convex_hull_2d
+
+    box_normals = np.array([[1.0, 0.0], [-1.0, 0.0], [0.0, 1.0], [0.0, -1.0]])
+    box_offsets = np.array([hi[0], -lo[0], hi[1], -lo[1]])
+    A = np.vstack([P.normals, box_normals])
+    b = np.concatenate([P.offsets, box_offsets])
+    pts = []
+    for i, j in itertools.combinations(range(len(b)), 2):
+        M = np.stack([A[i], A[j]])
+        if abs(np.linalg.det(M)) < 1e-12:
+            continue
+        v = np.linalg.solve(M, np.array([b[i], b[j]]))
+        if np.all(A @ v <= b + tol * (1.0 + np.abs(b))):
+            pts.append(v)
+    if len(pts) < 3:
+        return np.zeros((0, 2))
+    pts = np.asarray(pts)
+    try:
+        return pts[convex_hull_2d(pts)]
+    except DegenerateGeometryError:
+        return np.zeros((0, 2))

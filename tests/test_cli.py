@@ -333,6 +333,25 @@ def test_fit_and_net_refuse_a_huge_3d_net(capsys, cube_in_box):
         assert "limit of 20000" in err
 
 
+def test_fit_refuses_a_huge_planar_net(capsys, square, bigsquare):
+    assert main(["fit", square, bigsquare, "--epsilon", "1e-5"]) == 2
+    out = capsys.readouterr()
+    assert out.out == ""
+    [line] = out.err.splitlines()
+    assert line.startswith("error: ") and "314183 rotations" in line
+    assert "limit of 20000" in line
+
+
+def test_fit_svg_of_a_3000_row_container(capsys, tmp_path, square):
+    svg_path = tmp_path / "fit.svg"
+    code, _ = run(capsys, "fit", "--svg", str(svg_path), square,
+                  tangent_container(tmp_path, 3000, seed=3))
+    assert code == 0
+    tree = ET.parse(svg_path)
+    [outline] = [e for e in tree.iter() if e.get("class") == "container"]
+    assert outline.get("d").count("L") >= 3
+
+
 def test_refusal_prints_only_the_error_line(cube_in_box):
     # the refusal is logged to the `hellyfit` logger, whose NullHandler keeps
     # logging's last-resort handler from adding it to the CLI's stderr

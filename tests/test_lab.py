@@ -199,11 +199,29 @@ def test_inflation_search_beats_three_tangents():
     assert check.value >= 1.0 + delta2 - RECHECK_TOL
 
 
-def test_inflation_search_handles_opposite_tangent_pairs():
+def count_lps(monkeypatch):
+    """Count the seidel_lp calls that lab makes."""
+    from hellyfit import lab
+
+    calls = [0]
+    plain = lab.seidel_lp
+
+    def counting(*args, **kwargs):
+        calls[0] += 1
+        return plain(*args, **kwargs)
+
+    monkeypatch.setattr(lab, "seidel_lp", counting)
+    return calls
+
+
+def test_inflation_search_handles_opposite_tangent_pairs(monkeypatch):
+    # the recession LP finds the scale bounded, then the boxed LP sizes it
     body = cap_body(3, math.pi / 6, m=128)
     fam = TangentFamily.at_angles(np.array([0.3, 0.3 + math.pi / 6,
                                             0.3 + math.pi]))
+    calls = count_lps(monkeypatch)
     result = inflation_search(body, fam, seed=1)
+    assert calls[0] == 2
     assert result.delta2 > 0.0
     assert not result.capped
     check = beta_fixed_rotation(body, result.placement.rotation,
@@ -211,10 +229,13 @@ def test_inflation_search_handles_opposite_tangent_pairs():
     assert check.value >= 1.0 + result.delta2 - RECHECK_TOL
 
 
-def test_inflation_search_caps_a_single_half_plane():
+def test_inflation_search_caps_a_single_half_plane(monkeypatch):
+    # the recession LP alone decides a capped subfamily
     body = cap_body(3, math.pi / 6, m=128)
     fam = TangentFamily.at_angles(np.array([1.1]))
+    calls = count_lps(monkeypatch)
     result = inflation_search(body, fam, seed=0)
+    assert calls[0] == 1
     assert result.capped
     assert result.delta2 == pytest.approx(INFLATION_BUDGET - 1.0, rel=1e-12)
     assert result.placement.scale == pytest.approx(INFLATION_BUDGET, rel=1e-12)
@@ -252,9 +273,9 @@ def test_inflation_search_caps_an_unbounded_subfamily():
 
 
 def test_inflation_search_boxed_path_matches_highs():
-    # the scale is bounded but a translation ray recedes, so the search goes
-    # through the boxed re-solve; its placement once left a half-plane by
-    # 2.4e-4 at a scale 1.6e-4 above the optimum
+    # the scale is bounded but a translation ray recedes, so only the box of
+    # the sizing LP gives it an optimum; its placement once left a half-plane
+    # by 2.4e-4 at a scale 1.6e-4 above the optimum
     body, P, result = _demo_search(1523569759, 10, (0, 2, 5))
     assert not result.capped
     assert beta_fixed_rotation(body, result.placement.rotation, P).status == "unbounded"

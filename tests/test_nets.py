@@ -237,6 +237,17 @@ def test_net_rejects_zero_slack():
         build_net_2d(regular_polygon(3, 1.0), 1e-9)
 
 
+def test_planar_net_refuses_more_than_the_limit(monkeypatch):
+    # the square at eps = 1e-5 has slack angle 1e-5 rad, so t = 314183
+    built = []
+    monkeypatch.setattr(nets, "_ring", lambda t: built.append(t))
+    with pytest.raises(NetTooLargeError) as info:
+        build_net_2d(unit_square(), 1e-5)
+    assert "314183 rotations" in str(info.value)
+    assert str(NET_LIMIT) in str(info.value)
+    assert built == []
+
+
 # ---------------------------------------------------------------------------
 # build_net_sufficient
 
