@@ -11,6 +11,7 @@ Each `cmd_*` takes the argparse namespace.  Checks that argparse cannot make
 """
 
 import argparse
+import functools
 import io
 import json
 import math
@@ -172,7 +173,9 @@ def cmd_oracle(args) -> int:
     return OK
 
 
+@functools.cache
 def _parser():
+    """The argument parser, built on first use and kept for later `main` calls."""
     top = argparse.ArgumentParser(
         prog="hellyfit",
         description="Largest rotated copies of a convex body inside an "

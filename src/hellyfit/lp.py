@@ -63,6 +63,8 @@ PIVOT_TOL = 1e-11      # below this a coefficient row counts as zero
 EVAL_GUARD = 1e-13     # relative guard so fp noise never looks like a violation
 FIT_TOL = 1e-9         # slack used by fit_check
 CANON_SLACK = 1e-11    # pinning slack while canonicalizing witnesses
+CANON_SEED = 0         # seed of canonical_placement's re-derivation from its near-tight rows
+VIOL_TOL = 1e-9        # per-row slack (relative to the offset) in violation tests
 FIRST_BLOCK = 16       # rows in the first look-ahead block of a scan
 SMALL = 48             # plain Python below this prefix: the per-call crossover is 48-56 rows
 SCAN_SMALL = 32        # Python lists below this many rows at a level
@@ -631,19 +633,14 @@ def near_tight_dual(K: VPolytope, placement: Placement, P: HPolytope):
     For an optimal `placement` whose Seidel chain yields no accepted dual:
     the chain can keep d + 1 rows whose normals lie in a half-space while
     another row is just as tight, and those rows alone leave the scale
-    unbounded.  The candidates are the rows whose slack
-    b_i - <u_i, a> - alpha * h_A(u_i) is within four times seidel_lp's row
-    tolerance, FEAS_TOL times `_offset_scale`, at most NEAR_TIGHT of them,
-    smallest slack first: the reported optimum may lie up to the tolerance
-    outside some rows, so a row tight at the exact optimum can show a
-    slack of a few tolerances there.  Every (d + 1)-subset of them goes
-    through `scale_dual`, and the accepted dual whose `value` is least is
-    returned, or None.
+    unbounded.  The candidates are the nearly tight rows (`_near_tight`),
+    at most NEAR_TIGHT of them, smallest slack first.  Every (d + 1)-subset
+    of them goes through `scale_dual`, and the accepted dual whose `value`
+    is least is returned, or None.
     """
     rotation = placement.rotation
-    h = support_values(K, rotation, P.normals)
-    slack = P.offsets - P.normals @ placement.translation - placement.scale * h
-    near = np.flatnonzero(slack <= 4 * FEAS_TOL * _offset_scale(P.offsets))
+    slack = _slack(placement, support_values(K, rotation, P.normals), P)
+    near = _near_tight(slack, P)
     near = near[np.argsort(slack[near], kind="stable")][:NEAR_TIGHT]
     best = None
     for rows in combinations(near.tolist(), K.dim + 1):
@@ -653,17 +650,19 @@ def near_tight_dual(K: VPolytope, placement: Placement, P: HPolytope):
     return best
 
 
-def _lex_min_translation(inst, placement, seed):
+def _lex_min_translation(rows, bounds, placement, seed):
     """`placement` moved to the lexicographically smallest optimal translation.
 
-    `inst` is the scale LP at the placement's rotation and `placement` one
-    of its optima; the rotation and scale are kept.  Each pin row is scaled
-    down until its offset is at most the largest offset of `inst` (and at
-    least 1), so pinning never raises seidel_lp's offset normalization, and
-    with it the tolerance on the rows of P.
+    `rows` and `bounds` are the scale LP at the placement's rotation, or
+    some of its rows, and `placement` one of its optima; the rotation and
+    scale are kept.  Each pin row is scaled down until its offset is at
+    most the largest of `bounds` (and at least 1), so pinning never raises
+    seidel_lp's offset normalization, and with it the tolerance on the
+    rows of P.  Also returns whether all d stages were optimal; after a
+    stage that was not, the translation of the last one that was is kept
+    (the given one if none was), so the solve never fails here.
     """
-    rows, bounds = inst.rows, inst.bounds
-    d = inst.dim_vars - 1
+    d = rows.shape[1] - 1
     cap = max(1.0, float(np.max(np.abs(bounds))))
     pin_rows, pin_bounds = [], []
 
@@ -674,6 +673,7 @@ def _lex_min_translation(inst, placement, seed):
 
     pin(np.concatenate([np.zeros(d), [-1.0]]), -(placement.scale - CANON_SLACK))
     witness = None
+    complete = True
     for i in range(d):
         obj = np.zeros(d + 1)
         obj[i] = -1.0
@@ -681,14 +681,75 @@ def _lex_min_translation(inst, placement, seed):
                          np.concatenate([bounds, pin_bounds]), obj)
         res = seidel_lp(sub, seed=seed + 7919 * (i + 1))
         if res.status != OPTIMAL:
-            break  # keep whatever we had; never fail the solve here
+            complete = False
+            break
         witness = res.witness
         e = np.zeros(d + 1)
         e[i] = 1.0
         pin(e, float(witness[i]) + CANON_SLACK)
-    if witness is None:
-        return placement
-    return Placement(witness[:d], placement.scale, placement.rotation)
+    if witness is not None:
+        placement = Placement(witness[:d], placement.scale, placement.rotation)
+    return placement, complete
+
+
+def _slack(placement, support, P):
+    """b_i - <u_i, a> - alpha * h_A(u_i) for every half-space of P.
+
+    `support` holds h_A(u_i) at the placement's rotation.
+    """
+    return P.offsets - P.normals @ placement.translation - placement.scale * support
+
+
+def _near_tight(slack, P):
+    """The rows whose `_slack` b_i - <u_i, a> - alpha * h_A(u_i) is at most
+    four times seidel_lp's row tolerance, FEAS_TOL times `_offset_scale`.
+
+    A reported optimum may lie up to that tolerance outside some rows, so a
+    row tight at the exact optimum can show a slack of a few tolerances.
+    """
+    return np.flatnonzero(slack <= 4 * FEAS_TOL * _offset_scale(P.offsets))
+
+
+def _violators(placement, support, P):
+    """Indices of half-spaces the placed copy leaves.
+
+    `support` holds h_AK(u_i) for every half-space at the placement's
+    rotation, so each test is the scale LP's own row
+    <u_i, a> + s * h_AK(u_i) <= b_i.
+    """
+    depth = P.normals @ placement.translation + placement.scale * support
+    tol = VIOL_TOL * np.maximum(1.0, np.abs(P.offsets)) + 1e-13
+    return np.nonzero(depth > P.offsets + tol)[0]
+
+
+def _lex_closure(inst, placement, P, seed, start):
+    """`_lex_min_translation` on the rows `start` of `inst`, grown until P holds it.
+
+    `inst` is `build_beta_instance` over P.  Each round solves on the rows
+    held, tests the result against all of P (`_violators`) and adds the
+    rows it leaves; it ends when none is new.  The rows held always
+    include the sign row and P's row of largest |b_i|, so every sub-LP
+    keeps P's offset normalization, and with it the tolerance on each
+    row.  Returns the placement, or None once a stage is not optimal (the
+    rows held leave the translation free), and the rows tested.
+    """
+    n = len(P)
+    held = np.zeros(n + 1, dtype=bool)
+    held[start] = True
+    held[[int(np.argmax(np.abs(P.offsets))), n]] = True
+    support = inst.rows[:n, -1]
+    tested = 0
+    while True:
+        placed, complete = _lex_min_translation(inst.rows[held], inst.bounds[held],
+                                                placement, seed)
+        if not complete:
+            return None, tested
+        bad = _violators(placed, support, P)
+        tested += n
+        bad = bad[~held[bad]]
+        if bad.size == 0:
+            return placed, tested
+        held[bad] = True
 
 
 def beta_fixed_rotation(K: VPolytope, rotation: Rotation, P: HPolytope,
@@ -699,9 +760,9 @@ def beta_fixed_rotation(K: VPolytope, rotation: Rotation, P: HPolytope,
     the half-spaces of P among its pinning rows (the sign row is not one).
     An empty container reports status "infeasible" with value 0; a
     container that lets the copy grow forever reports "unbounded".  With
-    `canonical` the witness goes through the lexicographic step of
-    `canonical_placement` on the rows already built, so repeated runs (any
-    seed) agree on the placement, not just the value.
+    `canonical` the witness goes through `canonical_placement` over all of
+    P, so repeated runs (any seed) agree on the placement, not just the
+    value, up to seidel_lp's row tolerance.
     """
     inst = build_beta_instance(K, rotation, P)
     res = seidel_lp(inst, seed=seed)
@@ -712,23 +773,45 @@ def beta_fixed_rotation(K: VPolytope, rotation: Rotation, P: HPolytope,
     value = max(res.value, 0.0)
     placement = Placement(res.witness[:K.dim], value, rotation)
     if canonical:
-        placement = _lex_min_translation(inst, placement, seed)
+        placement = canonical_placement(K, placement, P, seed)[0]
     n = len(P)
     tight = tuple(sorted(int(r) for r in res.tight_set if r < n))
     return BetaResult(value, placement, OPTIMAL, tight)
 
 
 def canonical_placement(K: VPolytope, placement: Placement, P: HPolytope,
-                        seed=0) -> Placement:
+                        seed=0, rows=None):
     """The optimal placement with the lexicographically smallest translation.
 
     `placement` must be optimal for the scale LP at its rotation.  Its
-    rotation and scale are kept; the translation comes from
-    `_lex_min_translation`, so it does not depend on which optimum
-    `placement` was.
+    rotation and scale are kept, and the translation comes from
+    `_lex_min_translation`.  Returns it with the number of rows that
+    violation tests read.
+
+    With `rows` None the lexicographic LPs run once over all of P.  Given
+    `rows`, a start set of indices into P, they run as an LP-type loop in
+    the manner of Matousek, Sharir and Welzl (`_lex_closure`): solve on the
+    rows held, add the rows of P that the result leaves, repeat; where
+    those rows leave the translation free, all of P is used instead.
+    Either way the result is then derived once more, with the fixed seed
+    CANON_SEED, from the rows within 4 * FEAS_TOL * `_offset_scale` of
+    tight there (`_near_tight`), closed by the same loop.  Which of several nearly tight
+    rows pins the result within seidel_lp's row tolerance depends on the
+    order in which they are scanned; deriving it from the same few rows
+    with the same seed makes it depend on neither `seed` nor `rows`, except
+    where the near-tight rows differ or a stage on them is not optimal
+    (then the first result is kept).  Only a start set's rows tested count: after
+    LPs over all of P, the closing test is part of that one step.
     """
     inst = build_beta_instance(K, placement.rotation, P)
-    return _lex_min_translation(inst, placement, seed)
+    placed, tested = None, 0
+    if rows is not None:
+        placed, tested = _lex_closure(inst, placement, P, seed, rows)
+    if placed is None:
+        placed = _lex_min_translation(inst.rows, inst.bounds, placement, seed)[0]
+    near = _near_tight(_slack(placed, inst.rows[:-1, -1], P), P)
+    again, more = _lex_closure(inst, placement, P, CANON_SEED, near)
+    return (placed if again is None else again), (0 if rows is None else tested + more)
 
 
 def fit_check(K: VPolytope, rotation: Rotation, scale, P: HPolytope, seed=0) -> bool:

@@ -8,10 +8,12 @@ placement, a small basis of half-space indices that already pins the value,
 and counters suitable for scaling measurements.
 
 All of them end in one tail, `_finish`: it keeps the winning rotation's
-solve and only canonicalizes its placement over the whole container.  For
+solve and only canonicalizes its placement (`lp.canonical_placement`).  For
 `beta_msw` that solve is a sample's, certified by the violation test that
-found no half-space it leaves, so `beta_msw` never solves the scale LP
-over all of the container.
+found no half-space it leaves, and the canonical step starts from the final
+sample and grows it by violation tests as well, so `beta_msw` reads all of
+the container only in vectorized products (the violation tests and the
+support values they compare), never in an LP.
 
 All of them sweep the net the same way (`_sweep`): best first, solving a
 rotation's LP only while no solved rotation's dual rules it out.  The dual
@@ -53,6 +55,7 @@ from .geometry import (
 from .lp import (
     OPTIMAL,
     LpInstance,
+    _violators,
     beta_fixed_rotation,
     canonical_placement,
     near_tight_dual,
@@ -65,7 +68,6 @@ from .nets import RotationNet, cached_net_2d
 TIE_TOL = 1e-12      # relative slack when picking the winning rotation
 MERGE_TOL = TIE_TOL / 10    # relative vertex distance within which rotated copies merge
 BASIS_TOL = 1e-9     # value agreement required of a reduced family
-VIOL_TOL = 1e-9      # per-row slack (relative to the offset) in violation tests
 PRUNE_SLACK = 1e-7   # relative margin for LP and rounding error when pruning a rotation
 FREE_TOL = 1e-6      # least w_j, and least <u, w>, that count in a free direction w
 BRUTE_LIMIT = 10 ** 6
@@ -370,9 +372,10 @@ def _finish(K, net, P, results, seed, stats, method, subset=None):
     `results` are `_sweep`'s solves, None where pruned or stood for by
     their class, over P itself or, for `beta_msw`, over the sample
     P.take(subset) whose winning placement leaves no half-space of P.  The
-    winner's value is kept as solved; `canonical_placement` over all of P,
-    with the seed `_sweep` gave that rotation (counted as one LP call),
-    only replaces its translation, so for a sweep over P the placement is
+    winner's value is kept as solved; `canonical_placement`, with the seed
+    `_sweep` gave that rotation (counted as one LP call, plus the rows its
+    violation tests read), only replaces its translation.  It starts from
+    `subset`, or from all of P for a sweep over P, where the placement is
     bit-equal to `beta_fixed_rotation(..., canonical=True)` at that
     rotation and seed.  The basis, as indices into P, is the union over the
     solved rotations of the rows that pin their values (`_certified`, at
@@ -392,8 +395,10 @@ def _finish(K, net, P, results, seed, stats, method, subset=None):
     if win.status != OPTIMAL:
         stats.note = "container is empty"
         return FitResult(0.0, None, [], method, stats, i_star)
-    placement = canonical_placement(K, win.placement, P, _rotation_seed(seed, i_star))
+    placement, tested = canonical_placement(K, win.placement, P,
+                                            _rotation_seed(seed, i_star), subset)
     stats.lp_calls += 1
+    stats.violation_tests += tested
     solved_over = P if subset is None else P.take(subset)
     rows = set()
     for i, r in enumerate(results):
@@ -426,42 +431,33 @@ def beta_direct(K: VPolytope, net: RotationNet, P: HPolytope, seed=0) -> FitResu
     return out
 
 
-def _violators(placement, support, P):
-    """Indices of half-spaces the placed copy leaves.
-
-    `support` holds h_AK(u_i) for every half-space at the placement's
-    rotation, so each test is the scale LP's own row
-    <u_i, a> + s * h_AK(u_i) <= b_i.
-    """
-    depth = P.normals @ placement.translation + placement.scale * support
-    tol = VIOL_TOL * np.maximum(1.0, np.abs(P.offsets)) + 1e-13
-    return np.nonzero(depth > P.offsets + tol)[0]
-
-
 def beta_msw(K: VPolytope, net: RotationNet, P: HPolytope, seed=0) -> FitResult:
     """Same fit as beta_direct, touching each half-space O(1) times expected.
 
     Iteratively solves on a random sample of half-spaces plus everything
-    that ever violated a trial placement.  A round is kept only when it
-    produces few violators, so at most len(net) * (d + 1) rounds can be
+    that ever violated a trial placement.  The sizes follow delta =
+    c * (d + 1) for a net of c rotation classes (`_class_count`), the
+    combinatorial dimension that bounds `_finish`'s basis: a round is kept
+    only when it produces few violators, so at most delta rounds can be
     kept before no half-space objects.  The violation test of that last
     round is the certificate (Clarkson): a sample optimum that no half-space
     of P violates is optimal for P, so its sweep goes to `_finish` as it
-    stands, and only the canonical placement touches all n rows again.  β
-    and the rotation are `beta_direct`'s; β agrees to the LP tolerance, not
-    bit for bit.  A family that the first sample, ceil(delta * sqrt(n))
-    half-spaces with delta = len(net) * (d + 1), would take whole (any
-    n <= delta^2) goes straight to `beta_direct`, and the result is
-    `beta_direct`'s, with `violation_tests` 0.  When sampling cannot finish
-    (samples that stay unbounded, or the round cap), it sweeps the full
-    family with `beta_direct`, sets `stats.fallback` and names the cause in
-    `stats.note`.
+    stands, and the canonical placement starts from the final sample
+    (`canonical_placement`), so all of P is read only by violation tests
+    and the support values they compare.  β, the rotation and the
+    placement are `beta_direct`'s up to the LP tolerance, not bit for bit.
+    A family that the first sample, ceil(delta * sqrt(n)) half-spaces,
+    would take whole (any n <= delta^2) goes straight to `beta_direct`,
+    and the result is `beta_direct`'s, with `violation_tests` 0.  When
+    sampling cannot finish (samples that stay unbounded, or the round
+    cap), it sweeps the full family with `beta_direct`, sets
+    `stats.fallback` and names the cause in `stats.note`.
     """
     if K.dim != P.dim or net.dim != K.dim:
         raise ValueError("body, net and container disagree on dimension")
     start = time.perf_counter()
     n = len(P)
-    delta = len(net) * (K.dim + 1)
+    delta = _class_count(K, net) * (K.dim + 1)
     sample_size = min(n, int(math.ceil(delta * math.sqrt(n))))
     if sample_size >= n:
         # the first sample would be all of P (n <= delta^2): sweep it once

@@ -259,7 +259,7 @@ def full_sweep_fit(K, net, P, seed):
              if v >= best - TIE_TOL * max(1.0, abs(best)))
     if results[i].status != OPTIMAL:
         return 0.0, i, None
-    placement = canonical_placement(K, results[i].placement, P, _rotation_seed(seed, i))
+    placement, _ = canonical_placement(K, results[i].placement, P, _rotation_seed(seed, i))
     return results[i].value, i, placement
 
 

@@ -161,8 +161,8 @@ def test_criterion_2_approximation_sandwich(sandwich_instances):
 
 def test_criterion_3_linear_scaling():
     K = unit_square()
-    # t = 4 net: sampling needs n > (t(d+1))^2, so the smallest size must
-    # clear delta^2 = 144 or the first anchor degenerates to one full round.
+    # t = 4 net of one rotation class: sampling needs n > delta^2 with
+    # delta = (classes)(d+1) = 3, so every size runs sampling rounds.
     net = build_net_2d(K, 1.0 - 1.0 / math.sqrt(2.0))
     sizes = [10 ** 3, 10 ** 4, 10 ** 5]
     counts, walls = [], []

@@ -17,7 +17,7 @@ from hellyfit.geometry import (
     regular_polygon,
     unit_square,
 )
-from hellyfit import solver
+from hellyfit import lp, solver
 from hellyfit.lp import FEAS_TOL, beta_fixed_rotation, scale_dual
 from hellyfit.nets import (
     SUFFICIENT_BOUND,
@@ -464,8 +464,9 @@ def test_msw_matches_direct_at_larger_n():
 
 
 def test_msw_violation_tests_stay_linear():
-    # sampling kicks in only for n > (t(d+1))^2 = 144, so every size below
-    # runs real rounds; the per-row scan count must not drift with n
+    # sampling kicks in only for n > delta^2 = 9 (one rotation class, d + 1
+    # = 3), so every size below runs real rounds; the per-row scan count
+    # must not drift with n
     K = unit_square()
     net = build_net_2d(K, EPS_SQUARE)
     ratios = []
@@ -513,6 +514,76 @@ def test_msw_canonical_placement_stays_inside_container():
     pts = r.placement.apply_points(K.vertices)
     tol = 1e-9 * np.maximum(1.0, np.abs(P.offsets))
     assert np.all(P.normals @ pts.T <= (P.offsets + tol)[:, None])
+
+
+def test_msw_canonical_step_reads_the_family_only_in_violation_tests(monkeypatch):
+    # 30 000 lines tangent to the unit circle, where the square's
+    # lexicographic vertex is ill-conditioned: the canonical step starts
+    # from the final sample and hands seidel_lp a small share of the rows
+    # (over 2n when it solved over every row), and its violation tests
+    # count in violation_tests next to the sampling rounds'
+    K = VPolytope(np.array([[0.5, 0.5], [-0.5, 0.5], [-0.5, -0.5], [0.5, -0.5]]))
+    net = build_net_2d(K, EPS_SQUARE)
+    n = 30000
+    ang = np.random.default_rng(np.random.SeedSequence([101, 1, 25])).uniform(
+        0.0, 2.0 * math.pi, n)
+    P = HPolytope(np.stack([np.cos(ang), np.sin(ang)], axis=1), np.ones(n))
+    seed = int(np.random.SeedSequence([101, 2, 25]).generate_state(1)[0])
+    rows, tests, inside = [], [], [False]
+    plain_lp, plain_canon = lp.seidel_lp, solver.canonical_placement
+    plain_rounds, plain_loop = solver._violators, lp._violators
+
+    def counting_lp(inst, seed=0):
+        if inside[0]:
+            rows.append(inst.rows.shape[0])
+        return plain_lp(inst, seed)
+
+    def canonical(*args, **kwargs):
+        inside[0] = True
+        try:
+            return plain_canon(*args, **kwargs)
+        finally:
+            inside[0] = False
+
+    def counting(plain):
+        def violators(placement, support, P_):
+            tests.append(len(P_))
+            return plain(placement, support, P_)
+        return violators
+
+    monkeypatch.setattr(lp, "seidel_lp", counting_lp)
+    monkeypatch.setattr(solver, "canonical_placement", canonical)
+    monkeypatch.setattr(solver, "_violators", counting(plain_rounds))
+    monkeypatch.setattr(lp, "_violators", counting(plain_loop))
+    r = beta_msw(K, net, P, seed=seed)
+    assert not r.stats.fallback
+    assert 0 < sum(rows) < n / 4
+    assert r.stats.violation_tests == sum(tests) >= 3 * n
+    pts = r.placement.apply_points(K.vertices)
+    slack = 2.0 * FEAS_TOL * max(1.0, float(np.max(np.abs(P.offsets))))
+    assert np.all(P.normals @ pts.T <= (P.offsets + slack)[:, None])
+
+
+def test_msw_samples_by_rotation_classes(monkeypatch):
+    # the square's t = 4 net is one rotation class, so delta = 1 * (d + 1)
+    # = 3 and the first sample is ceil(3 sqrt(n)) half-spaces, not
+    # ceil(t (d + 1) sqrt(n)), which would take all of P below n = 144
+    K = unit_square()
+    net = build_net_2d(K, EPS_SQUARE)
+    assert len(net) == 4
+    sizes = []
+    plain = solver.beta_fixed_rotation
+
+    def recording(K_, rotation, P_, *args, **kwargs):
+        sizes.append(len(P_))
+        return plain(K_, rotation, P_, *args, **kwargs)
+
+    monkeypatch.setattr(solver, "beta_fixed_rotation", recording)
+    for n in (100, 1000, 10000):
+        sizes.clear()
+        r = beta_msw(K, net, tangent_family(n, 70 + n), seed=n)
+        assert sizes[0] == math.ceil(3 * math.sqrt(n))
+        assert r.stats.violation_tests >= n
 
 
 def test_msw_round_cap_falls_back_flagged(monkeypatch):
