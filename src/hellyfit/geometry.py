@@ -22,7 +22,6 @@ TWO_PI = 2.0 * math.pi
 
 UNIT_NORM_TOL = 1e-12      # unit-normal invariant for half-spaces
 ORTHO_TOL = 1e-10          # orthogonality / determinant tolerance for rotations
-MINIBALL_TOL = 1e-9        # guaranteed accuracy of miniball results
 
 
 class DimensionMismatchError(ValueError):

@@ -23,13 +23,14 @@ from .geometry import (
     VPolytope,
     cap_measure_2d,
 )
-from .lp import FIT_TOL, OPTIMAL, LpInstance, build_beta_instance, seidel_lp
+from .lp import (FIT_TOL, OPTIMAL, LpInstance, build_beta_instance, seidel_lp,
+                 support_values)
 from .nets import cached_net_2d
 from .solver import beta_direct
 
 TWO_PI = 2.0 * math.pi
 INFLATION_BUDGET = 1e6   # scale cap when a subfamily cannot bound the copy
-RECESSION_BOX = 1e6      # |a_k| bound of the recession LP, in units of max |h_AK|
+CAP_SLACK = 2.0 * math.asin(1e-6)  # contact gap beyond pi that caps a subfamily
 DEMO_NET_EPS = 0.05      # net accuracy for the full-family fit in the demo
 SUBSET_CAP = 10 ** 4     # exhaustive subset check limit, else sampled
 SEARCH_TRIES = 4096      # uniform angles per rotation of an inflation search
@@ -201,53 +202,32 @@ def avoid_rotation(K, points, max_tries: int = 64, seed=0):
     return Rotation.from_angle(theta), dist
 
 
-def _largest_gap_direction(arcs: CircleArcs):
-    """Midpoint angle of the widest hole in the arc set."""
-    if not arcs.arcs:
-        return 0.0
-    spans = sorted((a % TWO_PI, (a % TWO_PI) + (b - a)) for a, b in arcs.arcs)
+def _widest_gap(spans):
+    """(width, midpoint angle) of the widest hole between (start, end) angle spans."""
+    spans = sorted((a % TWO_PI, (a % TWO_PI) + (b - a)) for a, b in spans)
+    if not spans:
+        return TWO_PI, 0.0
     best_gap, best_mid = -1.0, 0.0
     for (a1, b1), (a2, _) in zip(spans, spans[1:] + [(spans[0][0] + TWO_PI,
                                                       spans[0][1] + TWO_PI)]):
         gap = a2 - b1
         if gap > best_gap:
             best_gap, best_mid = gap, 0.5 * (b1 + a2)
-    return best_mid % TWO_PI
+    return best_gap, best_mid % TWO_PI
 
 
-def _boxed(inst, offsets, reach, alpha_cap=None):
-    """The scale LP `inst` over offsets `offsets`, boxed in by extra rows.
+def _boxed(inst, reach):
+    """The scale LP `inst` boxed in by the rows |a_k| <= reach.
 
-    The rows alpha <= alpha_cap (if given) and |a_k| <= reach come after
-    the rows of `inst` and have offset 1, so they never raise seidel_lp's
-    offset normalization, and with it the tolerance on the other rows.
+    The box rows come after the rows of `inst` and have offset 1, so they
+    never raise seidel_lp's offset normalization, and with it the tolerance
+    on the other rows.
     """
     d = inst.dim_vars - 1
-    eye = np.eye(d + 1)
-    box = [eye[:d] / reach, -eye[:d] / reach]
-    if alpha_cap is not None:
-        box.insert(0, eye[d:] / alpha_cap)
-    box = np.vstack(box)
+    eye = np.eye(d + 1)[:d]
+    box = np.vstack([eye / reach, -eye / reach])
     return LpInstance.maximize_last(np.vstack([inst.rows, box]),
-                                    np.concatenate([offsets, np.ones(len(box))]))
-
-
-def _scale_recession(inst):
-    """Translation a0 such that (a0, 1) is a recession direction of the scale LP.
-
-    The scale of a copy inside P is unbounded exactly when the recession
-    cone of the fit LP, <u_i, a> + alpha * h_AK(u_i) <= 0 for every i, holds
-    a point with alpha = 1; then a + s*(a0, 1) stays feasible for all s >= 0
-    from any feasible (a, alpha).  The cone's LP adds alpha <= 1 and a box
-    |a_k| <= RECESSION_BOX * max |h_AK|.  Returns None when the scale is
-    bounded.
-    """
-    d = inst.dim_vars - 1
-    reach = RECESSION_BOX * max(1.0, float(np.max(np.abs(inst.rows[:, d]))))
-    res = seidel_lp(_boxed(inst, np.zeros_like(inst.bounds), reach, 1.0))
-    if res.status != OPTIMAL or res.value < 1.0 - FIT_TOL:
-        return None
-    return res.witness[:d]
+                                    np.concatenate([inst.bounds, np.ones(len(box))]))
 
 
 def _inside(K, placement, P):
@@ -278,22 +258,46 @@ class InflationResult:
 def inflation_search(K, family: TangentFamily, seed=0) -> InflationResult:
     """Placement of K strictly inflated inside a tangent subfamily.
 
-    Follows the rotate-then-optimize recipe: shrink a slacked half-circle
-    around the body's hole until the arc inside it measures below 1/n, and
-    rotate so that restricted arc clears every contact point.  At that
-    rotation a recession LP first decides whether the subfamily bounds the
-    scale at all.  One that does not is reported `capped`, with a placement
-    at the budget scale along the recession direction.  One that does gets
-    an LP for the best translation and scale, boxed by |a_k| <= 2 *
-    INFLATION_BUDGET so that it has an optimum even where a translation ray
-    recedes (two opposite tangents pin the scale but let the copy slide
-    along their strip).  Every placement returned has scale above 1 and
-    passes a containment check of its vertex images against every
-    half-plane; up to SEARCH_ROTATIONS rotations are tried.
+    Boundedness comes first, from the contact angles alone.  By Gordan's
+    alternative the scale is unbounded exactly when the contact normals u_i
+    lie in an open half-plane, that is when the widest gap g between
+    consecutive contact angles exceeds pi.  Along the gap's bisector w every
+    <u_i, w> <= -sin((g - pi)/2), so the copy recedes by s*w per unit of
+    scale, s = max_i h_AK(u_i) / (-<u_i, w>) <= max h_AK / sin((g - pi)/2).
+    The subfamily is `capped` when g > pi + CAP_SLACK, i.e. sin((g - pi)/2) >
+    1e-6, which keeps s within 1e6 * max h_AK; an exact antipodal pair (a
+    strip) stays bounded.  A capped subfamily returns at once, with no LP
+    and no rotation drawn (`rotation_tries` 0), at scale INFLATION_BUDGET,
+    rotation angle 0 and translation INFLATION_BUDGET * s * w, whatever its
+    number of contacts.
+
+    A bounded subfamily follows the rotate-then-optimize recipe: shrink a
+    slacked half-circle around the body's hole until the arc inside it
+    measures below 1/n, and rotate so that restricted arc clears every
+    contact point (more contacts than K is tuned for make this raise
+    SearchFailure).  An LP boxed by |a_k| <= 2 * INFLATION_BUDGET then finds
+    the best translation and scale; the box gives it an optimum even where
+    two opposite tangents let the copy slide along their strip.  Up to
+    SEARCH_ROTATIONS rotations are tried.  Every placement returned has
+    scale above 1 and passes a containment check of its vertex images
+    against every half-plane; a capped one that fails it raises
+    SearchFailure.
     """
+    P = family.halfspaces
+    gap, w_angle = _widest_gap((a, a) for a in family.angles)
+    if gap > math.pi + CAP_SLACK:
+        w = np.array([math.cos(w_angle), math.sin(w_angle)])
+        rotation = Rotation.from_angle(0.0)
+        s = float(np.max(support_values(K, rotation, P.normals) / -(P.normals @ w)))
+        placement = Placement(INFLATION_BUDGET * s * w, INFLATION_BUDGET, rotation)
+        if not _inside(K, placement, P):
+            raise SearchFailure("the budget placement of a capped subfamily "
+                                f"leaves it (contact gap {gap})")
+        return InflationResult(placement.scale - 1.0, placement, 0, capped=True)
+
     n = len(family)
     arcs = getattr(K, "boundary_arcs", None) or CircleArcs(())
-    u_angle = _largest_gap_direction(arcs)
+    u_angle = _widest_gap(arcs.arcs)[1]
     u = np.array([math.cos(u_angle), math.sin(u_angle)])
 
     eps1 = 0.1
@@ -305,7 +309,6 @@ def inflation_search(K, family: TangentFamily, seed=0) -> InflationResult:
                 f"the arc near {u_angle} is too long against n={n}")
     near_hole = arcs.restrict_to_cap(Cap(u, eps1))
 
-    P = family.halfspaces
     rng = np.random.default_rng(seed)
     for _ in range(SEARCH_ROTATIONS):
         theta, _, tries = _avoiding_angle(near_hole, family.contact_points,
@@ -313,20 +316,11 @@ def inflation_search(K, family: TangentFamily, seed=0) -> InflationResult:
         rotation = Rotation.from_angle(theta)
         lp_seed = int(rng.integers(2 ** 31))
         inst = build_beta_instance(K, rotation, P)
-        a0 = _scale_recession(inst)
-        placement = None
-        if a0 is not None:
-            # the unbounded scale goes to the budget, out from the origin
-            # (inside every tangent half-plane) along the recession direction
-            placement = Placement(INFLATION_BUDGET * a0, INFLATION_BUDGET, rotation)
-        else:
-            res = seidel_lp(_boxed(inst, inst.bounds, 2.0 * INFLATION_BUDGET),
-                            seed=lp_seed)
-            if res.status == OPTIMAL and res.value > 1.0:
-                placement = Placement(res.witness[:K.dim], res.value, rotation)
-        if placement is not None and _inside(K, placement, P):
-            return InflationResult(placement.scale - 1.0, placement, tries,
-                                   capped=a0 is not None)
+        res = seidel_lp(_boxed(inst, 2.0 * INFLATION_BUDGET), seed=lp_seed)
+        if res.status == OPTIMAL and res.value > 1.0:
+            placement = Placement(res.witness[:K.dim], res.value, rotation)
+            if _inside(K, placement, P):
+                return InflationResult(placement.scale - 1.0, placement, tries)
         last = theta
     raise SearchFailure(f"inflation failed after {SEARCH_ROTATIONS} rotations "
                         f"(the last at angle {last})")

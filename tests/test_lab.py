@@ -6,7 +6,7 @@ from itertools import combinations
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from hellyfit.geometry import Cap, Rotation, cap_measure_2d, miniball
@@ -215,13 +215,13 @@ def count_lps(monkeypatch):
 
 
 def test_inflation_search_handles_opposite_tangent_pairs(monkeypatch):
-    # the recession LP finds the scale bounded, then the boxed LP sizes it
+    # the contact angles leave no gap above pi, so the boxed LP alone sizes it
     body = cap_body(3, math.pi / 6, m=128)
     fam = TangentFamily.at_angles(np.array([0.3, 0.3 + math.pi / 6,
                                             0.3 + math.pi]))
     calls = count_lps(monkeypatch)
     result = inflation_search(body, fam, seed=1)
-    assert calls[0] == 2
+    assert calls[0] == 1
     assert result.delta2 > 0.0
     assert not result.capped
     check = beta_fixed_rotation(body, result.placement.rotation,
@@ -230,12 +230,12 @@ def test_inflation_search_handles_opposite_tangent_pairs(monkeypatch):
 
 
 def test_inflation_search_caps_a_single_half_plane(monkeypatch):
-    # the recession LP alone decides a capped subfamily
+    # the contact angles alone decide a capped subfamily, with no LP
     body = cap_body(3, math.pi / 6, m=128)
     fam = TangentFamily.at_angles(np.array([1.1]))
     calls = count_lps(monkeypatch)
     result = inflation_search(body, fam, seed=0)
-    assert calls[0] == 1
+    assert calls[0] == 0
     assert result.capped
     assert result.delta2 == pytest.approx(INFLATION_BUDGET - 1.0, rel=1e-12)
     assert result.placement.scale == pytest.approx(INFLATION_BUDGET, rel=1e-12)
@@ -298,6 +298,55 @@ def test_inflation_placements_stay_inside_on_every_demo_subset():
             tol = 1e-9 * max(1.0, float(np.abs(P.offsets).max()))
             assert _leaves_by(body, result.placement, P) <= tol, (demo_seed, subset)
     assert capped == 180
+
+
+def test_inflation_search_caps_more_contacts_than_the_body_is_tuned_for(monkeypatch):
+    # four contacts leaving a gap of 1.2 pi against a body tuned for three:
+    # the scale is unbounded, so the budget placement needs no clearing
+    # rotation, while four contacts that bound the scale exhaust the recipe
+    body = cap_body(3, math.pi / 6, m=128)
+    fam = TangentFamily.at_angles(0.5 + 0.8 * math.pi * np.arange(4) / 3)
+    calls = count_lps(monkeypatch)
+    result = inflation_search(body, fam, seed=0)
+    assert calls[0] == 0
+    assert result.capped
+    assert result.rotation_tries == 0
+    assert result.placement.scale == INFLATION_BUDGET
+    assert highs_scale(body, result.placement.rotation, fam.halfspaces) == math.inf
+    assert _leaves_by(body, result.placement, fam.halfspaces) <= 1e-9
+    with pytest.raises(SearchFailure):
+        inflation_search(body, TangentFamily.at_angles(np.arange(4) * math.pi / 2))
+
+
+@settings(max_examples=150, deadline=None)
+@given(angles=st.lists(st.floats(min_value=0.0, max_value=TWO_PI),
+                       min_size=1, max_size=6),
+       antipodes=st.integers(min_value=0, max_value=3),
+       theta=st.floats(min_value=0.0, max_value=TWO_PI))
+def test_capped_is_highs_unbounded_on_random_tangent_subfamilies(angles, antipodes,
+                                                                 theta):
+    # the first `antipodes` contacts (at most 6 in all) also get their exact
+    # opposite, which makes a strip and so bounds the scale; elsewhere a
+    # widest gap within 1e-4 of pi is left out, as there the verdict is set
+    # by each solver's tolerance rather than by the contact angles
+    body = cap_body(3, math.pi / 6, m=64)
+    U = TangentFamily.at_angles(np.array(angles)).contact_points
+    k = min(antipodes, len(U), 6 - len(U))
+    fam = TangentFamily(np.vstack([U, -U[:k]]))
+    a = np.sort(fam.angles)
+    gap = float(np.diff(np.append(a, a[0] + TWO_PI)).max())
+    assume(k > 0 or abs(gap - math.pi) > 1e-4)
+    try:
+        result = inflation_search(body, fam, seed=0)
+    except SearchFailure:
+        result = None  # only the recipe for bounded subfamilies can run out
+    capped = result is not None and result.capped
+    P = fam.halfspaces
+    assert capped == (highs_scale(body, Rotation.from_angle(theta), P) == math.inf)
+    if k > 0:
+        assert not capped
+    if capped:
+        assert _leaves_by(body, result.placement, P) <= 1e-9
 
 
 # ---------------------------------------------------------------------------
