@@ -150,24 +150,34 @@ def _one_var(rows, cred):
     the program when bb < 0 beyond the tolerance; otherwise bb / a bounds x,
     and a bound replaces the box or an earlier bound only when strictly
     tighter, so the first row in scan order wins a tie and box rows lose
-    one.  Returns x and its chain: the id of the row that pins it, unless
-    that is a box row or cred is 0.
+    one.  Bounds that cross by more than the tolerance fail the program
+    only where each of the two rows (the box's are x <= BOX, -x <= BOX) is
+    violated at the other's bound beyond its own tolerance, since a row of
+    small |a| moves its bound far more than it is violated; otherwise both
+    become the bound the other row admits, hi first.  Returns x and its
+    chain: the id of the row that pins it, unless that is a box row or
+    cred is 0.
     """
-    hi, hi_id = BOX_BOUND, -1
-    lo, lo_id = -BOX_BOUND, -1
+    hi, hi_id, hi_a, hi_b = BOX_BOUND, -1, 1.0, BOX_BOUND
+    lo, lo_id, lo_a, lo_b = -BOX_BOUND, -1, -1.0, BOX_BOUND
     for a, bb, i in rows:
         if a > PIVOT_TOL:
             r = bb / a
             if r < hi:
-                hi, hi_id = r, i
+                hi, hi_id, hi_a, hi_b = r, i, a, bb
         elif a < -PIVOT_TOL:
             r = bb / a
             if r > lo:
-                lo, lo_id = r, i
+                lo, lo_id, lo_a, lo_b = r, i, a, bb
         elif bb < -FEAS_TOL * max(1.0, abs(bb)):
             raise _Infeasible
     if lo > hi + FEAS_TOL * max(1.0, abs(lo), abs(hi)):
-        raise _Infeasible
+        if lo_a * hi - lo_b <= FEAS_TOL * max(1.0, abs(lo_b)):
+            lo, lo_id = hi, hi_id
+        elif hi_a * lo - hi_b <= FEAS_TOL * max(1.0, abs(hi_b)):
+            hi, hi_id = lo, lo_id
+        else:
+            raise _Infeasible
     if lo > hi:  # inverted by a rounding hair; collapse
         lo = hi = 0.5 * (lo + hi)
     if cred > 0:
@@ -517,6 +527,9 @@ class BetaResult:
     placement: Placement | None
     status: str
     tight_rows: tuple   # indices of half-spaces of P that pin the optimum
+    held: np.ndarray | None = None   # rows of P held by a loop from start rows
+    tested: int = 0     # rows its violation tests read
+    solves: int = 1
 
     @property
     def ok(self):
@@ -722,61 +735,94 @@ def _violators(placement, support, P):
     return np.nonzero(depth > P.offsets + tol)[0]
 
 
-def _lex_closure(inst, placement, P, seed, start):
-    """`_lex_min_translation` on the rows `start` of `inst`, grown until P holds it.
+def _lp_type_loop(P, support, start, solve):
+    """The LP-type loop of Clarkson and of Matousek, Sharir and Welzl.
 
-    `inst` is `build_beta_instance` over P.  Each round solves on the rows
-    held, tests the result against all of P (`_violators`) and adds the
-    rows it leaves; it ends when none is new.  The rows held always
-    include the sign row and P's row of largest |b_i|, so every sub-LP
-    keeps P's offset normalization, and with it the tolerance on each
-    row.  Returns the placement, or None once a stage is not optimal (the
-    rows held leave the translation free), and the rows tested.
+    `held` masks the len(P) + 1 rows of `build_beta_instance`: `start`,
+    the sign row and P's row of largest |b_i|, so every solve keeps P's
+    offset normalization, and with it the tolerance on each row.  Each
+    round, `solve(held)` returns a placement (None stops the loop), which
+    is tested against all of P (`_violators`; `support` holds h_A(u_i))
+    unless `held` is all of P; the rows it leaves that are not held are
+    added, and the loop ends when none is.  It grows `held` every round, so
+    it ends within n rounds.  Returns the placement, `held` and the rows
+    tested.
     """
     n = len(P)
     held = np.zeros(n + 1, dtype=bool)
     held[start] = True
     held[[int(np.argmax(np.abs(P.offsets))), n]] = True
-    support = inst.rows[:n, -1]
     tested = 0
     while True:
-        placed, complete = _lex_min_translation(inst.rows[held], inst.bounds[held],
-                                                placement, seed)
-        if not complete:
-            return None, tested
+        placed = solve(held)
+        if placed is None or held.all():
+            return placed, held, tested
         bad = _violators(placed, support, P)
         tested += n
         bad = bad[~held[bad]]
         if bad.size == 0:
-            return placed, tested
+            return placed, held, tested
         held[bad] = True
 
 
+def _lex_closure(inst, placement, P, seed, start):
+    """`_lex_min_translation` in `_lp_type_loop` from the rows `start` of `inst`,
+    `build_beta_instance` over P.  Returns the placement, or None once a
+    stage is not optimal (the rows held leave the translation free), and
+    the rows tested."""
+    def solve(held):
+        placed, complete = _lex_min_translation(inst.rows[held], inst.bounds[held],
+                                                placement, seed)
+        return placed if complete else None
+
+    placed, _, tested = _lp_type_loop(P, inst.rows[:-1, -1], start, solve)
+    return placed, tested
+
+
 def beta_fixed_rotation(K: VPolytope, rotation: Rotation, P: HPolytope,
-                        seed=0, canonical=True) -> BetaResult:
+                        seed=0, canonical=True, rows=None) -> BetaResult:
     """Largest alpha >= 0 with a + alpha * A * K inside P, at rotation A.
 
     Solves the len(P) + 1 row LP of `build_beta_instance`; `tight_rows` are
     the half-spaces of P among its pinning rows (the sign row is not one).
     An empty container reports status "infeasible" with value 0; a
-    container that lets the copy grow forever reports "unbounded".  With
-    `canonical` the witness goes through `canonical_placement` over all of
-    P, so repeated runs (any seed) agree on the placement, not just the
-    value, up to seidel_lp's row tolerance.
+    container that lets the copy grow forever reports "unbounded".  Given
+    `rows`, start indices into P, the LP runs in `_lp_type_loop`, reported
+    by `held`, `tested` and `solves`.  An unbounded solve is tested at its
+    witness on the implicit box, so the rows that cut that ray are added;
+    if none is, P is unbounded there too.  An infeasible one means P is
+    empty.  With `canonical` the witness goes through
+    `canonical_placement` from the rows held, so repeated runs (any seed)
+    agree on the placement, not just the value, up to seidel_lp's row
+    tolerance.
     """
-    inst = build_beta_instance(K, rotation, P)
-    res = seidel_lp(inst, seed=seed)
+    n, d = len(P), K.dim
+    if rows is None:
+        res, ids = seidel_lp(build_beta_instance(K, rotation, P), seed=seed), range(n + 1)
+        held, tested, solves = None, 0, 1
+    else:
+        solved = []
+
+        def solve(mask):
+            sub = build_beta_instance(K, rotation, P.take(np.flatnonzero(mask[:n])))
+            solved.append(seidel_lp(sub, seed=seed))
+            x = solved[-1].witness
+            return None if x is None else Placement(x[:d], max(float(x[d]), 0.0), rotation)
+
+        support = support_values(K, rotation, P.normals)
+        _, mask, tested = _lp_type_loop(P, support, rows, solve)
+        held = np.flatnonzero(mask[:n])
+        res, ids, solves = solved[-1], np.append(held, n), len(solved)
     if res.status == INFEASIBLE:
-        return BetaResult(0.0, None, INFEASIBLE, ())
+        return BetaResult(0.0, None, INFEASIBLE, (), held, tested, solves)
     if res.status == UNBOUNDED:
-        return BetaResult(math.inf, None, UNBOUNDED, ())
+        return BetaResult(math.inf, None, UNBOUNDED, (), held, tested, solves)
     value = max(res.value, 0.0)
-    placement = Placement(res.witness[:K.dim], value, rotation)
+    placement = Placement(res.witness[:d], value, rotation)
     if canonical:
-        placement = canonical_placement(K, placement, P, seed)[0]
-    n = len(P)
-    tight = tuple(sorted(int(r) for r in res.tight_set if r < n))
-    return BetaResult(value, placement, OPTIMAL, tight)
+        placement = canonical_placement(K, placement, P, seed, held)[0]
+    tight = tuple(sorted(int(ids[r]) for r in res.tight_set if ids[r] < n))
+    return BetaResult(value, placement, OPTIMAL, tight, held, tested, solves)
 
 
 def canonical_placement(K: VPolytope, placement: Placement, P: HPolytope,
@@ -789,19 +835,18 @@ def canonical_placement(K: VPolytope, placement: Placement, P: HPolytope,
     violation tests read.
 
     With `rows` None the lexicographic LPs run once over all of P.  Given
-    `rows`, a start set of indices into P, they run as an LP-type loop in
-    the manner of Matousek, Sharir and Welzl (`_lex_closure`): solve on the
-    rows held, add the rows of P that the result leaves, repeat; where
-    those rows leave the translation free, all of P is used instead.
-    Either way the result is then derived once more, with the fixed seed
-    CANON_SEED, from the rows within 4 * FEAS_TOL * `_offset_scale` of
-    tight there (`_near_tight`), closed by the same loop.  Which of several nearly tight
-    rows pins the result within seidel_lp's row tolerance depends on the
-    order in which they are scanned; deriving it from the same few rows
-    with the same seed makes it depend on neither `seed` nor `rows`, except
-    where the near-tight rows differ or a stage on them is not optimal
-    (then the first result is kept).  Only a start set's rows tested count: after
-    LPs over all of P, the closing test is part of that one step.
+    `rows`, a start set of indices into P, they run in the loop of the
+    scale solve (`_lex_closure`); where the rows held leave the
+    translation free, all of P is used instead.  Either way the result is
+    then derived once more, with the fixed seed CANON_SEED, from the rows
+    within 4 * FEAS_TOL * `_offset_scale` of tight there (`_near_tight`),
+    closed by the same loop.  Which of several nearly tight rows pins the
+    result within seidel_lp's row tolerance depends on the order in which
+    they are scanned; deriving it from the same few rows with the same seed
+    makes it depend on neither `seed` nor `rows`, except where the
+    near-tight rows differ or a stage on them is not optimal (then the
+    first result is kept).  Only a start set's rows tested count: after LPs
+    over all of P, the closing test is part of that one step.
     """
     inst = build_beta_instance(K, placement.rotation, P)
     placed, tested = None, 0

@@ -1,39 +1,23 @@
 """Largest rotated copy over a whole rotation net, three interchangeable ways.
 
-`beta_direct` sweeps the net rotations, `beta_msw` reaches the same value
-with an expected-linear number of constraint touches by sampling half-spaces
-(Clarkson-style), and `beta_brute` minimizes over all small subfamilies,
-which the other two must match.  Every method reports the witnessing
-placement, a small basis of half-space indices that already pins the value,
-and counters suitable for scaling measurements.
+`beta_direct` and `beta_msw` share one sweep of the net (`_fit`, `_sweep`):
+best first, one LP per class of rotations whose copies of K are
+translates of one another (`_class_map`), skipping the classes that a
+solved rotation's dual rules out.  `beta_direct` solves each LP over all
+of P.  `beta_msw` solves it as an LP-type loop from a random sample of
+ceil((d + 1) sqrt(n)) half-spaces, grown by violation tests until no
+half-space objects (Clarkson; Matousek, Sharir and Welzl), so it touches
+each half-space O(1) times expected and reads all of P only in vectorized
+products.  `beta_brute` minimizes over all small subfamilies, which the
+other two must match.  Every method reports the witnessing placement, a
+small basis of half-space indices that already pins the value, and
+counters suitable for scaling measurements.
 
 All of them end in one tail, `_finish`: it keeps the winning rotation's
-solve and only canonicalizes its placement (`lp.canonical_placement`).  For
-`beta_msw` that solve is a sample's, certified by the violation test that
-found no half-space it leaves, and the canonical step starts from the final
-sample and grows it by violation tests as well, so `beta_msw` reads all of
-the container only in vectorized products (the violation tests and the
-support values they compare), never in an LP.
-
-All of them sweep the net the same way (`_sweep`): best first, solving a
-rotation's LP only while no solved rotation's dual rules it out.  The dual
-of each solved LP (`lp.scale_dual`) bounds the scale at every rotation by
-weak duality, and the sweep stops once every unsolved bound lies below the
-best value by more than the tie slack, so the winner and every rotation
-tied with it are still solved with their own seeds.  Rotations whose
-copies of K are translates of one another (`_class_map`: the four net
-rotations of a square give one shape) have the same exact value, so the
-sweep solves each such class once, at its lowest index.  The values
-seidel_lp computes for one class can differ by its row tolerance, so the
-result matches a sweep of every rotation up to that tolerance, with the
-class's lowest index as the winner where a sweep of every rotation might
-keep another member's slightly larger reading.
-
-`_finish` makes the basis from duals too.  The at most d + 1 half-spaces
-on which a solve's checked dual is positive (`_certified`) bound the
-scale at its rotation to the value solved, and pruned rotations stay
-below the best by a solved dual, so the union over the solved classes
-pins beta with at most (number of classes) * (d + 1) half-spaces.
+solve, only canonicalizes its placement (`lp.canonical_placement`, from
+the rows the winner's loop held), and builds the basis from the supports
+of the solved rotations' checked duals, at most (number of classes) *
+(d + 1) half-spaces.
 """
 
 import logging
@@ -55,13 +39,11 @@ from .geometry import (
 from .lp import (
     OPTIMAL,
     LpInstance,
-    _violators,
     beta_fixed_rotation,
     canonical_placement,
     near_tight_dual,
     scale_dual,
     seidel_lp,
-    support_values,
 )
 from .nets import RotationNet, cached_net_2d
 
@@ -77,7 +59,11 @@ log = logging.getLogger(__name__)
 
 @dataclass
 class SolveStats:
-    """Work counters; values depend on the seed, unlike the fit itself."""
+    """Work counters; values depend on the seed, unlike the fit itself.
+
+    `fallback` stays in the JSON for readers of earlier output; no solver
+    sets it any more.
+    """
 
     lp_calls: int = 0
     violation_tests: int = 0
@@ -105,6 +91,7 @@ class FitResult:
     sliding (`_pin_translation`).  Its size never exceeds c * (d + 1) for
     a net whose rotations fall into c translation classes, which is at
     most len(net) * (d + 1).  `rotation_index` is the winning net element.
+    `stats.lp_calls` counts each round of a sampled loop as a solve.
     """
 
     beta: float
@@ -222,7 +209,7 @@ def _first_with_key(keys):
     return np.array([first.setdefault(row.tobytes(), i) for i, row in enumerate(keys)])
 
 
-def _sweep(K, net, P, seed):
+def _sweep(K, net, P, seed, sample=False):
     """The fit LPs of the rotation classes that the best value depends on.
 
     Returns one entry per rotation: `beta_fixed_rotation` with the seed
@@ -236,17 +223,26 @@ def _sweep(K, net, P, seed):
     below best - (TIE_TOL + PRUNE_SLACK) * max(1, |best|).  A rotation
     within TIE_TOL of the best has a bound at least its value, so its class
     is never pruned.  After a solve that is not optimal (unbounded or
-    empty) every remaining class is solved in index order.
+    empty) every remaining class is solved in index order.  With `sample`,
+    each class solve is an LP-type loop from ceil((d + 1) sqrt(n)) rows
+    drawn with a seed from `seed` and the class index, as the scale LP at
+    one rotation has combinatorial dimension d + 1.  Its dual lies on rows
+    of P and bounds P's scale, as a subfamily never allows less.
     """
-    t = len(net)
+    t, n = len(net), len(P)
     rep = _rotation_classes(K, net)
     results = [None] * t
     bounds = np.full(t, math.inf)   # -inf once its class is solved
+    size = math.ceil((K.dim + 1) * math.sqrt(n))
 
     def solve(i):
+        rows = None
+        if sample:
+            rng = np.random.default_rng([int(seed) % (2 ** 63), i, 1])
+            rows = rng.choice(n, size=size, replace=False)
         results[i] = beta_fixed_rotation(K, net.rotations[i], P,
                                          seed=_rotation_seed(seed, i),
-                                         canonical=False)
+                                         canonical=False, rows=rows)
         bounds[rep == i] = -math.inf
         return results[i]
 
@@ -271,8 +267,8 @@ def _sweep(K, net, P, seed):
     return results
 
 
-def _solved(results):
-    return sum(r is not None for r in results)
+def _lp_calls(results):
+    return sum(r.solves for r in results if r is not None)
 
 
 def _argmax_rotation(results):
@@ -363,19 +359,18 @@ def _subfamily_value(K, net, P, indices, seed):
     the copy; also reports how many LPs that took."""
     results = _sweep(K, net, P.take(list(indices)), seed)
     value = max([0.0] + [r.value for r in results if r is not None])
-    return value, _solved(results)
+    return value, _lp_calls(results)
 
 
-def _finish(K, net, P, results, seed, stats, method, subset=None):
+def _finish(K, net, P, results, seed, stats, method):
     """Shared tail of all methods: canonicalize the winning rotation's solve.
 
-    `results` are `_sweep`'s solves, None where pruned or stood for by
-    their class, over P itself or, for `beta_msw`, over the sample
-    P.take(subset) whose winning placement leaves no half-space of P.  The
-    winner's value is kept as solved; `canonical_placement`, with the seed
-    `_sweep` gave that rotation (counted as one LP call, plus the rows its
-    violation tests read), only replaces its translation.  It starts from
-    `subset`, or from all of P for a sweep over P, where the placement is
+    `results` are `_sweep`'s solves over P, None where pruned or stood for
+    by their class.  The winner's value is kept as solved;
+    `canonical_placement`, with the seed `_sweep` gave that rotation
+    (counted as one LP call, plus the rows its violation tests read), only
+    replaces its translation.  It starts from the rows the winner's loop
+    held, or from all of P for a solve over P, where the placement is
     bit-equal to `beta_fixed_rotation(..., canonical=True)` at that
     rotation and seed.  The basis, as indices into P, is the union over the
     solved rotations of the rows that pin their values (`_certified`, at
@@ -384,143 +379,79 @@ def _finish(K, net, P, results, seed, stats, method, subset=None):
     solved rotation's chain.  `_pin_translation` completes it within
     `_class_count` * (d + 1) rows.
     """
-    lift = sorted if subset is None else \
-        (lambda rows: sorted(int(subset[j]) for j in rows))
     i_star, best = _argmax_rotation(results)
     if math.isinf(best):
         stats.note = "container does not bound the copy"
-        return FitResult(math.inf, None, lift(_union_basis(results)), method,
-                         stats, i_star)
+        return FitResult(math.inf, None, _union_basis(results), method, stats, i_star)
     win = results[i_star]
     if win.status != OPTIMAL:
         stats.note = "container is empty"
         return FitResult(0.0, None, [], method, stats, i_star)
     placement, tested = canonical_placement(K, win.placement, P,
-                                            _rotation_seed(seed, i_star), subset)
+                                            _rotation_seed(seed, i_star), win.held)
     stats.lp_calls += 1
     stats.violation_tests += tested
-    solved_over = P if subset is None else P.take(subset)
     rows = set()
     for i, r in enumerate(results):
         if r is not None:
-            rows.update(_certified(K, net.rotations[i], solved_over, r) if r.ok
-                        else r.tight_rows)
-    basis = _pin_translation(P, lift(rows), _class_count(K, net) * (K.dim + 1))
+            rows.update(_certified(K, net.rotations[i], P, r) if r.ok else r.tight_rows)
+    basis = _pin_translation(P, sorted(rows), _class_count(K, net) * (K.dim + 1))
     return FitResult(win.value, placement, basis, method, stats, i_star)
+
+
+def _fit(K, net, P, seed, method):
+    """`beta_direct` and `beta_msw`: one `_sweep`, then `_finish`.
+
+    The sweep samples only for "msw" and only where ceil(delta * sqrt(n))
+    < n, i.e. n > delta^2 + 1, with delta = c * (d + 1) for c rotation
+    classes (`_class_count`): below that, sampled loops cost more than
+    one solve over P.
+    """
+    if K.dim != P.dim or net.dim != K.dim:
+        raise ValueError("body, net and container disagree on dimension")
+    start = time.perf_counter()
+    stats = SolveStats()
+    n = len(P)
+    delta = _class_count(K, net) * (K.dim + 1)
+    sample = method == "msw" and math.ceil(delta * math.sqrt(n)) < n
+    results = _sweep(K, net, P, seed, sample)
+    stats.lp_calls += _lp_calls(results)
+    stats.violation_tests += sum(r.tested for r in results if r is not None)
+    out = _finish(K, net, P, results, seed, stats, method)
+    stats.wall_time_s = time.perf_counter() - start
+    return out
 
 
 def beta_direct(K: VPolytope, net: RotationNet, P: HPolytope, seed=0) -> FitResult:
     """Best scale of a translated, net-rotated copy of K inside P.
 
-    Solves one LP per class of net rotations that no solved rotation's
-    dual rules out (`_sweep`), best first, and keeps the winner; ties go
-    to the lowest rotation index and, within an LP, to the
+    Solves one LP over all of P per class of net rotations that no solved
+    rotation's dual rules out (`_sweep`), best first, and keeps the winner;
+    ties go to the lowest rotation index and, within an LP, to the
     lexicographically smallest translation, so results are reproducible
     across seeds.  They match a sweep of every rotation up to seidel_lp's
     row tolerance: within a class only the lowest index is solved, and it
     wins where another member's reading would be larger by that tolerance.
     """
-    if K.dim != P.dim or net.dim != K.dim:
-        raise ValueError("body, net and container disagree on dimension")
-    start = time.perf_counter()
-    stats = SolveStats()
-    results = _sweep(K, net, P, seed)
-    stats.lp_calls += _solved(results)
-    out = _finish(K, net, P, results, seed, stats, "direct")
-    stats.wall_time_s = time.perf_counter() - start
-    return out
+    return _fit(K, net, P, seed, "direct")
 
 
 def beta_msw(K: VPolytope, net: RotationNet, P: HPolytope, seed=0) -> FitResult:
     """Same fit as beta_direct, touching each half-space O(1) times expected.
 
-    Iteratively solves on a random sample of half-spaces plus everything
-    that ever violated a trial placement.  The sizes follow delta =
-    c * (d + 1) for a net of c rotation classes (`_class_count`), the
-    combinatorial dimension that bounds `_finish`'s basis: a round is kept
-    only when it produces few violators, so at most delta rounds can be
-    kept before no half-space objects.  The violation test of that last
-    round is the certificate (Clarkson): a sample optimum that no half-space
-    of P violates is optimal for P, so its sweep goes to `_finish` as it
-    stands, and the canonical placement starts from the final sample
-    (`canonical_placement`), so all of P is read only by violation tests
-    and the support values they compare.  β, the rotation and the
-    placement are `beta_direct`'s up to the LP tolerance, not bit for bit.
-    A family that the first sample, ceil(delta * sqrt(n)) half-spaces,
-    would take whole (any n <= delta^2) goes straight to `beta_direct`,
-    and the result is `beta_direct`'s, with `violation_tests` 0.  When
-    sampling cannot finish (samples that stay unbounded, or the round
-    cap), it sweeps the full family with `beta_direct`, sets
-    `stats.fallback` and names the cause in `stats.note`.
+    The same sweep as `beta_direct`, but each class it cannot prune is
+    solved by an LP-type loop from a random sample of ceil((d + 1) sqrt(n))
+    half-spaces (`lp.beta_fixed_rotation` with start rows): solve on the
+    rows held, add the rows of P the result leaves, and stop when none is
+    left.  That last violation test is the certificate: an optimum on rows
+    of P that no row of P violates is optimal for P.  The canonical step
+    starts from the winner's rows held, so all of P is read only by
+    violation tests, and `violation_tests` counts every row they read.  β,
+    the rotation and the placement are `beta_direct`'s up to the LP
+    tolerance, not bit for bit; where `_fit` does not sample, they are
+    `beta_direct`'s, with `violation_tests` 0.
     """
-    if K.dim != P.dim or net.dim != K.dim:
-        raise ValueError("body, net and container disagree on dimension")
-    start = time.perf_counter()
-    n = len(P)
-    delta = _class_count(K, net) * (K.dim + 1)
-    sample_size = min(n, int(math.ceil(delta * math.sqrt(n))))
-    if sample_size >= n:
-        # the first sample would be all of P (n <= delta^2): sweep it once
-        inner = beta_direct(K, net, P, seed=seed)
-        inner.method = "msw"
-        inner.stats.wall_time_s = time.perf_counter() - start
-        return inner
-
-    stats = SolveStats()
-    rng = np.random.default_rng(np.random.SeedSequence([int(seed) % (2 ** 63), 1]))
-    keep = np.zeros(n, dtype=bool)
-    accept_bound = 2.0 * math.sqrt(n)
-    round_cap = 8 * (delta + 2)
-    escalations = 0
-    supports = {}   # net index -> h_AK(u_i) over all of P, built on first use
-
-    for _ in range(round_cap):
-        rest = np.nonzero(~keep)[0]
-        extra = min(sample_size, rest.size)
-        picked = rng.choice(rest, size=extra, replace=False) if extra else rest[:0]
-        subset = np.sort(np.concatenate([np.nonzero(keep)[0], picked]))
-        results = _sweep(K, net, P.take(subset), seed)
-        stats.lp_calls += _solved(results)
-        i_star, best = _argmax_rotation(results)
-        if math.isinf(best):
-            # the sample leaves the copy unbounded: widen and retry
-            escalations += 1
-            if escalations > 3 or sample_size >= n:
-                reason = f"samples left the copy unbounded after {escalations} widenings"
-                break
-            wider = min(n, sample_size * 2)
-            log.info("msw: a sample of %d half-spaces left the copy unbounded;"
-                     " widening it to %d", sample_size, wider)
-            sample_size = wider
-            continue
-        win = results[i_star]
-        bad = np.empty(0, dtype=int)
-        if win.status == OPTIMAL:
-            if i_star not in supports:
-                supports[i_star] = support_values(K, net.rotations[i_star], P.normals)
-            bad = _violators(win.placement, supports[i_star], P)
-            stats.violation_tests += n
-        if bad.size == 0:
-            # no half-space of P objects, so the sample's optimum is P's
-            # (an empty sample means P is empty): `_finish` keeps it
-            out = _finish(K, net, P, results, seed, stats, "msw", subset)
-            stats.wall_time_s = time.perf_counter() - start
-            return out
-        if bad.size <= accept_bound:
-            keep[bad] = True
-    else:
-        # round budget exhausted (adversarial or degenerate input)
-        reason = f"sampling rounds exhausted after {round_cap} rounds"
-
-    log.warning("msw: %s, sweeping the full family of %d half-spaces", reason, n)
-    inner = beta_direct(K, net, P, seed=seed)
-    stats.lp_calls += inner.stats.lp_calls
-    stats.fallback = True
-    stats.note = "; ".join(filter(None, [f"{reason}, swept the full family",
-                                         inner.stats.note]))
-    stats.wall_time_s = time.perf_counter() - start
-    return FitResult(inner.beta, inner.placement, inner.basis, "msw", stats,
-                     inner.rotation_index)
+    return _fit(K, net, P, seed, "msw")
 
 
 def beta_brute(K: VPolytope, net: RotationNet, P: HPolytope) -> FitResult:
@@ -551,7 +482,7 @@ def beta_brute(K: VPolytope, net: RotationNet, P: HPolytope) -> FitResult:
     # the minimizing subset pins the value; placement and basis still come
     # from the whole family so the reported copy respects every half-space
     results = _sweep(K, net, P, 0)
-    stats.lp_calls += _solved(results)
+    stats.lp_calls += _lp_calls(results)
     out = _finish(K, net, P, results, 0, stats, "brute")
     out.beta = best
     stats.wall_time_s = time.perf_counter() - start

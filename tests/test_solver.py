@@ -18,6 +18,7 @@ from hellyfit.geometry import (
     unit_square,
 )
 from hellyfit import lp, solver
+from hellyfit.cli import _bench_instance
 from hellyfit.lp import FEAS_TOL, beta_fixed_rotation, scale_dual
 from hellyfit.nets import (
     SUFFICIENT_BOUND,
@@ -126,6 +127,21 @@ def test_direct_placement_is_the_canonical_fit_at_the_winning_rotation():
         assert r.placement.scale == ref.placement.scale
         assert np.array_equal(r.placement.translation, ref.placement.translation)
         assert r.placement.rotation is net.rotations[i]
+
+
+def test_direct_does_not_call_a_container_holding_the_disk_empty():
+    # 4 000 lines tangent to the unit circle: after an elimination, a
+    # reduced row with a small coefficient set the lower bound 1.1e-5 above
+    # the upper one while the upper bound's point violated it by 5.7e-10,
+    # and the one-variable rule answered "infeasible", so beta was 0
+    K = VPolytope(np.array([[0.5, 0.5], [-0.5, 0.5], [-0.5, -0.5], [0.5, -0.5]]))
+    net = build_net_2d(K, EPS_SQUARE)
+    ang = np.random.default_rng(np.random.SeedSequence([9301, 1, 9])).uniform(
+        0.0, 2.0 * math.pi, 4000)
+    P = HPolytope(np.stack([np.cos(ang), np.sin(ang)], axis=1), np.ones(4000))
+    r = beta_direct(K, net, P, seed=2834111952)
+    assert r.stats.note == ""
+    assert abs(r.beta - 1.4142138455) <= 1e-9
 
 
 def test_argmax_stable_under_offset_rescaling():
@@ -491,15 +507,17 @@ def test_msw_seed_changes_work_not_value():
 
 
 def test_msw_unbounded_family_falls_back_flagged():
-    # all normals point the same way, so no sample ever bounds the copy
+    # all normals point the same way, so no sample bounds the copy: the
+    # loop tests the sample's witness on the implicit box, adds the rows
+    # that cut its ray, and reads P as unbounded once none is left
     rng = np.random.default_rng(8)
     ang = rng.uniform(-0.3, 0.3, 40)
     P = HPolytope(np.stack([np.cos(ang), np.sin(ang)], axis=1), np.ones(40))
     r = beta_msw(unit_square(), spin_net([0.0]), P, seed=0)
     assert math.isinf(r.beta)
-    assert r.stats.fallback
-    assert r.stats.note != ""
-    assert "unbounded" in r.stats.note
+    assert not r.stats.fallback
+    assert r.stats.note == "container does not bound the copy"
+    assert r.stats.lp_calls <= 3
 
 
 def test_msw_canonical_placement_stays_inside_container():
@@ -531,7 +549,7 @@ def test_msw_canonical_step_reads_the_family_only_in_violation_tests(monkeypatch
     seed = int(np.random.SeedSequence([101, 2, 25]).generate_state(1)[0])
     rows, tests, inside = [], [], [False]
     plain_lp, plain_canon = lp.seidel_lp, solver.canonical_placement
-    plain_rounds, plain_loop = solver._violators, lp._violators
+    plain_loop = lp._violators
 
     def counting_lp(inst, seed=0):
         if inside[0]:
@@ -545,16 +563,13 @@ def test_msw_canonical_step_reads_the_family_only_in_violation_tests(monkeypatch
         finally:
             inside[0] = False
 
-    def counting(plain):
-        def violators(placement, support, P_):
-            tests.append(len(P_))
-            return plain(placement, support, P_)
-        return violators
+    def counting(placement, support, P_):
+        tests.append(len(P_))
+        return plain_loop(placement, support, P_)
 
     monkeypatch.setattr(lp, "seidel_lp", counting_lp)
     monkeypatch.setattr(solver, "canonical_placement", canonical)
-    monkeypatch.setattr(solver, "_violators", counting(plain_rounds))
-    monkeypatch.setattr(lp, "_violators", counting(plain_loop))
+    monkeypatch.setattr(lp, "_violators", counting)
     r = beta_msw(K, net, P, seed=seed)
     assert not r.stats.fallback
     assert 0 < sum(rows) < n / 4
@@ -575,7 +590,7 @@ def test_msw_samples_by_rotation_classes(monkeypatch):
     plain = solver.beta_fixed_rotation
 
     def recording(K_, rotation, P_, *args, **kwargs):
-        sizes.append(len(P_))
+        sizes.append(len(kwargs["rows"]))
         return plain(K_, rotation, P_, *args, **kwargs)
 
     monkeypatch.setattr(solver, "beta_fixed_rotation", recording)
@@ -587,36 +602,52 @@ def test_msw_samples_by_rotation_classes(monkeypatch):
 
 
 def test_msw_round_cap_falls_back_flagged(monkeypatch):
-    # a violation test that reports every row keeps no round, so sampling
-    # runs out of rounds and beta_msw sweeps the full family instead
-    monkeypatch.setattr(solver, "_violators",
+    # a violation test that reports every row makes the loop hold all of
+    # P, and its solve is then beta_direct's, bit for bit
+    monkeypatch.setattr(lp, "_violators",
                         lambda placement, support, P: np.arange(len(P)))
     K, net, P = unit_square(), uniform_net(2), tangent_family(100, 3)
     r = beta_msw(K, net, P, seed=0)
-    assert r.stats.fallback
-    assert "exhausted" in r.stats.note
+    assert not r.stats.fallback
     assert r.beta == beta_direct(K, net, P, seed=0).beta
 
 
-def test_fallbacks_escalations_and_refusals_are_logged(caplog, monkeypatch):
+def test_msw_on_a_net_of_many_classes_solves_fewer_rows_than_direct(monkeypatch):
+    # the square's eps = 0.1 net has 27 rotation classes, so delta = 81 and
+    # msw samples (n > delta^2 + 1); each class loop starts from
+    # ceil(3 sqrt(n)) = 425 of the 20 000 rows
+    K = VPolytope(np.array([[0.5, 0.5], [-0.5, 0.5], [-0.5, -0.5], [0.5, -0.5]]))
+    net = build_net_2d(K, 0.1)
+    assert solver._class_count(K, net) == 27
+    P = _bench_instance(20000, 0)
+    rows = [0]
+    plain = lp.seidel_lp
+
+    def counting(inst, seed=0):
+        rows[0] += inst.rows.shape[0]
+        return plain(inst, seed)
+
+    monkeypatch.setattr(lp, "seidel_lp", counting)
+    a = beta_direct(K, net, P, seed=0)
+    direct_rows, rows[0] = rows[0], 0
+    b = beta_msw(K, net, P, seed=0)
+    assert b.rotation_index == a.rotation_index
+    assert abs(b.beta - a.beta) <= 1e-9 * a.beta
+    assert 0 < rows[0] < direct_rows
+
+
+def test_fallbacks_escalations_and_refusals_are_logged(caplog):
     caplog.set_level(logging.INFO, logger="hellyfit")
     K, net = unit_square(), uniform_net(2)
     # 1997 lids y <= b and three walls: a sample that misses a wall leaves
-    # the copy free to slide, so beta_msw widens it
+    # the copy free to slide, and the loop adds the rows that stop it
+    # without a word
     n = 2000
     U = np.vstack([np.tile([0.0, 1.0], (n - 3, 1)),
                    [[1.0, 0.0], [-1.0, 0.0], [0.0, -1.0]]])
     P = HPolytope(U, np.concatenate([np.linspace(2.0, 3.0, n - 3), [2.0, 2.0, 2.0]]))
-    beta_msw(K, net, P, seed=0)
-    widened = [r for r in caplog.records if "widening" in r.getMessage()]
-    assert widened and all(r.levelno == logging.INFO for r in widened)
-    caplog.clear()
-    monkeypatch.setattr(solver, "_violators",
-                        lambda placement, support, P: np.arange(len(P)))
-    beta_msw(K, net, tangent_family(100, 3), seed=0)
-    [fell] = caplog.records
-    assert fell.levelno == logging.WARNING and "exhausted" in fell.getMessage()
-    caplog.clear()
+    assert beta_msw(K, net, P, seed=0).beta == beta_direct(K, net, P, seed=0).beta
+    assert not caplog.records
     with pytest.raises(ValueError, match="limit"):
         beta_brute(regular_polygon(3, 1.0), uniform_net(4), tangent_family(200, 0))
     cube = VPolytope(np.array([[x, y, z] for x in (0, 1) for y in (0, 1)
@@ -656,8 +687,9 @@ def test_msw_certifies_by_violation_test(seed):
     whole = []
 
     def counting(K_, rotation, P_, *args, **kwargs):
-        whole.append(P_ is P)
-        return plain(K_, rotation, P_, *args, **kwargs)
+        out = plain(K_, rotation, P_, *args, **kwargs)
+        whole.append(out.held is None or len(out.held) == len(P_))
+        return out
 
     with pytest.MonkeyPatch.context() as m:
         m.setattr(solver, "beta_fixed_rotation", counting)
@@ -675,6 +707,27 @@ def test_msw_certifies_by_violation_test(seed):
     pts = r.placement.apply_points(K.vertices)
     slack = 2.0 * FEAS_TOL * max(1.0, float(np.max(np.abs(P.offsets))))
     assert np.all(P.normals @ pts.T <= (P.offsets + slack)[:, None])
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(min_value=0, max_value=2**31 - 1))
+def test_msw_class_loops_end_within_d_plus_2_tests(seed):
+    # the scale LP at one rotation has combinatorial dimension d + 1, so a
+    # class loop adds rows in at most d + 1 rounds (Clarkson) and tests all
+    # of P at most d + 2 times
+    K, net, P, s = sampling_instance(seed)
+    plain = solver.beta_fixed_rotation
+    tested = []
+
+    def recording(*args, **kwargs):
+        out = plain(*args, **kwargs)
+        tested.append(out.tested)
+        return out
+
+    with pytest.MonkeyPatch.context() as m:
+        m.setattr(solver, "beta_fixed_rotation", recording)
+        beta_msw(K, net, P, seed=s)
+    assert tested and max(tested) <= (K.dim + 2) * len(P)
 
 
 # ---------------------------------------------------------------------------
