@@ -141,40 +141,41 @@ def _excess(A, b, b_tols, x):
     return A @ x - b - (b_tols + EVAL_GUARD * (np.abs(A) @ np.abs(x)))
 
 
-def _one_var(rows, cred):
+def _one_var(rows, cred, arrays=None):
     """Maximize cred * x over [-BOX, BOX] and the rows a * x <= bb.
 
-    `rows` yields (a, bb, id) as Python numbers in scan order, the box rows
-    of an eliminated variable last with id -1.  This is the one place the
-    one-variable rule lives: a row with |a| <= PIVOT_TOL is flat and fails
-    the program when bb < 0 beyond the tolerance; otherwise bb / a bounds x,
-    and a bound replaces the box or an earlier bound only when strictly
-    tighter, so the first row in scan order wins a tie and box rows lose
-    one.  Bounds that cross by more than the tolerance fail the program
-    only where each of the two rows (the box's are x <= BOX, -x <= BOX) is
-    violated at the other's bound beyond its own tolerance, since a row of
-    small |a| moves its bound far more than it is violated; otherwise both
-    become the bound the other row admits, hi first.  Returns x and its
-    chain: the id of the row that pins it, unless that is a box row or
-    cred is 0.
+    `rows` is a list of (a, bb, id) in Python numbers in scan order, the
+    box rows of an eliminated variable last with id -1; where `_extremes`
+    picked them from arrays, `arrays` is that pair (a, bb).  This is the
+    one place the one-variable rule lives: a row with |a| <= PIVOT_TOL is
+    flat and fails the program when bb < 0 beyond the tolerance; otherwise
+    bb / a bounds x, and a bound replaces the box or an earlier bound only
+    when strictly tighter, so the first row in scan order wins a tie and
+    box rows lose one.  Bounds that cross by more than the tolerance fail
+    the program only where neither bound meets the box and every row, of
+    `rows` and `arrays`, within the row's own tolerance (`_admits`), since
+    a row of small |a| moves its bound far more than it is violated;
+    otherwise both become the first of hi and lo that does, with its row.
+    Returns x and its chain: the id of the row that pins it, unless that is
+    a box row or cred is 0.
     """
-    hi, hi_id, hi_a, hi_b = BOX_BOUND, -1, 1.0, BOX_BOUND
-    lo, lo_id, lo_a, lo_b = -BOX_BOUND, -1, -1.0, BOX_BOUND
+    hi, hi_id = BOX_BOUND, -1
+    lo, lo_id = -BOX_BOUND, -1
     for a, bb, i in rows:
         if a > PIVOT_TOL:
             r = bb / a
             if r < hi:
-                hi, hi_id, hi_a, hi_b = r, i, a, bb
+                hi, hi_id = r, i
         elif a < -PIVOT_TOL:
             r = bb / a
             if r > lo:
-                lo, lo_id, lo_a, lo_b = r, i, a, bb
+                lo, lo_id = r, i
         elif bb < -FEAS_TOL * max(1.0, abs(bb)):
             raise _Infeasible
     if lo > hi + FEAS_TOL * max(1.0, abs(lo), abs(hi)):
-        if lo_a * hi - lo_b <= FEAS_TOL * max(1.0, abs(lo_b)):
+        if _admits(rows, arrays, hi):
             lo, lo_id = hi, hi_id
-        elif hi_a * lo - hi_b <= FEAS_TOL * max(1.0, abs(hi_b)):
+        elif _admits(rows, arrays, lo):
             hi, hi_id = lo, lo_id
         else:
             raise _Infeasible
@@ -185,6 +186,22 @@ def _one_var(rows, cred):
     if cred < 0:
         return lo, ([lo_id] if lo_id >= 0 else [])
     return min(max(0.0, lo), hi), []
+
+
+def _admits(rows, arrays, x):
+    """Does x meet |x| <= BOX and every row of `_one_var` within its tolerance?
+
+    Row a * x <= bb holds where a * x - bb <= FEAS_TOL * max(1, |bb|), the
+    box rows (+-1, BOX_BOUND) alike.
+    """
+    if abs(x) - BOX_BOUND > FEAS_TOL * BOX_BOUND:
+        return False
+    if any(a * x - bb > FEAS_TOL * max(1.0, abs(bb)) for a, bb, _ in rows):
+        return False
+    if arrays is None:
+        return True
+    a, bb = arrays
+    return not np.any(a * x - bb > FEAS_TOL * np.maximum(1.0, np.abs(bb)))
 
 
 def _extremes(a, bb, ids):
@@ -210,7 +227,8 @@ def _extremes(a, bb, ids):
 
 def _base_1d(A, b, ids, c):
     """Solve the one-variable program over [-BOX, BOX]."""
-    x, chain = _one_var(_extremes(A[:, 0], b, ids), float(c[0]))
+    a = A[:, 0]
+    x, chain = _one_var(_extremes(a, b, ids), float(c[0]), (a, b))
     return np.array([x]), chain
 
 
@@ -237,12 +255,14 @@ def _step_2d(row, rb, prefix, cv):
     if isinstance(prefix, tuple):
         Ap, bp, idp = prefix
         aj = Ap[:, j]
-        rows = _extremes(Ap[:, k] - aj * ck, bp - aj * rhs, idp)
+        arrays = Ap[:, k] - aj * ck, bp - aj * rhs
+        rows = _extremes(*arrays, idp)
     else:
+        arrays = None
         rows = [(r[k] - r[j] * ck, bi - r[j] * rhs, i) for r, bi, i in prefix]
     # the box rows of x_j, last so that they lose ties
     rows += [(-ck, BOX_BOUND - rhs, -1), (ck, BOX_BOUND + rhs, -1)]
-    xk, chain = _one_var(rows, cv[k] - cv[j] * ck)
+    xk, chain = _one_var(rows, cv[k] - cv[j] * ck, arrays)
     x = [0.0, 0.0]
     x[k] = xk
     # + 0.0 as in the one-term dot product ck @ x_k: a -0.0 product becomes 0.0
@@ -527,9 +547,9 @@ class BetaResult:
     placement: Placement | None
     status: str
     tight_rows: tuple   # indices of half-spaces of P that pin the optimum
-    held: np.ndarray | None = None   # rows of P held by a loop from start rows
-    tested: int = 0     # rows its violation tests read
-    solves: int = 1
+    held: np.ndarray     # rows of P the loop's last solve held
+    tested: int          # rows its violation tests read
+    solves: int
 
     @property
     def ok(self):
@@ -735,18 +755,19 @@ def _violators(placement, support, P):
     return np.nonzero(depth > P.offsets + tol)[0]
 
 
-def _lp_type_loop(P, support, start, solve):
+def _lp_type_loop(inst, P, start, solve):
     """The LP-type loop of Clarkson and of Matousek, Sharir and Welzl.
 
-    `held` masks the len(P) + 1 rows of `build_beta_instance`: `start`,
-    the sign row and P's row of largest |b_i|, so every solve keeps P's
-    offset normalization, and with it the tolerance on each row.  Each
-    round, `solve(held)` returns a placement (None stops the loop), which
-    is tested against all of P (`_violators`; `support` holds h_A(u_i))
-    unless `held` is all of P; the rows it leaves that are not held are
+    `held` masks the len(P) + 1 rows of `inst`, `build_beta_instance` over
+    P: the distinct indices `start`, the sign row and P's row of largest
+    |b_i|, so every solve keeps P's offset normalization, and with it the
+    tolerance on each row.  Each round, `solve(held)` returns a placement
+    and whether it stands; one that does not ends the loop, and so does a
+    solve that holds all of P.  Otherwise the placement is tested against
+    all of P (`_violators`), the rows it leaves that are not held are
     added, and the loop ends when none is.  It grows `held` every round, so
-    it ends within n rounds.  Returns the placement, `held` and the rows
-    tested.
+    it ends within n rounds.  Returns the last placement, whether it
+    stands, `held` and the rows tested.
     """
     n = len(P)
     held = np.zeros(n + 1, dtype=bool)
@@ -754,65 +775,61 @@ def _lp_type_loop(P, support, start, solve):
     held[[int(np.argmax(np.abs(P.offsets))), n]] = True
     tested = 0
     while True:
-        placed = solve(held)
-        if placed is None or held.all():
-            return placed, held, tested
-        bad = _violators(placed, support, P)
+        placed, stands = solve(held)
+        if not stands or held.all():
+            return placed, stands, held, tested
+        bad = _violators(placed, inst.rows[:n, -1], P)
         tested += n
         bad = bad[~held[bad]]
         if bad.size == 0:
-            return placed, held, tested
+            return placed, stands, held, tested
         held[bad] = True
 
 
 def _lex_closure(inst, placement, P, seed, start):
-    """`_lex_min_translation` in `_lp_type_loop` from the rows `start` of `inst`,
-    `build_beta_instance` over P.  Returns the placement, or None once a
-    stage is not optimal (the rows held leave the translation free), and
-    the rows tested."""
-    def solve(held):
-        placed, complete = _lex_min_translation(inst.rows[held], inst.bounds[held],
-                                                placement, seed)
-        return placed if complete else None
+    """`_lp_type_loop` of `_lex_min_translation` from the rows `start` of `inst`.
 
-    placed, _, tested = _lp_type_loop(P, inst.rows[:-1, -1], start, solve)
-    return placed, tested
+    A placement stands where every stage of its solve was optimal.
+    """
+    return _lp_type_loop(inst, P, start, lambda held: _lex_min_translation(
+        inst.rows[held], inst.bounds[held], placement, seed))
 
 
 def beta_fixed_rotation(K: VPolytope, rotation: Rotation, P: HPolytope,
                         seed=0, canonical=True, rows=None) -> BetaResult:
     """Largest alpha >= 0 with a + alpha * A * K inside P, at rotation A.
 
-    Solves the len(P) + 1 row LP of `build_beta_instance`; `tight_rows` are
-    the half-spaces of P among its pinning rows (the sign row is not one).
-    An empty container reports status "infeasible" with value 0; a
-    container that lets the copy grow forever reports "unbounded".  Given
-    `rows`, start indices into P, the LP runs in `_lp_type_loop`, reported
-    by `held`, `tested` and `solves`.  An unbounded solve is tested at its
-    witness on the implicit box, so the rows that cut that ray are added;
-    if none is, P is unbounded there too.  An infeasible one means P is
-    empty.  With `canonical` the witness goes through
-    `canonical_placement` from the rows held, so repeated runs (any seed)
-    agree on the placement, not just the value, up to seidel_lp's row
-    tolerance.
+    Solves the len(P) + 1 row LP of `build_beta_instance` in
+    `_lp_type_loop` from `rows`, distinct start indices into P, all of P by
+    default: then the loop is one solve and tests nothing.  `held`,
+    `tested` and `solves` report the loop, and `tight_rows` are the
+    half-spaces of P among the last solve's pinning rows (the sign row is
+    not one).  An empty container reports status "infeasible" with value
+    0; rows held that are empty already mean P is.  A container that lets
+    the copy grow forever reports "unbounded".  An unbounded solve is
+    tested at its witness on the implicit box, so the rows that cut that
+    ray are added; if none is, P is unbounded there too.  With `canonical`
+    the witness goes through `canonical_placement` from the rows held, so
+    repeated runs (any seed) agree on the placement, not just the value,
+    up to seidel_lp's row tolerance.
     """
     n, d = len(P), K.dim
-    if rows is None:
-        res, ids = seidel_lp(build_beta_instance(K, rotation, P), seed=seed), range(n + 1)
-        held, tested, solves = None, 0, 1
-    else:
-        solved = []
+    inst = build_beta_instance(K, rotation, P)
+    solved = []
 
-        def solve(mask):
-            sub = build_beta_instance(K, rotation, P.take(np.flatnonzero(mask[:n])))
-            solved.append(seidel_lp(sub, seed=seed))
-            x = solved[-1].witness
-            return None if x is None else Placement(x[:d], max(float(x[d]), 0.0), rotation)
+    def solve(held):
+        sub = inst if held.all() else LpInstance(inst.rows[held], inst.bounds[held],
+                                                 inst.objective)
+        solved.append(seidel_lp(sub, seed=seed))
+        x = solved[-1].witness
+        if x is None:
+            return None, False
+        return Placement(x[:d], max(float(x[d]), 0.0), rotation), True
 
-        support = support_values(K, rotation, P.normals)
-        _, mask, tested = _lp_type_loop(P, support, rows, solve)
-        held = np.flatnonzero(mask[:n])
-        res, ids, solves = solved[-1], np.append(held, n), len(solved)
+    _, _, mask, tested = _lp_type_loop(inst, P, np.arange(n) if rows is None else rows,
+                                       solve)
+    held = np.flatnonzero(mask[:n])
+    res, solves = solved[-1], len(solved)
     if res.status == INFEASIBLE:
         return BetaResult(0.0, None, INFEASIBLE, (), held, tested, solves)
     if res.status == UNBOUNDED:
@@ -821,6 +838,7 @@ def beta_fixed_rotation(K: VPolytope, rotation: Rotation, P: HPolytope,
     placement = Placement(res.witness[:d], value, rotation)
     if canonical:
         placement = canonical_placement(K, placement, P, seed, held)[0]
+    ids = np.append(held, n)
     tight = tuple(sorted(int(ids[r]) for r in res.tight_set if ids[r] < n))
     return BetaResult(value, placement, OPTIMAL, tight, held, tested, solves)
 
@@ -834,29 +852,29 @@ def canonical_placement(K: VPolytope, placement: Placement, P: HPolytope,
     `_lex_min_translation`.  Returns it with the number of rows that
     violation tests read.
 
-    With `rows` None the lexicographic LPs run once over all of P.  Given
-    `rows`, a start set of indices into P, they run in the loop of the
-    scale solve (`_lex_closure`); where the rows held leave the
-    translation free, all of P is used instead.  Either way the result is
-    then derived once more, with the fixed seed CANON_SEED, from the rows
-    within 4 * FEAS_TOL * `_offset_scale` of tight there (`_near_tight`),
-    closed by the same loop.  Which of several nearly tight rows pins the
-    result within seidel_lp's row tolerance depends on the order in which
-    they are scanned; deriving it from the same few rows with the same seed
-    makes it depend on neither `seed` nor `rows`, except where the
-    near-tight rows differ or a stage on them is not optimal (then the
-    first result is kept).  Only a start set's rows tested count: after LPs
-    over all of P, the closing test is part of that one step.
+    The lexicographic LPs run in the loop of the scale solve
+    (`_lex_closure`) from `rows`, distinct start indices into P, all of P
+    by default; where the rows held leave the translation free, all of P
+    is used instead.  Either way the result is then derived once more,
+    with the fixed seed CANON_SEED, from the rows within 4 * FEAS_TOL *
+    `_offset_scale` of tight there (`_near_tight`), closed by the same
+    loop.  Which of several nearly tight rows pins the result within
+    seidel_lp's row tolerance depends on the order in which they are
+    scanned; deriving it from the same few rows with the same seed makes
+    it depend on neither `seed` nor `rows`, except where the near-tight
+    rows differ or a stage on them is not optimal (then the first result
+    is kept).  Only the rows tested from a start short of P count: after
+    LPs over all of P, the closing test is part of that one step.
     """
+    n = len(P)
     inst = build_beta_instance(K, placement.rotation, P)
-    placed, tested = None, 0
-    if rows is not None:
-        placed, tested = _lex_closure(inst, placement, P, seed, rows)
-    if placed is None:
+    start = np.arange(n) if rows is None else rows
+    placed, stands, held, tested = _lex_closure(inst, placement, P, seed, start)
+    if not (stands or held.all()):
         placed = _lex_min_translation(inst.rows, inst.bounds, placement, seed)[0]
     near = _near_tight(_slack(placed, inst.rows[:-1, -1], P), P)
-    again, more = _lex_closure(inst, placement, P, CANON_SEED, near)
-    return (placed if again is None else again), (0 if rows is None else tested + more)
+    again, stands, _, more = _lex_closure(inst, placement, P, CANON_SEED, near)
+    return (again if stands else placed), (tested + more if len(start) < n else 0)
 
 
 def fit_check(K: VPolytope, rotation: Rotation, scale, P: HPolytope, seed=0) -> bool:

@@ -404,8 +404,10 @@ def _fit(K, net, P, seed, method):
 
     The sweep samples only for "msw" and only where ceil(delta * sqrt(n))
     < n, i.e. n > delta^2 + 1, with delta = c * (d + 1) for c rotation
-    classes (`_class_count`): below that, sampled loops cost more than
-    one solve over P.
+    classes (`_class_count`).  That is the routing of the earlier
+    `beta_msw`, which sampled the whole sweep at once, kept as it was: no
+    crossover of a class loop has been measured, but sampling at every n
+    made perfbench's `fit_cli` workload about 20 % slower (3 pairs).
     """
     if K.dim != P.dim or net.dim != K.dim:
         raise ValueError("body, net and container disagree on dimension")

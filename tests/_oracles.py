@@ -8,6 +8,7 @@ implementations.
 
 import itertools
 import math
+from collections import Counter
 
 import numpy as np
 
@@ -25,6 +26,8 @@ from hellyfit.lp import (
 )
 
 ORACLE_FEAS_TOL = 1e-9
+# how often `_rescan_base_1d` saw bounds cross beyond the tolerance, by outcome
+CROSSINGS = Counter()
 
 
 def lp_vertex_oracle(instance):
@@ -87,7 +90,23 @@ def _rescan_base_1d(A, b, ids, c):
         if lb[k] > lo:
             lo, lo_id = float(lb[k]), int(ids[neg][k])
     if lo > hi + FEAS_TOL * max(1.0, abs(lo), abs(hi)):
-        raise _Infeasible
+        # crossed bounds fail only if neither bound meets every row and the
+        # box within the row's own tolerance; else both take the first that does
+        tol = FEAS_TOL * np.maximum(1.0, np.abs(b))
+
+        def meets(x):
+            return bool(np.all(a * x - b <= tol)) and (
+                abs(x) - BOX_BOUND <= FEAS_TOL * BOX_BOUND)
+
+        if meets(hi):
+            lo, lo_id = hi, hi_id
+            CROSSINGS["met"] += 1
+        elif meets(lo):
+            hi, hi_id = lo, lo_id
+            CROSSINGS["met"] += 1
+        else:
+            CROSSINGS["infeasible"] += 1
+            raise _Infeasible
     if lo > hi:
         lo = hi = 0.5 * (lo + hi)
     if c[0] > 0:

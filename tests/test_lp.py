@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from _oracles import (
+    CROSSINGS,
     _rescan_eliminate,
     lp_vertex_oracle,
     rescan_seidel_lp,
@@ -67,6 +68,31 @@ def test_contradictory_pair_is_infeasible():
     inst = LpInstance(np.array([[1.0], [-1.0]]), np.array([1.0, -2.0]), np.array([1.0]))
     res = seidel_lp(inst)
     assert res.status == INFEASIBLE
+
+
+def test_crossed_bounds_fail_unless_one_meets_every_row():
+    # x <= 0 and, from a = -1e-10, x >= 10: at 0 that row is violated by
+    # 1e-9, within its tolerance, so the bounds meet at 0
+    up, tiny, firm = (1.0, 0.0, 0), (-1e-10, -1e-9, 1), (-1.0, -5.0, 2)
+    assert lp._one_var([up, tiny], 1.0) == (0.0, [0])
+    assert lp._one_var([up, tiny], -1.0) == (0.0, [0])
+    # but not where a third row, x >= 5, is violated there by 5
+    with pytest.raises(_Infeasible):
+        lp._one_var([up, tiny, firm], 1.0)
+    # the array pass hands `_one_var` only the extreme rows, x <= 0 and
+    # the tiny one, and the rest as arrays
+    for rows, status in (([up, tiny], OPTIMAL), ([up, tiny, firm], INFEASIBLE)):
+        A = np.array([[r[0]] for r in rows])
+        b = np.array([r[1] for r in rows])
+        try:
+            x, chain = lp._base_1d(A, b, np.arange(len(rows)), np.array([1.0]))
+            assert (x.tolist(), chain) == ([0.0], [0])
+        except _Infeasible:
+            assert status == INFEASIBLE
+        else:
+            assert status == OPTIMAL
+        inst = LpInstance(A, b, np.array([1.0]))
+        assert seidel_lp(inst).status == rescan_seidel_lp(inst).status == status
 
 
 def test_unbounded_direction():
@@ -336,7 +362,7 @@ def test_tight_set_rows_are_actually_tight():
 
 
 SCAN_KINDS = ("feasible", "random", "support", "repeated", "zero", "infeasible",
-              "unbounded")
+              "unbounded", "near_parallel")
 # block edges of a clean scan sit at 16, 48 and 112 rows
 SCAN_SIZES = (0, 1, 2) + tuple(
     edge + step for edge in (FIRST_BLOCK, 3 * FIRST_BLOCK, 7 * FIRST_BLOCK)
@@ -383,7 +409,38 @@ def _scan_instance(rng, d, n, kind):
         # every row recedes along c, so the optimum runs off to the box
         A[A @ c > 0] *= -1.0
         b = np.abs(b) + 0.1
+    elif kind == "near_parallel":
+        if d == 1:
+            A, b = _crossing_rows(rng, n)
+            A = A[:, None]
+        else:
+            # a fan of rows nearly tight at one point, normals within about
+            # 1e-4 of c, offsets jittered by about the row tolerance
+            c /= np.linalg.norm(c)
+            A = c + 1e-4 * A
+            b = A @ rng.normal(size=d) + 1e-9 * b
     return LpInstance(A, b, c)
+
+
+def _crossing_rows(rng, n):
+    """One-variable rows a x <= bb whose bounds cross by more than the tolerance.
+
+    Loose rows bound x about 0.  A third of the rows have |a| in [1e-10,
+    1e-9], all of one sign, and each bounds x beyond the loose bound on the
+    other side, where it is violated by v, uniform in [0, 0.9e-9] or in
+    [0, 3e-9]: within the row tolerance 1e-9, or for some rows beyond it.
+    """
+    a = rng.normal(size=n)
+    bb = np.abs(rng.normal(size=n)) + 0.1
+    tiny = rng.random(n) < 1 / 3
+    up, down = ~tiny & (a > 0), ~tiny & (a < 0)
+    hi = np.min(bb[up] / a[up], initial=BOX_BOUND)
+    lo = np.max(bb[down] / a[down], initial=-BOX_BOUND)
+    k = int(tiny.sum())
+    a[tiny] = rng.choice([-1.0, 1.0]) * rng.uniform(1e-10, 1e-9, size=k)
+    v = rng.uniform(0.0, rng.choice([0.9e-9, 3e-9]), size=k)
+    bb[tiny] = np.where(a[tiny] > 0, a[tiny] * lo - v, a[tiny] * hi - v)
+    return a, bb
 
 
 def _assert_bit_identical(res, ref):
@@ -423,7 +480,7 @@ def test_block_scan_matches_rescan_at_block_edges():
 # every prefix length on both sides of the plain-Python cut-off, then two
 # that only the array pass sees
 FUSED_SIZES = tuple(range(2 * SMALL + 2)) + (500, 3000)
-FUSED_KINDS = SCAN_KINDS + ("box_tie", "flat")
+FUSED_KINDS = SCAN_KINDS + ("box_tie", "flat", "crossing")
 
 
 def _fused_case(rng, m, kind):
@@ -433,6 +490,7 @@ def _fused_case(rng, m, kind):
     rows of the eliminated variable, so every bound ties a box row.  "flat"
     prefixes mix loose random rows with multiples of the pinned row, which
     reduce to |a| <= PIVOT_TOL with offsets inside or outside the tolerance.
+    "crossing" prefixes reduce to `_crossing_rows`.
     """
     if kind in SCAN_KINDS:
         inst = _scan_instance(rng, 2, m + 1, kind)
@@ -469,6 +527,11 @@ def _fused_case(rng, m, kind):
         A[mult] = s[:, None] * row
         gap = rng.choice([0.5, 1e-12, -1e-12, -1e-3], size=mult.size, p=[0.7, 0.1, 0.1, 0.1])
         b[mult] = s * rb + gap
+    elif kind == "crossing":
+        a, bb = _crossing_rows(rng, m)
+        t = rng.normal(size=m)
+        A[others, j], A[others, 1 - j] = t, a + t * ck
+        b[others] = bb + t * rhs
     roll = rng.random()
     if roll < 0.15:
         c = np.zeros(2)  # cred == 0
@@ -491,20 +554,22 @@ def _elimination(fn, A, b, ids, c, ridx, prefix):
 def test_fused_1d_step_matches_rescan_elimination():
     # the fused two-variable step must give the reduced-array elimination's
     # witness, chain or infeasibility bit for bit, on either side of SMALL;
-    # neither draws from the rng at two variables, so it is None here
+    # neither draws from the rng at two variables, so it is None here; bounds
+    # that cross beyond the tolerance, met or infeasible, are counted apart
     seen = {}
     for m in FUSED_SIZES:
         for kind in FUSED_KINDS:
             for rep in range(3):
                 seed = 100 * m + 10 * FUSED_KINDS.index(kind) + rep
                 case = _fused_case(np.random.default_rng(seed), m, kind)
+                before = CROSSINGS.copy()
                 ref = _elimination(_rescan_eliminate, *case)
                 assert _elimination(_eliminate, *case) == ref, (m, kind, rep)
                 outcome = "infeasible" if ref is None else len(ref[1])
-                key = (m < SMALL, outcome)
-                seen[key] = seen.get(key, 0) + 1
+                for key in [outcome] + ["crossed " + k for k in CROSSINGS - before]:
+                    seen[(m < SMALL, key)] = seen.get((m < SMALL, key), 0) + 1
     for small in (True, False):
-        for outcome in ("infeasible", 1, 2):
+        for outcome in ("infeasible", 1, 2, "crossed met", "crossed infeasible"):
             assert seen.get((small, outcome), 0) >= 10, seen
 
 
