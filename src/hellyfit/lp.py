@@ -63,7 +63,7 @@ PIVOT_TOL = 1e-11      # below this a coefficient row counts as zero
 EVAL_GUARD = 1e-13     # relative guard so fp noise never looks like a violation
 FIT_TOL = 1e-9         # slack used by fit_check
 CANON_SLACK = 1e-11    # pinning slack while canonicalizing witnesses
-CANON_SEED = 0         # seed of canonical_placement's re-derivation from its near-tight rows
+CANON_SEED = 0         # seed of every lexicographic stage of canonical_placement
 VIOL_TOL = 1e-9        # per-row slack (relative to the offset) in violation tests
 FIRST_BLOCK = 16       # rows in the first look-ahead block of a scan
 SMALL = 48             # plain Python below this prefix: the per-call crossover is 48-56 rows
@@ -559,7 +559,7 @@ class BetaResult:
 def support_values(K: VPolytope, rotation: Rotation, normals) -> np.ndarray:
     """h_AK(u_i) = max_j <u_i, A v_j> for every row u_i of `normals`."""
     W = K.vertices @ rotation.matrix.T
-    return np.max(normals @ W.T, axis=1)
+    return np.max(W @ normals.T, axis=0)
 
 
 def build_beta_instance(K: VPolytope, rotation: Rotation, P: HPolytope) -> LpInstance:
@@ -683,12 +683,13 @@ def near_tight_dual(K: VPolytope, placement: Placement, P: HPolytope):
     return best
 
 
-def _lex_min_translation(rows, bounds, placement, seed):
+def _lex_min_translation(rows, bounds, placement):
     """`placement` moved to the lexicographically smallest optimal translation.
 
     `rows` and `bounds` are the scale LP at the placement's rotation, or
     some of its rows, and `placement` one of its optima; the rotation and
-    scale are kept.  Each pin row is scaled down until its offset is at
+    scale are kept.  Stage i runs seidel_lp with the fixed seed CANON_SEED
+    + 7919 (i + 1).  Each pin row is scaled down until its offset is at
     most the largest of `bounds` (and at least 1), so pinning never raises
     seidel_lp's offset normalization, and with it the tolerance on the
     rows of P.  Also returns whether all d stages were optimal; after a
@@ -712,7 +713,7 @@ def _lex_min_translation(rows, bounds, placement, seed):
         obj[i] = -1.0
         sub = LpInstance(np.vstack([rows] + pin_rows),
                          np.concatenate([bounds, pin_bounds]), obj)
-        res = seidel_lp(sub, seed=seed + 7919 * (i + 1))
+        res = seidel_lp(sub, seed=CANON_SEED + 7919 * (i + 1))
         if res.status != OPTIMAL:
             complete = False
             break
@@ -786,13 +787,13 @@ def _lp_type_loop(inst, P, start, solve):
         held[bad] = True
 
 
-def _lex_closure(inst, placement, P, seed, start):
+def _lex_closure(inst, placement, P, start):
     """`_lp_type_loop` of `_lex_min_translation` from the rows `start` of `inst`.
 
     A placement stands where every stage of its solve was optimal.
     """
     return _lp_type_loop(inst, P, start, lambda held: _lex_min_translation(
-        inst.rows[held], inst.bounds[held], placement, seed))
+        inst.rows[held], inst.bounds[held], placement))
 
 
 def beta_fixed_rotation(K: VPolytope, rotation: Rotation, P: HPolytope,
@@ -809,9 +810,9 @@ def beta_fixed_rotation(K: VPolytope, rotation: Rotation, P: HPolytope,
     the copy grow forever reports "unbounded".  An unbounded solve is
     tested at its witness on the implicit box, so the rows that cut that
     ray are added; if none is, P is unbounded there too.  With `canonical`
-    the witness goes through `canonical_placement` from the rows held, so
-    repeated runs (any seed) agree on the placement, not just the value,
-    up to seidel_lp's row tolerance.
+    the witness goes through `canonical_placement`, so repeated runs (any
+    seed) agree on the placement, not just the value, up to seidel_lp's
+    row tolerance.
     """
     n, d = len(P), K.dim
     inst = build_beta_instance(K, rotation, P)
@@ -837,44 +838,34 @@ def beta_fixed_rotation(K: VPolytope, rotation: Rotation, P: HPolytope,
     value = max(res.value, 0.0)
     placement = Placement(res.witness[:d], value, rotation)
     if canonical:
-        placement = canonical_placement(K, placement, P, seed, held)[0]
+        placement = canonical_placement(K, placement, P)[0]
     ids = np.append(held, n)
     tight = tuple(sorted(int(ids[r]) for r in res.tight_set if ids[r] < n))
     return BetaResult(value, placement, OPTIMAL, tight, held, tested, solves)
 
 
-def canonical_placement(K: VPolytope, placement: Placement, P: HPolytope,
-                        seed=0, rows=None):
+def canonical_placement(K: VPolytope, placement: Placement, P: HPolytope):
     """The optimal placement with the lexicographically smallest translation.
 
     `placement` must be optimal for the scale LP at its rotation.  Its
     rotation and scale are kept, and the translation comes from
-    `_lex_min_translation`.  Returns it with the number of rows that
-    violation tests read.
-
-    The lexicographic LPs run in the loop of the scale solve
-    (`_lex_closure`) from `rows`, distinct start indices into P, all of P
-    by default; where the rows held leave the translation free, all of P
-    is used instead.  Either way the result is then derived once more,
-    with the fixed seed CANON_SEED, from the rows within 4 * FEAS_TOL *
-    `_offset_scale` of tight there (`_near_tight`), closed by the same
-    loop.  Which of several nearly tight rows pins the result within
-    seidel_lp's row tolerance depends on the order in which they are
-    scanned; deriving it from the same few rows with the same seed makes
-    it depend on neither `seed` nor `rows`, except where the near-tight
-    rows differ or a stage on them is not optimal (then the first result
-    is kept).  Only the rows tested from a start short of P count: after
-    LPs over all of P, the closing test is part of that one step.
+    `_lex_min_translation`, run in the loop of the scale solve
+    (`_lex_closure`) from the rows within 4 * FEAS_TOL * `_offset_scale`
+    of tight at `placement` (`_near_tight`).  Which of several nearly
+    tight rows pins the result within seidel_lp's row tolerance depends on
+    the order in which they are scanned; starting every call from the same
+    few rows with the same seed, CANON_SEED, makes the result depend
+    little on how `placement` was found.  Where a stage on the rows held
+    is not optimal (they leave the translation free), all of P is used
+    instead.  Returns the placement with the number of rows that the
+    loop's violation tests read.
     """
-    n = len(P)
     inst = build_beta_instance(K, placement.rotation, P)
-    start = np.arange(n) if rows is None else rows
-    placed, stands, held, tested = _lex_closure(inst, placement, P, seed, start)
+    near = _near_tight(_slack(placement, inst.rows[:-1, -1], P), P)
+    placed, stands, held, tested = _lex_closure(inst, placement, P, near)
     if not (stands or held.all()):
-        placed = _lex_min_translation(inst.rows, inst.bounds, placement, seed)[0]
-    near = _near_tight(_slack(placed, inst.rows[:-1, -1], P), P)
-    again, stands, _, more = _lex_closure(inst, placement, P, CANON_SEED, near)
-    return (again if stands else placed), (tested + more if len(start) < n else 0)
+        placed = _lex_min_translation(inst.rows, inst.bounds, placement)[0]
+    return placed, tested
 
 
 def fit_check(K: VPolytope, rotation: Rotation, scale, P: HPolytope, seed=0) -> bool:

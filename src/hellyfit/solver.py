@@ -15,9 +15,9 @@ counters suitable for scaling measurements.
 
 All of them end in one tail, `_finish`: it keeps the winning rotation's
 solve, only canonicalizes its placement (`lp.canonical_placement`, from
-the rows the winner's loop held), and builds the basis from the supports
-of the solved rotations' checked duals, at most (number of classes) *
-(d + 1) half-spaces.
+the half-spaces nearly tight at the solved optimum), and builds the basis
+from the supports of the solved rotations' checked duals, at most (number
+of classes) * (d + 1) half-spaces.
 """
 
 import logging
@@ -362,22 +362,21 @@ def _subfamily_value(K, net, P, indices, seed):
     return value, _lp_calls(results)
 
 
-def _finish(K, net, P, results, seed, stats, method):
+def _finish(K, net, P, results, stats, method):
     """Shared tail of all methods: canonicalize the winning rotation's solve.
 
     `results` are `_sweep`'s solves over P, None where pruned or stood for
     by their class.  The winner's value is kept as solved;
-    `canonical_placement`, with the seed `_sweep` gave that rotation
-    (counted as one LP call, plus the rows its violation tests read), only
-    replaces its translation.  It starts from the rows the winner's loop
-    held, or from all of P for a solve over P, where the placement is
-    bit-equal to `beta_fixed_rotation(..., canonical=True)` at that
-    rotation and seed.  The basis, as indices into P, is the union over the
-    solved rotations of the rows that pin their values (`_certified`, at
-    most d + 1 each): each member of a class is a translate of its solved
-    rotation, and each pruned one stays below the best by the dual on a
-    solved rotation's chain.  `_pin_translation` completes it within
-    `_class_count` * (d + 1) rows.
+    `canonical_placement` (counted as one LP call, plus the rows its
+    violation tests read) only replaces its translation, starting from the
+    rows nearly tight at the winner's optimum.  For a solve over P that is
+    `beta_fixed_rotation(..., canonical=True)`'s placement at that
+    rotation and seed, bit for bit.  The basis, as indices into P, is the
+    union over the solved rotations of the rows that pin their values
+    (`_certified`, at most d + 1 each): each member of a class is a
+    translate of its solved rotation, and each pruned one stays below the
+    best by the dual on a solved rotation's chain.  `_pin_translation`
+    completes it within `_class_count` * (d + 1) rows.
     """
     i_star, best = _argmax_rotation(results)
     if math.isinf(best):
@@ -387,8 +386,7 @@ def _finish(K, net, P, results, seed, stats, method):
     if win.status != OPTIMAL:
         stats.note = "container is empty"
         return FitResult(0.0, None, [], method, stats, i_star)
-    placement, tested = canonical_placement(K, win.placement, P,
-                                            _rotation_seed(seed, i_star), win.held)
+    placement, tested = canonical_placement(K, win.placement, P)
     stats.lp_calls += 1
     stats.violation_tests += tested
     rows = set()
@@ -419,7 +417,7 @@ def _fit(K, net, P, seed, method):
     results = _sweep(K, net, P, seed, sample)
     stats.lp_calls += _lp_calls(results)
     stats.violation_tests += sum(r.tested for r in results if r is not None)
-    out = _finish(K, net, P, results, seed, stats, method)
+    out = _finish(K, net, P, results, stats, method)
     stats.wall_time_s = time.perf_counter() - start
     return out
 
@@ -446,12 +444,13 @@ def beta_msw(K: VPolytope, net: RotationNet, P: HPolytope, seed=0) -> FitResult:
     half-spaces (`lp.beta_fixed_rotation` with start rows): solve on the
     rows held, add the rows of P the result leaves, and stop when none is
     left.  That last violation test is the certificate: an optimum on rows
-    of P that no row of P violates is optimal for P.  The canonical step
-    starts from the winner's rows held, so all of P is read only by
-    violation tests, and `violation_tests` counts every row they read.  β,
-    the rotation and the placement are `beta_direct`'s up to the LP
-    tolerance, not bit for bit; where `_fit` does not sample, they are
-    `beta_direct`'s, with `violation_tests` 0.
+    of P that no row of P violates is optimal for P.  The canonical step,
+    as for every method, starts from the rows nearly tight at the winner's
+    optimum, so all of P is read only by violation tests, and
+    `violation_tests` counts every row they read.  β, the rotation and the
+    placement are `beta_direct`'s up to the LP tolerance, not bit for bit;
+    where `_fit` does not sample, they and every counter are
+    `beta_direct`'s.
     """
     return _fit(K, net, P, seed, "msw")
 
@@ -485,7 +484,7 @@ def beta_brute(K: VPolytope, net: RotationNet, P: HPolytope) -> FitResult:
     # from the whole family so the reported copy respects every half-space
     results = _sweep(K, net, P, 0)
     stats.lp_calls += _lp_calls(results)
-    out = _finish(K, net, P, results, 0, stats, "brute")
+    out = _finish(K, net, P, results, stats, "brute")
     out.beta = best
     stats.wall_time_s = time.perf_counter() - start
     return out

@@ -264,10 +264,10 @@ def full_sweep_fit(K, net, P, seed):
 
     The winner is the lowest index within TIE_TOL of the best value; beta
     is the winner's value and its placement goes through
-    `canonical_placement` with its own seed, as `beta_direct` does.
+    `canonical_placement`, as `beta_direct`'s does.
     """
     from hellyfit.lp import canonical_placement
-    from hellyfit.solver import TIE_TOL, _rotation_seed
+    from hellyfit.solver import TIE_TOL
 
     results = full_sweep(K, net, P, seed)
     values = [r.value for r in results]
@@ -278,7 +278,7 @@ def full_sweep_fit(K, net, P, seed):
              if v >= best - TIE_TOL * max(1.0, abs(best)))
     if results[i].status != OPTIMAL:
         return 0.0, i, None
-    placement, _ = canonical_placement(K, results[i].placement, P, _rotation_seed(seed, i))
+    placement, _ = canonical_placement(K, results[i].placement, P)
     return results[i].value, i, placement
 
 
