@@ -16,6 +16,14 @@ rotations.  Neither builder exploits symmetries of K: a square gets four
 rotations even though one would do.  The solver does, by solving the
 rotations whose copies of K are translates of one another only once.
 
+The planar scan bisects each proper failure it meets under one of two stop
+rules.  `max_angle_2d` stops when the bracket is BISECT_TOL wide;
+`build_net_2d` also stops as soon as both ends of the bracket give the same
+net size t = ceil(pi / alpha), since t is all the net uses.  The shorter
+bisection is a prefix of the longer, so the full-precision alpha lies in
+its last bracket and gives the same t: the net is unchanged, at a fraction
+of the margin LPs.
+
 Both rest on one bound.  Let B(z, r) be K's inball, B(c, R) its miniball
 and q = r/R.  If a + beta*R_theta K lies in K, rotate that copy by delta
 about the image of c: each point moves by at most beta*|delta|*R.  Shrinking
@@ -84,8 +92,12 @@ def _refuse_above_limit(count, kind, epsilon):
 
 
 def _ring(t):
-    """The t planar rotations at angles 2*pi*j/t, j = 1..t."""
-    return tuple(Rotation.from_angle(2.0 * math.pi * j / t) for j in range(1, t + 1))
+    """The t planar rotations at angles 2*pi*j/t, j = 1..t.
+
+    Angles are taken modulo the full turn, so the last rotation is exactly
+    the identity rather than a rotation by a rounded 2*pi.
+    """
+    return tuple(Rotation.from_angle(2.0 * math.pi * (j % t) / t) for j in range(1, t + 1))
 
 
 def _margin(K, rotation, PK, target):
@@ -195,9 +207,35 @@ def _parabola_refine(margin, center, max_step):
     return v, margin(v)
 
 
-def _cross_boundary(margin, lo, hi):
-    """Bisect for the edge of {margin > TOUCH_TOL}; lo is clean, hi is not."""
-    while hi - lo > BISECT_TOL:
+def _net_size(alpha):
+    """Rotations t = ceil(pi / alpha) of the planar net for slack angle alpha.
+
+    The one place t is computed.  The ceiling is taken with CEIL_SLACK
+    because alpha is resolved numerically.  t does not increase with alpha;
+    at alpha = 0 it is infinite, so a bracket starting at 0 never counts as
+    deciding t.
+    """
+    if alpha <= 0.0:
+        return math.inf
+    return max(1, int(math.ceil(math.pi / alpha - CEIL_SLACK)))
+
+
+def _angle_settled(lo, hi):
+    """Stop rule of `max_angle_2d`: the bracket is BISECT_TOL wide."""
+    return hi - lo <= BISECT_TOL
+
+
+def _size_settled(lo, hi):
+    """Stop rule of `build_net_2d`: as above, or every angle in it gives one t."""
+    return hi - lo <= BISECT_TOL or _net_size(lo) == _net_size(hi)
+
+
+def _cross_boundary(margin, lo, hi, settled):
+    """Bisect for the edge of {margin > TOUCH_TOL} until settled(lo, hi).
+
+    lo is clean, hi is not; returns the final hi.
+    """
+    while not settled(lo, hi):
         mid = 0.5 * (lo + hi)
         if margin(mid) > TOUCH_TOL:
             lo = mid
@@ -206,7 +244,7 @@ def _cross_boundary(margin, lo, hi):
     return hi
 
 
-def _first_stop(margin, sign, tol, m_zero, target, q):
+def _first_stop(margin, sign, tol, m_zero, target, q, settled):
     """Smallest positive angle along one direction where the shrunk copy
     stops fitting strictly (failure or boundary contact); pi if none.
 
@@ -219,8 +257,11 @@ def _first_stop(margin, sign, tol, m_zero, target, q):
     of them can reach, lies within that point's clean radius.  No skipped
     point could have stopped the walk, so the result is that of solving
     every grid point; a jump restarts the window.  `m_zero` is the margin
-    at 0.
+    at 0; a proper failure is bisected until `settled` holds.
     """
+    def along(x):
+        return margin(sign * x)
+
     n_steps = int(math.ceil(math.pi / tol))
     k, m, prev_t = 0, m_zero, 0.0
     window = [(0.0, m_zero)]  # trailing (theta, margin) of consecutive grid points
@@ -234,20 +275,20 @@ def _first_stop(margin, sign, tol, m_zero, target, q):
         else:
             k += 1
         t = k * tol if k < n_steps else math.pi
-        m = margin(sign * t)
+        m = along(t)
         if m <= TOUCH_TOL:
             if m < -FAIL_TOL:
-                return _cross_boundary(lambda x: margin(sign * x), prev_t, t)
-            v, mv = _parabola_refine(lambda x: margin(sign * x), t, max_step=tol)
+                return _cross_boundary(along, prev_t, t, settled)
+            v, mv = _parabola_refine(along, t, max_step=tol)
             return max(0.0, v)
         window.append((t, m))
         if len(window) == 3:
             (t0, m0), (t1, m1), (t2, m2) = window
             if m1 <= m0 and m1 <= m2:
-                v, mv = _parabola_refine(lambda x: margin(sign * x), t1, max_step=tol)
+                v, mv = _parabola_refine(along, t1, max_step=tol)
                 if mv <= TOUCH_TOL:
                     if mv < -FAIL_TOL:
-                        return _cross_boundary(lambda x: margin(sign * x), t0, v)
+                        return _cross_boundary(along, t0, v, settled)
                     return max(0.0, v)
             window.pop(0)
         prev_t = t
@@ -267,22 +308,12 @@ def _circumradius(K: VPolytope) -> float:
     return R
 
 
-def max_angle_2d(K: VPolytope, epsilon: float, tol: float = ANGLE_TOL) -> float:
-    """Largest alpha such that (1-eps)R_theta K fits in K for all |theta| <= alpha.
+def _slack_angle(K: VPolytope, epsilon: float, tol: float, settled):
+    """The slack-angle scan behind `max_angle_2d` and `build_net_2d`.
 
-    Scans a theta grid at resolution `tol` in both directions (fit slack is
-    not symmetric for bodies without mirror symmetry), refines grid local
-    minima by parabola fitting to catch contacts between grid points, and
-    bisects proper failures.  Capped at pi, which means every rotation fits.
-
-    Each solved margin LP proves, by the inradius/circumradius bound of
-    the module docstring, that the margin stays positive over a radius
-    around its angle; the scan skips the grid points in it.  Far from a
-    contact that radius spans many grid cells; near one it shrinks below a
-    cell, and the scan solves every grid point there as a plain scan would,
-    so alpha is that of the plain scan.  If the inradius/circumradius ratio
-    q = r/R exceeds 1 - eps (plus TOUCH_TOL and BOUND_SLACK), every rotation
-    fits and pi is returned without any margin LP.
+    Returns alpha and K's hull PK.  Proper failures are bisected until
+    `settled(lo, hi)` holds for the bracket; everything else is as
+    `max_angle_2d` documents.
     """
     if K.dim != 2:
         raise UnsupportedDimensionError("max_angle_2d is planar only")
@@ -296,14 +327,35 @@ def max_angle_2d(K: VPolytope, epsilon: float, tol: float = ANGLE_TOL) -> float:
     target = 1.0 - epsilon
     q = max(0.0, chebyshev_inradius(PK).radius) / _circumradius(K)
     if q > target + TOUCH_TOL + BOUND_SLACK:
-        return math.pi
+        return math.pi, PK
     margin = _margin_fn(K, epsilon, PK)
     m0 = margin(0.0)
     if m0 <= TOUCH_TOL:
-        return 0.0
-    a_pos = _first_stop(margin, +1.0, tol, m0, target, q)
-    a_neg = _first_stop(margin, -1.0, tol, m0, target, q)
-    return min(a_pos, a_neg, math.pi)
+        return 0.0, PK
+    a_pos = _first_stop(margin, +1.0, tol, m0, target, q, settled)
+    a_neg = _first_stop(margin, -1.0, tol, m0, target, q, settled)
+    return min(a_pos, a_neg, math.pi), PK
+
+
+def max_angle_2d(K: VPolytope, epsilon: float, tol: float = ANGLE_TOL) -> float:
+    """Largest alpha such that (1-eps)R_theta K fits in K for all |theta| <= alpha.
+
+    Scans a theta grid at resolution `tol` in both directions (fit slack is
+    not symmetric for bodies without mirror symmetry), refines grid local
+    minima by parabola fitting to catch contacts between grid points, and
+    bisects proper failures to BISECT_TOL.  Capped at pi, which means every
+    rotation fits.
+
+    Each solved margin LP proves, by the inradius/circumradius bound of
+    the module docstring, that the margin stays positive over a radius
+    around its angle; the scan skips the grid points in it.  Far from a
+    contact that radius spans many grid cells; near one it shrinks below a
+    cell, and the scan solves every grid point there as a plain scan would,
+    so alpha is that of the plain scan.  If the inradius/circumradius ratio
+    q = r/R exceeds 1 - eps (plus TOUCH_TOL and BOUND_SLACK), every rotation
+    fits and pi is returned without any margin LP.
+    """
+    return _slack_angle(K, epsilon, tol, _angle_settled)[0]
 
 
 def build_net_2d(K: VPolytope, epsilon: float, tol: float = ANGLE_TOL) -> RotationNet:
@@ -314,17 +366,23 @@ def build_net_2d(K: VPolytope, epsilon: float, tol: float = ANGLE_TOL) -> Rotati
     a direct fit probe at the worst-case relative angle then confirms the
     spacing (and densifies as a last resort, which no known input triggers).
     Above NET_LIMIT rotations it raises NetTooLargeError before building any.
+
+    The scan is that of `max_angle_2d`, except that a bisection also stops
+    once both ends of its bracket give the same t.  The stopped bisection is
+    a prefix of the full one, so the full-precision alpha lies in its last
+    bracket; t does not increase with alpha, so that alpha gives the same t,
+    and t(min(a+, a-)) = max(t(a+), t(a-)) carries this over to the two
+    directions.  The net is the one `max_angle_2d`'s alpha would give.
     """
     if K.dim != 2:
         raise UnsupportedDimensionError("build_net_2d is planar only")
     if not (0.0 < epsilon < 1.0):
         raise ValueError("epsilon must lie in (0, 1)")
-    alpha = max_angle_2d(K, epsilon, tol)
+    alpha, PK = _slack_angle(K, epsilon, tol, _size_settled)
     if alpha <= 0.0:
         raise DegenerateGeometryError(
             "body has no rotational slack at this epsilon; increase epsilon")
-    t = max(1, int(math.ceil(math.pi / alpha - CEIL_SLACK)))
-    PK = K.hull_halfspaces()
+    t = _net_size(alpha)
     target = 1.0 - epsilon
     for _ in range(3):
         if fit_check(K, Rotation.from_angle(math.pi / t), target, PK) and \

@@ -333,9 +333,22 @@ def arc_cap_overlap_grid(arcs, cap, cells):
     return float(np.count_nonzero(on_arc & in_cap)) * step
 
 
+def _plain_bisect(margin, lo, hi):
+    """Halve [lo, hi] down to BISECT_TOL; lo is clean, hi is not.  Returns hi."""
+    from hellyfit.nets import BISECT_TOL, TOUCH_TOL
+
+    while hi - lo > BISECT_TOL:
+        mid = 0.5 * (lo + hi)
+        if margin(mid) > TOUCH_TOL:
+            lo = mid
+        else:
+            hi = mid
+    return hi
+
+
 def _grid_first_stop(margin, sign, tol):
     """Plain scan of one direction: solves the margin at every grid point."""
-    from hellyfit.nets import FAIL_TOL, TOUCH_TOL, _cross_boundary, _parabola_refine
+    from hellyfit.nets import FAIL_TOL, TOUCH_TOL, _parabola_refine
 
     n_steps = int(math.ceil(math.pi / tol))
     thetas = [k * tol for k in range(1, n_steps)] + [math.pi]
@@ -345,7 +358,7 @@ def _grid_first_stop(margin, sign, tol):
         m = margin(sign * t)
         if m <= TOUCH_TOL:
             if m < -FAIL_TOL:
-                return _cross_boundary(lambda x: margin(sign * x), prev_t, t)
+                return _plain_bisect(lambda x: margin(sign * x), prev_t, t)
             v, mv = _parabola_refine(lambda x: margin(sign * x), t, max_step=tol)
             return max(0.0, v)
         window.append((t, m))
@@ -355,7 +368,7 @@ def _grid_first_stop(margin, sign, tol):
                 v, mv = _parabola_refine(lambda x: margin(sign * x), t1, max_step=tol)
                 if mv <= TOUCH_TOL:
                     if mv < -FAIL_TOL:
-                        return _cross_boundary(lambda x: margin(sign * x), t0, v)
+                        return _plain_bisect(lambda x: margin(sign * x), t0, v)
                     return max(0.0, v)
             window.pop(0)
         prev_t = t
@@ -366,9 +379,10 @@ def grid_scan_max_angle(K, epsilon, tol=1e-3):
     """Slack angle of K from one margin LP per grid point, no skipping.
 
     The plain form of `nets.max_angle_2d`: it solves every grid point k*tol
-    in both directions until the first stop, with the same margin function,
-    refine and bisection.  About pi/tol LPs per direction for a body with
-    full slack, so tests keep it to bodies that stop early.
+    in both directions until the first stop, with the same margin function
+    and refine, and a plain bisection of its own.  About pi/tol LPs per
+    direction for a body with full slack, so tests keep it to bodies that
+    stop early.
     """
     from hellyfit.nets import TOUCH_TOL, _margin_fn
 

@@ -18,7 +18,7 @@ from hellyfit.geometry import (
     unit_square,
 )
 from hellyfit.lab import DEMO_NET_EPS, cap_body
-from hellyfit.lp import beta_fixed_rotation, chebyshev_inradius
+from hellyfit.lp import beta_fixed_rotation, chebyshev_inradius, fit_check
 from hellyfit.nets import (
     CEIL_SLACK,
     EXACT_2D,
@@ -29,6 +29,8 @@ from hellyfit.nets import (
     RotationNet,
     _clean_radius,
     _margin_fn,
+    _net_size,
+    _ring,
     build_net_2d,
     build_net_sufficient,
     max_angle_2d,
@@ -235,6 +237,66 @@ def test_64gon_net_is_small():
 def test_net_rejects_zero_slack():
     with pytest.raises(DegenerateGeometryError):
         build_net_2d(regular_polygon(3, 1.0), 1e-9)
+
+
+def test_ring_ends_on_the_exact_identity():
+    for t in (1, 2, 3, 7, 27):
+        ring = _ring(t)
+        assert len(ring) == t
+        assert np.array_equal(ring[-1].matrix, np.eye(2))
+
+
+def probed_net_size(K, eps):
+    # t from full-precision max_angle_2d, then build_net_2d's +-pi/t probes
+    t = _net_size(max_angle_2d(K, eps))
+    PK = K.hull_halfspaces()
+    for _ in range(3):
+        if all(fit_check(K, Rotation.from_angle(s * math.pi / t), 1.0 - eps, PK)
+               for s in (1.0, -1.0)):
+            break
+        t += 1
+    return t
+
+
+def test_net_size_is_that_of_the_full_precision_angle(monkeypatch):
+    # build_net_2d stops bisecting once t is decided; the scan's t (the first
+    # probe is at pi/t) and the probed net size must be the ones the full
+    # BISECT_TOL bisection gives.  The polygons carry fit_cli's jitter of 0.1.
+    probes = []
+    check = nets.fit_check
+
+    def recording(K, rotation, *args):
+        probes.append(rotation.matrix)
+        return check(K, rotation, *args)
+
+    monkeypatch.setattr(nets, "fit_check", recording)
+    rng = np.random.default_rng(7)
+    cases = [(regular_polygon(m, 1.0), eps) for m in (3, 5, 6) for eps in (0.1, 0.2, 0.4)]
+    for _ in range(40):
+        m, eps = int(rng.integers(3, 9)), float(rng.uniform(0.05, 0.35))
+        cases.append((jittered_polygon(rng, m, jitter=0.1), eps))
+    for K, eps in cases:
+        t = _net_size(max_angle_2d(K, eps))
+        probes.clear()
+        net = build_net_2d(K, eps)
+        assert np.array_equal(probes[0], Rotation.from_angle(math.pi / t).matrix)
+        assert len(net) == probed_net_size(K, eps), (len(K), eps)
+
+
+def test_net_size_is_infinite_at_zero_slack():
+    assert _net_size(0.0) == math.inf
+    assert _net_size(math.pi) == 1
+    assert _net_size(math.pi / 4.0) == 4
+
+
+def test_net_build_stops_bisecting_once_t_is_decided(monkeypatch):
+    # the full bisection solves 71 margin LPs here, the net's 31
+    calls = count_margin_lps(monkeypatch)
+    K = regular_polygon(3, 1.0)
+    max_angle_2d(K, 0.4)
+    full, calls[0] = calls[0], 0
+    build_net_2d(K, 0.4)
+    assert calls[0] <= full - 30
 
 
 def test_planar_net_refuses_more_than_the_limit(monkeypatch):

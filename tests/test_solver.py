@@ -72,6 +72,15 @@ def test_square_in_triple_box():
     assert r.method == "direct"
 
 
+def test_square_in_double_box_is_exactly_two():
+    # the planar net ends on the exact identity, so the square in [0, 2]^2
+    # gets scale 2.0 to the last bit from either solver
+    K = unit_square()
+    net = build_net_2d(K, 0.1)
+    for solve in (beta_direct, beta_msw):
+        assert solve(K, net, box(0.0, 2.0), seed=0).beta == 2.0
+
+
 def test_square_in_square_right_angles():
     net = spin_net([k * math.pi / 2.0 for k in range(4)])
     r = beta_direct(unit_square(), net, unit_square().hull_halfspaces())
