@@ -219,9 +219,13 @@ def _widest_gap(spans):
 def _boxed(inst, reach):
     """The scale LP `inst` boxed in by the rows |a_k| <= reach.
 
-    The box rows come after the rows of `inst` and have offset 1, so they
-    never raise seidel_lp's offset normalization, and with it the tolerance
-    on the other rows.
+    A copy that can only slide along a strip needs no box: seidel_lp reads
+    that LP as optimal.  The box's one remaining job is the sliver of
+    contact gaps in (pi, pi + CAP_SLACK], which leave the scale truly
+    unbounded but are not capped; boxed, their LP has an optimum (see
+    `inflation_search`).  The box rows come after the rows of `inst` and
+    have offset 1, so they never raise seidel_lp's offset normalization,
+    and with it the tolerance on the other rows.
     """
     d = inst.dim_vars - 1
     eye = np.eye(d + 1)[:d]
@@ -276,12 +280,14 @@ def inflation_search(K, family: TangentFamily, seed=0) -> InflationResult:
     measures below 1/n, and rotate so that restricted arc clears every
     contact point (more contacts than K is tuned for make this raise
     SearchFailure).  An LP boxed by |a_k| <= 2 * INFLATION_BUDGET then finds
-    the best translation and scale; the box gives it an optimum even where
-    two opposite tangents let the copy slide along their strip.  Up to
-    SEARCH_ROTATIONS rotations are tried.  Every placement returned has
-    scale above 1 and passes a containment check of its vertex images
-    against every half-plane; a capped one that fails it raises
-    SearchFailure.
+    the best translation and scale.  Where two opposite tangents let the
+    copy slide along their strip, the LP is optimal without the box; the
+    box is there for a contact gap in (pi, pi + CAP_SLACK], whose scale is
+    unbounded though the subfamily is not capped, and which it gives an
+    optimum.  Up to SEARCH_ROTATIONS rotations are tried.  Every placement
+    returned has scale above 1 and passes a containment check of its
+    vertex images against every half-plane; a capped one that fails it
+    raises SearchFailure.
     """
     P = family.halfspaces
     gap, w_angle = _widest_gap((a, a) for a in family.angles)

@@ -33,7 +33,12 @@ variable from two or more others stays the numpy dot product.
 
 The solver works inside a large implicit box, which is how unboundedness is
 reported rather than crashed on: an optimum pinned to the box wall means the
-true problem escapes to infinity at the scale of the data.  Degenerate ties
+true problem escapes to infinity at the scale of the data.  One zero rule
+serves rows and objective alike: a coefficient within PIVOT_TOL of zero
+counts as zero.  Eliminating one of two antiparallel rows leaves the
+objective a coefficient of rounding size along their strip, so a variable
+the objective ignores is never driven to the box wall, and a copy that can
+only slide along a strip is optimal, not unbounded.  Degenerate ties
 never loop (the recursion only ever shrinks), they are broken by fixed rules,
 and the scale-fitting layer canonicalizes witnesses afterwards so equal
 optima always report the same placement.
@@ -59,7 +64,7 @@ from .geometry import (
 MAX_DIM = 8            # fixed small dimension regime
 BOX_BOUND = 1e7        # implicit |x_j| <= BOX_BOUND, in offset-normalized units
 FEAS_TOL = 1e-9        # feasibility tolerance on normalized constraints
-PIVOT_TOL = 1e-11      # below this a coefficient row counts as zero
+PIVOT_TOL = 1e-11      # a row or objective coefficient within this of 0 counts as 0
 EVAL_GUARD = 1e-13     # relative guard so fp noise never looks like a violation
 FIT_TOL = 1e-9         # slack used by fit_check
 CANON_SLACK = 1e-11    # pinning slack while canonicalizing witnesses
@@ -156,8 +161,9 @@ def _one_var(rows, cred, arrays=None):
     `rows` and `arrays`, within the row's own tolerance (`_admits`), since
     a row of small |a| moves its bound far more than it is violated;
     otherwise both become the first of hi and lo that does, with its row.
-    Returns x and its chain: the id of the row that pins it, unless that is
-    a box row or cred is 0.
+    The objective follows the same zero rule: where |cred| <= PIVOT_TOL, x
+    is the point of [lo, hi] nearest 0.  Returns x and its chain: the id of
+    the row that pins it, unless that is a box row or cred counts as 0.
     """
     hi, hi_id = BOX_BOUND, -1
     lo, lo_id = -BOX_BOUND, -1
@@ -181,9 +187,9 @@ def _one_var(rows, cred, arrays=None):
             raise _Infeasible
     if lo > hi:  # inverted by a rounding hair; collapse
         lo = hi = 0.5 * (lo + hi)
-    if cred > 0:
+    if cred > PIVOT_TOL:
         return hi, ([hi_id] if hi_id >= 0 else [])
-    if cred < 0:
+    if cred < -PIVOT_TOL:
         return lo, ([lo_id] if lo_id >= 0 else [])
     return min(max(0.0, lo), hi), []
 
@@ -355,7 +361,7 @@ def _solve(A, b, ids, c, rng):
     if n < SCAN_SMALL:
         x, chain = _scan(A.tolist(), b.tolist(), ids.tolist(), c.tolist(), rng)
         return np.array(x), chain
-    x = np.where(c > 0, BOX_BOUND, np.where(c < 0, -BOX_BOUND, 0.0))
+    x = np.where(c > PIVOT_TOL, BOX_BOUND, np.where(c < -PIVOT_TOL, -BOX_BOUND, 0.0))
     chain = []
     order = rng.permutation(n)
     A, b, ids = A[order], b[order], ids[order]
@@ -420,7 +426,8 @@ def _scan(A, b, ids, c, rng):
     `_excess` on arrays laid out as `_solve`'s, and its verdict is taken.
     """
     n = len(A)
-    x = [BOX_BOUND if ci > 0 else -BOX_BOUND if ci < 0 else 0.0 for ci in c]
+    x = [BOX_BOUND if ci > PIVOT_TOL else -BOX_BOUND if ci < -PIVOT_TOL else 0.0
+         for ci in c]
     chain = []
     if n:
         order = rng.permutation(n).tolist()

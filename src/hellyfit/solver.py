@@ -38,12 +38,10 @@ from .geometry import (
 )
 from .lp import (
     OPTIMAL,
-    LpInstance,
     beta_fixed_rotation,
     canonical_placement,
     near_tight_dual,
     scale_dual,
-    seidel_lp,
 )
 from .nets import RotationNet, cached_net_2d
 
@@ -51,7 +49,6 @@ TIE_TOL = 1e-12      # relative slack when picking the winning rotation
 MERGE_TOL = TIE_TOL / 10    # relative vertex distance within which rotated copies merge
 BASIS_TOL = 1e-9     # value agreement required of a reduced family
 PRUNE_SLACK = 1e-7   # relative margin for LP and rounding error when pruning a rotation
-FREE_TOL = 1e-6      # least w_j, and least <u, w>, that count in a free direction w
 BRUTE_LIMIT = 10 ** 6
 
 log = logging.getLogger(__name__)
@@ -86,11 +83,13 @@ class FitResult:
     """Best scale over a net, its witness, and a pinning subfamily.
 
     `basis` lists half-space indices of the container whose intersection
-    alone already forces the same beta: the supports of the solved
-    rotations' checked duals, plus any rows that keep the copy from
-    sliding (`_pin_translation`).  Its size never exceeds c * (d + 1) for
-    a net whose rotations fall into c translation classes, which is at
-    most len(net) * (d + 1).  `rotation_index` is the winning net element.
+    alone already forces the same beta: exactly the supports of the solved
+    rotations' checked duals.  They may leave the copy free to slide (two
+    opposite walls of a box, say); a re-solve on them is still optimal at
+    beta, since `seidel_lp` reads a slide as no gain.  Its size never
+    exceeds c * (d + 1) for a net whose rotations fall into c translation
+    classes, which is at most len(net) * (d + 1).  `rotation_index` is the
+    winning net element.
     `stats.lp_calls` counts each round of a sampled loop as a solve.
     """
 
@@ -311,49 +310,6 @@ def _certified(K, rotation, P, res):
     return res.tight_rows
 
 
-def _free_direction(U):
-    """A unit w with <u_i, w> <= 0 for every row u_i of U, or None.
-
-    None means the rows positively span R^d, so the half-spaces they bound
-    leave a placed copy no direction to slide in.  Each of the 2d LPs
-    maximizes +-w_j over U w <= 0 and the cube |w|_inf <= 1; a value above
-    FREE_TOL gives w.
-    """
-    d = U.shape[1]
-    rows = np.vstack([U, np.eye(d), -np.eye(d)])
-    bounds = np.concatenate([np.zeros(U.shape[0]), np.ones(2 * d)])
-    for c in np.vstack([np.eye(d), -np.eye(d)]):
-        res = seidel_lp(LpInstance(rows, bounds, c))
-        if res.status == OPTIMAL and res.value > FREE_TOL:
-            return res.witness / np.linalg.norm(res.witness)
-    return None
-
-
-def _pin_translation(P, rows, budget):
-    """`rows`, plus rows of P that keep the copy from sliding.
-
-    The checked duals' supports pin the scale, but their normals need not
-    positively span R^d: two opposite walls of a box can pin it alone and
-    leave a direction along which the copy slides.  The scale on those
-    rows is still beta, yet seidel_lp reports an LP whose witness runs to
-    its box as unbounded, so a re-solve on them would read infinity.  So
-    while the rows leave a free direction w (`_free_direction`) and stay
-    within `budget`, the row of P with the largest <u_i, w> is added, which
-    cuts w off.  A subfamily of P never allows less than P does, and adding
-    rows never raises its value, so the rows still pin beta.
-    """
-    rows = list(rows)
-    while rows and len(rows) < budget:
-        w = _free_direction(P.normals[rows])
-        if w is None:
-            break
-        k = int(np.argmax(P.normals @ w))
-        if P.normals[k] @ w <= FREE_TOL:
-            break   # P itself leaves w free
-        rows.append(k)
-    return sorted(rows)
-
-
 def _subfamily_value(K, net, P, indices, seed):
     """Max fit scale over the net when only the given half-spaces constrain
     the copy; also reports how many LPs that took."""
@@ -373,10 +329,10 @@ def _finish(K, net, P, results, stats, method):
     `beta_fixed_rotation(..., canonical=True)`'s placement at that
     rotation and seed, bit for bit.  The basis, as indices into P, is the
     union over the solved rotations of the rows that pin their values
-    (`_certified`, at most d + 1 each): each member of a class is a
-    translate of its solved rotation, and each pruned one stays below the
-    best by the dual on a solved rotation's chain.  `_pin_translation`
-    completes it within `_class_count` * (d + 1) rows.
+    (`_certified`, at most d + 1 each), so at most `_class_count` * (d + 1)
+    rows: each member of a class is a translate of its solved rotation, and
+    each pruned one stays below the best by the dual on a solved rotation's
+    chain.
     """
     i_star, best = _argmax_rotation(results)
     if math.isinf(best):
@@ -393,8 +349,7 @@ def _finish(K, net, P, results, stats, method):
     for i, r in enumerate(results):
         if r is not None:
             rows.update(_certified(K, net.rotations[i], P, r) if r.ok else r.tight_rows)
-    basis = _pin_translation(P, sorted(rows), _class_count(K, net) * (K.dim + 1))
-    return FitResult(win.value, placement, basis, method, stats, i_star)
+    return FitResult(win.value, placement, sorted(rows), method, stats, i_star)
 
 
 def _fit(K, net, P, seed, method):
@@ -496,8 +451,9 @@ def extract_basis(result: FitResult, K: VPolytope, net: RotationNet,
 
     Support, then verify: the basis is the result's own, the union of the
     supports of the solved rotations' checked duals (see `FitResult`),
-    sorted.  It is re-solved once to confirm that it reproduces beta
-    within BASIS_TOL and checked against the bound of d + 1 rows per
+    sorted, with no rows added.  It is re-solved once to confirm that it
+    reproduces beta within BASIS_TOL, also where its rows leave the copy
+    free to slide, and checked against the bound of d + 1 rows per
     rotation class (`_class_count`) before it is returned.
     """
     if not math.isfinite(result.beta):

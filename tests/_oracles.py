@@ -109,9 +109,9 @@ def _rescan_base_1d(A, b, ids, c):
             raise _Infeasible
     if lo > hi:
         lo = hi = 0.5 * (lo + hi)
-    if c[0] > 0:
+    if c[0] > PIVOT_TOL:
         x, chain = hi, [hi_id]
-    elif c[0] < 0:
+    elif c[0] < -PIVOT_TOL:
         x, chain = lo, [lo_id]
     else:
         x, chain = min(max(0.0, lo), hi), []
@@ -150,7 +150,7 @@ def _rescan_solve(A, b, ids, c, rng):
     if d == 1:
         return _rescan_base_1d(A, b, ids, c)
     n = A.shape[0]
-    x = np.where(c > 0, BOX_BOUND, np.where(c < 0, -BOX_BOUND, 0.0))
+    x = np.where(c > PIVOT_TOL, BOX_BOUND, np.where(c < -PIVOT_TOL, -BOX_BOUND, 0.0))
     chain = []
     order = rng.permutation(n) if n else np.empty(0, dtype=int)
     pos = 0

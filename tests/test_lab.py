@@ -273,20 +273,24 @@ def test_inflation_search_caps_an_unbounded_subfamily():
 
 
 def test_inflation_search_boxed_path_matches_highs():
-    # the scale is bounded but a translation ray recedes, so only the box of
-    # the sizing LP gives it an optimum; its placement once left a half-plane
-    # by 2.4e-4 at a scale 1.6e-4 above the optimum
+    # the scale is bounded but a translation ray recedes: the copy can slide
+    # along a strip, which the scale LP reads as optimal, not unbounded; the
+    # boxed placement once left a half-plane by 2.4e-4 at a scale 1.6e-4
+    # above the optimum
     body, P, result = _demo_search(1523569759, 10, (0, 2, 5))
     assert not result.capped
-    assert beta_fixed_rotation(body, result.placement.rotation, P).status == "unbounded"
     ref = highs_scale(body, result.placement.rotation, P)
+    free = beta_fixed_rotation(body, result.placement.rotation, P)
+    assert free.status == "optimal"
+    assert abs(free.value - ref) <= 1e-9 * ref
     assert abs(result.placement.scale - ref) <= 1e-9 * ref
     assert _leaves_by(body, result.placement, P) <= 1e-9
 
 
 def test_inflation_placements_stay_inside_on_every_demo_subset():
     # every 3-subset of three 10-line demos; the boxed re-solve with offsets
-    # 2e6 once left subset (2, 5, 7) of the first seed by 2.7e-9
+    # 2e6 once left subset (2, 5, 7) of the first seed by 2.7e-9, and every
+    # uncapped scale is HiGHS's, also where the copy can slide along a strip
     capped = 0
     for demo_seed in (1523569759, 106169992, 2644710988):
         for subset in combinations(range(10), 3):
@@ -297,6 +301,8 @@ def test_inflation_placements_stay_inside_on_every_demo_subset():
                 continue
             tol = 1e-9 * max(1.0, float(np.abs(P.offsets).max()))
             assert _leaves_by(body, result.placement, P) <= tol, (demo_seed, subset)
+            ref = highs_scale(body, result.placement.rotation, P)
+            assert abs(result.placement.scale - ref) <= 1e-12 * ref, (demo_seed, subset)
     assert capped == 180
 
 

@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 from _oracles import (
     CROSSINGS,
     _rescan_eliminate,
+    highs_scale,
     lp_vertex_oracle,
     rescan_seidel_lp,
     square_fit_scale,
@@ -99,6 +100,41 @@ def test_unbounded_direction():
     inst = LpInstance(np.array([[-1.0, 0.0]]), np.array([0.0]), np.array([1.0, 0.0]))
     res = seidel_lp(inst)
     assert res.status == UNBOUNDED
+
+
+def _normals(angles):
+    return np.stack([np.cos(angles), np.sin(angles)], axis=1)
+
+
+def test_a_copy_that_can_only_slide_is_not_unbounded():
+    # two antiparallel rows pin the scale, and the loose rows, whose normals
+    # all make an obtuse angle with the strip's direction w, leave the copy
+    # free to slide along w; eliminating one wall leaves the slide an
+    # objective coefficient of rounding size, which counts as zero as a row
+    # coefficient does, so the LP is optimal with its witness far inside
+    # the implicit box
+    K = regular_polygon(5, 1.0, phase=0.4)
+    rng = np.random.default_rng(2310)
+    for trial in range(60):
+        t = rng.uniform(0.0, 2.0 * math.pi)
+        A = Rotation.from_angle(rng.uniform(0.0, 2.0 * math.pi))
+        loose = t + rng.uniform(math.pi + 0.1, 2.0 * math.pi - 0.1, 3)
+        u = _normals(np.array([t]))
+        P = HPolytope(np.vstack([u, -u, _normals(loose)]),
+                      np.concatenate([rng.uniform(0.5, 2.0, 2), rng.uniform(1.0, 3.0, 3)]))
+        res = seidel_lp(build_beta_instance(K, A, P), seed=trial)
+        ref = highs_scale(K, A, P)
+        assert res.status == OPTIMAL, trial
+        assert abs(res.value - ref) <= 1e-9 * ref
+        assert np.abs(res.witness).max() <= 1e-3 * BOX_BOUND
+        # control: normals in an open half-plane, leaving a gap of
+        # pi + margin, let the copy grow forever
+        for margin in (1e-6, 1e-3, 0.5):
+            ang = t + np.concatenate([[0.0, math.pi - margin],
+                                      rng.uniform(0.0, math.pi - margin, 3)])
+            P = HPolytope(_normals(ang), rng.uniform(0.5, 2.0, 5))
+            res = seidel_lp(build_beta_instance(K, A, P), seed=trial)
+            assert res.status == UNBOUNDED, (trial, margin)
 
 
 def test_zero_row_constraints():

@@ -836,6 +836,26 @@ def test_basis_small_and_sufficient():
                    - r2.beta) <= 1e-9
 
 
+def test_extract_basis_on_single_rotations_in_a_rotated_box():
+    # 208 instances: four bodies, 13 single-rotation nets, solver seeds 0-3.
+    # A basis of three walls, two of them opposite, pins beta and leaves
+    # the copy free to slide; its re-solve once read as unbounded
+    P = box(0.0, 2.0).rotated(Rotation.from_angle(0.3)).translated([5.0, -2.0])
+    bodies = (regular_polygon(5, 1.0, 1.3), regular_polygon(5, 1.0, 0.4),
+              centred_square(), regular_polygon(3, 1.0))
+    for K in bodies:
+        for angle in np.linspace(0.0, 2.0 * math.pi, 13, endpoint=False):
+            net = spin_net([angle])
+            refs = {}
+            for seed in range(4):
+                for method in (beta_direct, beta_msw):
+                    r = method(K, net, P, seed=seed)
+                    basis = tuple(extract_basis(r, K, net, P))
+                    if basis not in refs:
+                        refs[basis] = highs_scale(K, net.rotations[0], P.take(basis))
+                    assert abs(refs[basis] - r.beta) <= 1e-9 * r.beta
+
+
 def test_extract_basis_drops_appended_redundancy():
     sq = unit_square()
     P0 = sq.hull_halfspaces()
