@@ -49,7 +49,13 @@ def load_body(obj) -> VPolytope:
 
 
 def load_container(obj) -> HPolytope:
-    """H-polytope from a parsed JSON object; normals are normalized here."""
+    """H-polytope from a parsed JSON object; normals are normalized here.
+
+    One Python pass checks that every row has a normal and an offset; the
+    values then become one array each.  A row's norm is sqrt(u . u), as
+    `np.linalg.norm(u)` computes it, so the normalized rows match a
+    row-by-row load bit for bit.  Errors name the first bad row.
+    """
     if not isinstance(obj, dict) or "halfspaces" not in obj:
         raise BodyFormatError("container document needs 'halfspaces'")
     rows = obj["halfspaces"]
@@ -59,21 +65,39 @@ def load_container(obj) -> HPolytope:
     for k, row in enumerate(rows):
         if not isinstance(row, dict) or "normal" not in row or "offset" not in row:
             raise BodyFormatError(f"halfspace {k} needs 'normal' and 'offset'")
-        u = np.asarray(row["normal"], dtype=float)
-        b = float(row["offset"])
-        if u.ndim != 1 or not np.all(np.isfinite(u)) or not np.isfinite(b):
-            raise BodyFormatError(f"halfspace {k} has non-finite entries")
-        if normals and u.size != normals[0].size:
-            raise BodyFormatError("halfspace normals disagree on dimension")
-        norm = float(np.linalg.norm(u))
-        if norm <= ZERO_NORMAL_TOL:
-            raise BodyFormatError(f"halfspace {k} has a zero normal")
-        normals.append(u / norm)
-        offsets.append(b / norm)
-    A = np.asarray(normals)
+        normals.append(row["normal"])
+        offsets.append(row["offset"])
+    try:
+        A = np.array(normals, dtype=float)
+        b = np.array(offsets, dtype=float)
+    except (TypeError, ValueError, OverflowError):
+        A = b = None
+    if A is None or A.ndim != 2 or b.ndim != 1:
+        raise BodyFormatError(_shape_error(normals, offsets))
+    finite = np.isfinite(A).all(axis=1) & np.isfinite(b)
+    norms = np.sqrt([u.dot(u) for u in A])
+    bad = np.flatnonzero(~finite | (norms <= ZERO_NORMAL_TOL))
+    if bad.size:
+        k = int(bad[0])
+        raise BodyFormatError(f"halfspace {k} has non-finite entries" if not finite[k]
+                              else f"halfspace {k} has a zero normal")
     if "dim" in obj and int(obj["dim"]) != A.shape[1]:
         raise BodyFormatError("'dim' disagrees with the normal coordinates")
-    return HPolytope(A, np.asarray(offsets))
+    return HPolytope(A / norms[:, None], b / norms)
+
+
+def _shape_error(normals, offsets):
+    """Why the rows did not make a (rows, d) array of normals and a vector
+    of offsets: the first row that is not a list of numbers and a number,
+    else normals of several lengths."""
+    for k, (u, b) in enumerate(zip(normals, offsets)):
+        try:
+            u, b = np.asarray(u, dtype=float), np.asarray(b, dtype=float)
+        except (TypeError, ValueError, OverflowError):
+            return f"halfspace {k} has entries that are not numbers"
+        if u.ndim != 1 or b.ndim != 0:
+            return f"halfspace {k} has non-finite entries"
+    return "halfspace normals disagree on dimension"
 
 
 def read_json(path):

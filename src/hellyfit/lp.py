@@ -35,13 +35,15 @@ The solver works inside a large implicit box, which is how unboundedness is
 reported rather than crashed on: an optimum pinned to the box wall means the
 true problem escapes to infinity at the scale of the data.  One zero rule
 serves rows and objective alike: a coefficient within PIVOT_TOL of zero
-counts as zero.  Eliminating one of two antiparallel rows leaves the
-objective a coefficient of rounding size along their strip, so a variable
-the objective ignores is never driven to the box wall, and a copy that can
-only slide along a strip is optimal, not unbounded.  Degenerate ties
-never loop (the recursion only ever shrinks), they are broken by fixed rules,
-and the scale-fitting layer canonicalizes witnesses afterwards so equal
-optima always report the same placement.
+counts as zero, the objective's once it is divided by its largest |c_j|,
+so that a scaled objective is read as the unscaled one.  Eliminating one
+of two antiparallel rows leaves the objective a coefficient of rounding
+size along their strip, so a variable the objective ignores is never
+driven to the box wall, and a copy that can only slide along a strip is
+optimal, not unbounded.  Degenerate ties never loop (the recursion only
+ever shrinks), they are broken by fixed rules, and the scale-fitting layer
+canonicalizes witnesses afterwards so equal optima always report the same
+placement.
 """
 
 from __future__ import annotations
@@ -498,7 +500,10 @@ def seidel_lp(instance: LpInstance, seed=0):
 
     The value and status are independent of `seed`; the witness is one
     optimal point (canonical tie-breaking happens a layer up, where the
-    geometry lives).
+    geometry lives).  The objective is divided by its largest |c_j| before
+    the zero rule reads it, so PIVOT_TOL is relative to the objective, as
+    the offset normalization makes FEAS_TOL relative to the offsets; the
+    value is that of the objective as given.
     """
     d = instance.dim_vars
     if d > MAX_DIM:
@@ -510,6 +515,9 @@ def seidel_lp(instance: LpInstance, seed=0):
     A = instance.rows
     b = instance.bounds / scale
     c = instance.objective
+    c_max = float(np.max(np.abs(c)))
+    if c_max > 0.0:
+        c = c / c_max
     ids = np.arange(A.shape[0], dtype=int)
     try:
         x, chain = _solve(A, b, ids, c, rng)

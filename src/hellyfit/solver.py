@@ -4,11 +4,12 @@
 best first, one LP per class of rotations whose copies of K are
 translates of one another (`_class_map`), skipping the classes that a
 solved rotation's dual rules out.  `beta_direct` solves each LP over all
-of P.  `beta_msw` solves it as an LP-type loop from a random sample of
+of P.  `beta_msw` solves it as an LP-type loop from the rows of the dual
+that bounds the class and, at large n, a random sample of
 ceil((d + 1) sqrt(n)) half-spaces, grown by violation tests until no
 half-space objects (Clarkson; Matousek, Sharir and Welzl), so it touches
-each half-space O(1) times expected and reads all of P only in vectorized
-products.  `beta_brute` minimizes over all small subfamilies, which the
+each half-space O(1) times expected and reads all of P mostly in
+vectorized products.  `beta_brute` minimizes over all small subfamilies, which the
 other two must match.  Every method reports the witnessing placement, a
 small basis of half-space indices that already pins the value, and
 counters suitable for scaling measurements.
@@ -208,37 +209,51 @@ def _first_with_key(keys):
     return np.array([first.setdefault(row.tobytes(), i) for i, row in enumerate(keys)])
 
 
-def _sweep(K, net, P, seed, sample=False):
+def _sweep(K, net, P, seed, msw=False):
     """The fit LPs of the rotation classes that the best value depends on.
 
     Returns one entry per rotation: `beta_fixed_rotation` with the seed
-    `_rotation_seed(seed, i)`, or None for a rotation that was not solved.
-    Only the lowest index of a class (`_class_map`) is ever solved, with its
-    own seed, and that solve stands for the whole class.  Rotation 0's
-    class is solved first; each optimal solve's dual (`lp.scale_dual` on
-    its Seidel chain) bounds every rotation, each rotation keeps the least
-    bound so far, and the class of the open rotation of highest bound
-    (lowest index on a tie) is solved next, until every open bound lies
-    below best - (TIE_TOL + PRUNE_SLACK) * max(1, |best|).  A rotation
-    within TIE_TOL of the best has a bound at least its value, so its class
-    is never pruned.  After a solve that is not optimal (unbounded or
-    empty) every remaining class is solved in index order.  With `sample`,
-    each class solve is an LP-type loop from ceil((d + 1) sqrt(n)) rows
-    drawn with a seed from `seed` and the class index, as the scale LP at
-    one rotation has combinatorial dimension d + 1.  Its dual lies on rows
-    of P and bounds P's scale, as a subfamily never allows less.
+    `_rotation_seed(seed, i)`, or None for a rotation that was not solved;
+    and a dict from rotation index to the dual (`lp.scale_dual` on its
+    Seidel chain, None where rejected) of each solve whose dual bounded
+    the others.  Only the lowest index of a class (`_class_map`) is ever
+    solved, with its own seed, and that solve stands for the whole class.  Rotation 0's
+    class is solved first; each optimal solve's dual bounds every
+    rotation, each rotation keeps the least bound so far and the support
+    (`ScaleDual.support`) of the dual that set it, and the class of the
+    open rotation of highest bound (lowest index on a tie) is solved next,
+    until every open bound lies below best - (TIE_TOL + PRUNE_SLACK) *
+    max(1, |best|).  A rotation within TIE_TOL of the best has a bound at
+    least its value, so its class is never pruned.  After a solve that is
+    not optimal (unbounded or empty) every remaining class is solved in
+    index order.
+
+    With `msw`, each class solve is an LP-type loop.  A class with a
+    binding dual starts from that dual's support, at most d + 1 rows of P
+    that alone bound its scale.  Where ceil(delta * sqrt(n)) < n, with
+    delta = c * (d + 1) for c classes (`_class_count`), it also starts from
+    ceil((d + 1) sqrt(n)) rows drawn with a seed from `seed` and the class
+    index, as the scale LP at one rotation has combinatorial dimension
+    d + 1; the first class, which no dual bounds yet, starts from that
+    sample alone, or from all of P below the gate.  A dual from a loop lies
+    on rows of P and bounds P's scale, as a subfamily never allows less.
     """
     t, n = len(net), len(P)
     rep = _rotation_classes(K, net)
     results = [None] * t
+    duals = {}
     bounds = np.full(t, math.inf)   # -inf once its class is solved
+    binding = [None] * t            # support of the dual that set bounds[i]
     size = math.ceil((K.dim + 1) * math.sqrt(n))
+    sample = msw and math.ceil(_class_count(K, net) * (K.dim + 1) * math.sqrt(n)) < n
 
     def solve(i):
         rows = None
         if sample:
             rng = np.random.default_rng([int(seed) % (2 ** 63), i, 1])
             rows = rng.choice(n, size=size, replace=False)
+        if msw and binding[i] is not None:
+            rows = binding[i] if rows is None else np.union1d(binding[i], rows)
         results[i] = beta_fixed_rotation(K, net.rotations[i], P,
                                          seed=_rotation_seed(seed, i),
                                          canonical=False, rows=rows)
@@ -257,13 +272,18 @@ def _sweep(K, net, P, seed, sample=False):
         best = max(best, res.value)
         if bounds.max() == -math.inf:
             break
-        dual = scale_dual(K, net.rotations[i], P, res.tight_rows)
+        dual = duals[i] = scale_dual(K, net.rotations[i], P, res.tight_rows)
         if dual is not None:
-            np.minimum(bounds, dual.bounds(K, net.matrices), out=bounds)
+            new = dual.bounds(K, net.matrices)
+            lower = np.flatnonzero(new < bounds)
+            bounds[lower] = new[lower]
+            support = np.array(dual.support)
+            for j in lower:
+                binding[j] = support
         i = int(bounds.argmax())
         if bounds[i] < best - (TIE_TOL + PRUNE_SLACK) * max(1.0, abs(best)):
             break
-    return results
+    return results, duals
 
 
 def _lp_calls(results):
@@ -290,19 +310,20 @@ def _union_basis(results):
     return sorted(int(j) for j in rows)
 
 
-def _certified(K, rotation, P, res):
+def _certified(K, P, res, dual):
     """The rows that pin an optimal solve's value: a checked dual's support.
 
-    The dual is `scale_dual` on the Seidel chain or, when that is rejected,
-    `near_tight_dual`.  Its support, at most d + 1 rows, is returned when
-    the scale it allows at this rotation (`ScaleDual.value`) matches the
-    solve's value within BASIS_TOL.  Otherwise the chain is returned and a
+    `dual` is `scale_dual` on the solve's Seidel chain, None where that
+    was rejected.  Its support, at most d + 1 rows, is returned when the
+    scale it allows at this rotation (`ScaleDual.value`) matches the
+    solve's value within BASIS_TOL; otherwise `near_tight_dual`'s is,
+    under the same check.  Failing both, the chain is returned and a
     warning is logged.
     """
-    dual = scale_dual(K, rotation, P, res.tight_rows)
-    if dual is None:
+    tol = BASIS_TOL * max(1.0, abs(res.value))
+    if dual is None or abs(dual.value - res.value) > tol:
         dual = near_tight_dual(K, res.placement, P)
-    if dual is not None and abs(dual.value - res.value) <= BASIS_TOL * max(1.0, abs(res.value)):
+    if dual is not None and abs(dual.value - res.value) <= tol:
         return dual.support
     log.warning("no checked dual pins the scale %.17g of a net rotation; its"
                 " basis keeps the %d rows of its Seidel chain",
@@ -313,27 +334,30 @@ def _certified(K, rotation, P, res):
 def _subfamily_value(K, net, P, indices, seed):
     """Max fit scale over the net when only the given half-spaces constrain
     the copy; also reports how many LPs that took."""
-    results = _sweep(K, net, P.take(list(indices)), seed)
+    results, _ = _sweep(K, net, P.take(list(indices)), seed)
     value = max([0.0] + [r.value for r in results if r is not None])
     return value, _lp_calls(results)
 
 
-def _finish(K, net, P, results, stats, method):
+def _finish(K, net, P, swept, stats, method):
     """Shared tail of all methods: canonicalize the winning rotation's solve.
 
-    `results` are `_sweep`'s solves over P, None where pruned or stood for
-    by their class.  The winner's value is kept as solved;
-    `canonical_placement` (counted as one LP call, plus the rows its
-    violation tests read) only replaces its translation, starting from the
-    rows nearly tight at the winner's optimum.  For a solve over P that is
-    `beta_fixed_rotation(..., canonical=True)`'s placement at that
-    rotation and seed, bit for bit.  The basis, as indices into P, is the
-    union over the solved rotations of the rows that pin their values
-    (`_certified`, at most d + 1 each), so at most `_class_count` * (d + 1)
-    rows: each member of a class is a translate of its solved rotation, and
-    each pruned one stays below the best by the dual on a solved rotation's
+    `swept` is `_sweep`'s output over P: the solves, None where pruned or
+    stood for by their class, and the duals the sweep computed.  The
+    winner's value is kept as solved; `canonical_placement` (counted as
+    one LP call, plus the rows its violation tests read) only replaces its
+    translation, starting from the rows nearly tight at the winner's
+    optimum.  For a solve over P that is `beta_fixed_rotation(...,
+    canonical=True)`'s placement at that rotation and seed, bit for bit.
+    The basis, as indices into P, is the union over the solved rotations
+    of the rows that pin their values (`_certified`, at most d + 1 each,
+    from the sweep's dual where it computed one and `scale_dual` on the
+    chain where not), so at most `_class_count` * (d + 1) rows: each
+    member of a class is a translate of its solved rotation, and each
+    pruned one stays below the best by the dual on a solved rotation's
     chain.
     """
+    results, duals = swept
     i_star, best = _argmax_rotation(results)
     if math.isinf(best):
         stats.note = "container does not bound the copy"
@@ -347,32 +371,35 @@ def _finish(K, net, P, results, stats, method):
     stats.violation_tests += tested
     rows = set()
     for i, r in enumerate(results):
-        if r is not None:
-            rows.update(_certified(K, net.rotations[i], P, r) if r.ok else r.tight_rows)
+        if r is not None and r.ok:
+            dual = duals[i] if i in duals else scale_dual(K, net.rotations[i], P,
+                                                          r.tight_rows)
+            rows.update(_certified(K, P, r, dual))
     return FitResult(win.value, placement, sorted(rows), method, stats, i_star)
 
 
 def _fit(K, net, P, seed, method):
     """`beta_direct` and `beta_msw`: one `_sweep`, then `_finish`.
 
-    The sweep samples only for "msw" and only where ceil(delta * sqrt(n))
-    < n, i.e. n > delta^2 + 1, with delta = c * (d + 1) for c rotation
-    classes (`_class_count`).  That is the routing of the earlier
-    `beta_msw`, which sampled the whole sweep at once, kept as it was: no
-    crossover of a class loop has been measured, but sampling at every n
-    made perfbench's `fit_cli` workload about 20 % slower (3 pairs).
+    For "msw" the sweep runs each class as an LP-type loop: from the
+    support of the dual that bounds it, where one does, and from a random
+    sample only where ceil(delta * sqrt(n)) < n, i.e. n > delta^2 + 1, with
+    delta = c * (d + 1) for c rotation classes (`_class_count`).  That
+    sampling gate is the routing of the earlier `beta_msw`, which sampled
+    the whole sweep at once, kept as it was: sampling at every n made
+    perfbench's `fit_cli` workload about 20 % slower (3 pairs).  Below the
+    gate the dual's support alone is the cheaper start: it cut `fit_cli`'s
+    Seidel rows by more than half.
     """
     if K.dim != P.dim or net.dim != K.dim:
         raise ValueError("body, net and container disagree on dimension")
     start = time.perf_counter()
     stats = SolveStats()
-    n = len(P)
-    delta = _class_count(K, net) * (K.dim + 1)
-    sample = method == "msw" and math.ceil(delta * math.sqrt(n)) < n
-    results = _sweep(K, net, P, seed, sample)
+    swept = _sweep(K, net, P, seed, msw=method == "msw")
+    results = swept[0]
     stats.lp_calls += _lp_calls(results)
     stats.violation_tests += sum(r.tested for r in results if r is not None)
-    out = _finish(K, net, P, results, stats, method)
+    out = _finish(K, net, P, swept, stats, method)
     stats.wall_time_s = time.perf_counter() - start
     return out
 
@@ -395,17 +422,22 @@ def beta_msw(K: VPolytope, net: RotationNet, P: HPolytope, seed=0) -> FitResult:
     """Same fit as beta_direct, touching each half-space O(1) times expected.
 
     The same sweep as `beta_direct`, but each class it cannot prune is
-    solved by an LP-type loop from a random sample of ceil((d + 1) sqrt(n))
-    half-spaces (`lp.beta_fixed_rotation` with start rows): solve on the
-    rows held, add the rows of P the result leaves, and stop when none is
-    left.  That last violation test is the certificate: an optimum on rows
-    of P that no row of P violates is optimal for P.  The canonical step,
-    as for every method, starts from the rows nearly tight at the winner's
-    optimum, so all of P is read only by violation tests, and
-    `violation_tests` counts every row they read.  β, the rotation and the
-    placement are `beta_direct`'s up to the LP tolerance, not bit for bit;
-    where `_fit` does not sample, they and every counter are
-    `beta_direct`'s.
+    solved by an LP-type loop (`lp.beta_fixed_rotation` with start rows):
+    solve on the rows held, add the rows of P the result leaves, and stop
+    when none is left.  That last violation test is the certificate: an
+    optimum on rows of P that no row of P violates is optimal for P.  A
+    class starts from the support of the dual that bounds it, at most
+    d + 1 rows that an earlier class's solve found, joined where `_fit`
+    samples (n > delta^2 + 1) by a random sample of ceil((d + 1) sqrt(n))
+    half-spaces; the first class starts from its sample, or from all of P
+    where `_fit` does not sample.  The canonical step, as for every method,
+    starts from the rows nearly tight at the winner's optimum, so apart
+    from that first class where `_fit` does not sample, all of P is read
+    only by violation tests, and `violation_tests` counts every row they
+    read.  β, the
+    rotation and the placement are `beta_direct`'s up to the LP
+    tolerance, not bit for bit, and where several rows pin the optimum
+    the basis may name others of them.
     """
     return _fit(K, net, P, seed, "msw")
 
@@ -437,9 +469,9 @@ def beta_brute(K: VPolytope, net: RotationNet, P: HPolytope) -> FitResult:
         best = min(best, value)
     # the minimizing subset pins the value; placement and basis still come
     # from the whole family so the reported copy respects every half-space
-    results = _sweep(K, net, P, 0)
-    stats.lp_calls += _lp_calls(results)
-    out = _finish(K, net, P, results, stats, "brute")
+    swept = _sweep(K, net, P, 0)
+    stats.lp_calls += _lp_calls(swept[0])
+    out = _finish(K, net, P, swept, stats, "brute")
     out.beta = best
     stats.wall_time_s = time.perf_counter() - start
     return out

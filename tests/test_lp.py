@@ -137,6 +137,16 @@ def test_a_copy_that_can_only_slide_is_not_unbounded():
             assert res.status == UNBOUNDED, (trial, margin)
 
 
+def test_objective_zero_rule_is_relative_to_the_objective():
+    # max x subject to -1 <= x <= 1, with objective 1e-12: the rule reads the
+    # objective divided by its largest |c_j|, so it is 1, not zero, and the
+    # value comes from the objective as given
+    res = seidel_lp(LpInstance([[1.0], [-1.0]], [1.0, 1.0], [1e-12]))
+    assert res.status == OPTIMAL
+    assert res.witness[0] == 1.0
+    assert res.value == 1e-12
+
+
 def test_zero_row_constraints():
     # 0 <= 1 is vacuous, 0 <= -1 is impossible
     inst = LpInstance(np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]]),

@@ -469,9 +469,25 @@ def test_msw_base_case_identical_to_direct():
     assert np.array_equal(b.placement.translation, a.placement.translation)
 
 
+def _seidel_rows(solve, *args, **kwargs):
+    """The LP rows `solve(*args, **kwargs)` hands to `lp.seidel_lp`, summed."""
+    plain, rows = lp.seidel_lp, []
+
+    def counting(instance, *a, **k):
+        rows.append(instance.rows.shape[0])
+        return plain(instance, *a, **k)
+
+    with pytest.MonkeyPatch.context() as m:
+        m.setattr(lp, "seidel_lp", counting)
+        solve(*args, **kwargs)
+    return sum(rows)
+
+
 def test_msw_sweeps_once_when_the_sample_is_the_family():
     # delta = 15 < n <= delta^2 = 225: the first sample, ceil(15 sqrt(n))
-    # half-spaces, would be all of P, so beta_msw is beta_direct's sweep
+    # half-spaces, would be all of P, so beta_msw samples nothing; its first
+    # class is solved over all of P, as by beta_direct, and each later one
+    # from the rows of the dual that bounds it
     K = regular_polygon(3, 1.0)
     net = uniform_net(5)
     for n in (16, 100, 225):
@@ -483,8 +499,8 @@ def test_msw_sweeps_once_when_the_sample_is_the_family():
         assert b.placement.translation.tobytes() == a.placement.translation.tobytes()
         assert b.basis == a.basis
         assert b.rotation_index == a.rotation_index
-        assert b.stats.lp_calls == a.stats.lp_calls
-        assert b.stats.violation_tests == a.stats.violation_tests
+        assert (_seidel_rows(beta_msw, K, net, P, seed=n)
+                <= _seidel_rows(beta_direct, K, net, P, seed=n))
         assert not b.stats.fallback
     # above delta^2 the first sample leaves half-spaces out and rounds run
     r = beta_msw(K, net, tangent_family(300, 360), seed=300)
@@ -499,6 +515,47 @@ def test_msw_matches_direct_at_larger_n():
     b = beta_msw(K, net, P, seed=31)
     assert abs(a.beta - b.beta) <= 1e-9
     assert b.stats.violation_tests >= 2000
+
+
+def boxed_triangle_instance(seed):
+    """A `hellyfit fit`-sized instance: a jittered triangle with its net at
+    epsilon 0.2 (t = 21, all classes distinct), in the box [-3, 3]^2 cut by
+    100 half-planes at distance 1.2 to 2.5 from the origin.  Its 104 rows
+    are below the sampling gate (t * 3)^2 + 1, so beta_msw samples
+    nothing."""
+    rng = np.random.default_rng([seed, 7])
+    step = 2.0 * math.pi / 3
+    ang = rng.uniform(0.0, step) + step * np.arange(3) + rng.uniform(-0.1, 0.1, 3) * step
+    rad = rng.uniform(0.8, 1.2) * (1.0 + rng.uniform(-0.02, 0.02, 3))
+    K = VPolytope(np.stack([rad * np.cos(ang), rad * np.sin(ang)], 1))
+    cut = rng.uniform(0.0, 2.0 * math.pi, 100)
+    U = np.vstack([box(-3.0, 3.0).normals, np.stack([np.cos(cut), np.sin(cut)], 1)])
+    b = np.concatenate([np.full(4, 3.0), rng.uniform(1.2, 2.5, 100)])
+    return K, build_net_2d(K, 0.2), HPolytope(U, b)
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_msw_matches_direct_on_fit_sized_instances(seed):
+    # later classes start from the support of the dual that bounds them,
+    # not from all of P; the answer and its certificate stay direct's
+    K, net, P = boxed_triangle_instance(seed)
+    assert len(net) == 21 and len(P) <= (len(net) * 3) ** 2 + 1
+    a = beta_direct(K, net, P, seed=seed)
+    b = beta_msw(K, net, P, seed=seed)
+    assert abs(b.beta - a.beta) <= 1e-12 * abs(a.beta)
+    assert b.rotation_index == a.rotation_index
+    assert b.basis == a.basis
+    assert extract_basis(b, K, net, P) == b.basis
+
+
+def test_msw_reads_at_most_half_the_lp_rows_of_direct():
+    # a deterministic work guard: with later classes started from their
+    # binding dual's support, the LPs beta_msw solves hold at most half the
+    # rows of beta_direct's
+    K, net, P = boxed_triangle_instance(0)
+    msw = _seidel_rows(beta_msw, K, net, P, seed=0)
+    direct = _seidel_rows(beta_direct, K, net, P, seed=0)
+    assert 2 * msw <= direct, (msw, direct)
 
 
 def test_msw_violation_tests_stay_linear():
@@ -733,12 +790,15 @@ def test_msw_certifies_by_violation_test(seed):
 
 
 def _class_loops(K, net, P, s):
-    """The `beta_fixed_rotation` results of `beta_msw`'s class loops."""
+    """The `beta_fixed_rotation` results of `beta_msw`'s class loops, each
+    with the number of distinct start rows it was given."""
     plain = solver.beta_fixed_rotation
     loops = []
 
     def recording(*args, **kwargs):
+        start = kwargs.get("rows")
         loops.append(plain(*args, **kwargs))
+        loops[-1].start = len(P) if start is None else np.unique(start).size
         return loops[-1]
 
     with pytest.MonkeyPatch.context() as m:
@@ -751,15 +811,17 @@ def _class_loops(K, net, P, s):
 @given(st.integers(min_value=0, max_value=2**31 - 1))
 def test_msw_class_loops_grow_every_round(seed):
     # each round adds rows of P to those held, so a loop of s solves holds
-    # its ceil(3 sqrt(n)) start rows and at least s - 1 more, and tests all
-    # of P after each solve but a last one that held all of P or found the
-    # rows held empty
+    # its start rows (the ceil(3 sqrt(n)) sampled, joined after the first
+    # class by the support of the dual that bounds it) and at least s - 1
+    # more, and tests all of P after each solve but a last one that held
+    # all of P or found the rows held empty
     K, net, P, s = sampling_instance(seed)
     n, size = len(P), math.ceil(3 * math.sqrt(len(P)))
     loops = _class_loops(K, net, P, s)
     assert loops
     for out in loops:
-        assert len(out.held) >= size + out.solves - 1
+        assert out.start >= size
+        assert len(out.held) >= out.start + out.solves - 1
         assert out.tested in (n * out.solves, n * (out.solves - 1))
         assert out.tested < n * out.solves or len(out.held) < n
 
