@@ -20,7 +20,7 @@ import time
 
 import numpy as np
 
-from .geometry import DimensionMismatchError, HPolytope, VPolytope
+from .geometry import HPolytope, VPolytope
 from .jsonio import BodyFormatError, load_body, load_container, read_json
 from .lab import _demo_run
 from .nets import build_net_2d, build_net_sufficient, verify_net
@@ -231,7 +231,7 @@ def main(argv=None) -> int:
     try:
         args = _parser().parse_args(argv)
         return _RUNNERS[args.command](args)
-    except (BodyFormatError, DimensionMismatchError, ValueError) as exc:
+    except ValueError as exc:  # BodyFormatError, DimensionMismatchError among them
         sys.stderr.write(f"error: {exc}\n")
         return USAGE_ERROR
 

@@ -143,12 +143,12 @@ class VPolytope:
     def scaled(self, lam):
         return VPolytope(self.vertices * float(lam))
 
-    def is_full_dimensional(self, tol=1e-9):
+    def is_full_dimensional(self):
         V = self.vertices - self.vertices.mean(axis=0)
         if len(self) < self.dim + 1:
             return False
         s = np.linalg.svd(V, compute_uv=False)
-        return bool(s.shape[0] >= self.dim and s[self.dim - 1] > tol * max(1.0, s[0]))
+        return bool(s.shape[0] >= self.dim and s[self.dim - 1] > 1e-9 * max(1.0, s[0]))
 
     def hull_halfspaces(self):
         """Facet half-spaces of the hull (full-dimensional input required).
@@ -436,13 +436,13 @@ class SimilarityTransform:
         return Placement(shift, p.scale / self.radius, p.rotation)
 
 
-def normalize_to_unit_ball(body: VPolytope, seed=0):
+def normalize_to_unit_ball(body: VPolytope):
     """Translate and scale so the smallest enclosing ball becomes B(0, 1).
 
     Returns (normalized body, transform record).  Applying it twice is the
     identity up to 1e-9.
     """
-    ball = miniball(body.vertices, seed=seed)
+    ball = miniball(body.vertices)
     if ball.radius < 1e-12:
         raise DegenerateGeometryError("body has zero circumradius")
     K = VPolytope((body.vertices - ball.center) / ball.radius)
@@ -582,9 +582,9 @@ def random_rotation(d, seed=0):
     return Rotation(Q)
 
 
-def shape_digest(body: VPolytope, seed=0):
+def shape_digest(body: VPolytope):
     """Stable digest of a body's shape (invariant under translation/scale)."""
-    K, _ = normalize_to_unit_ball(body, seed=seed)
+    K, _ = normalize_to_unit_ball(body)
     quantized = np.round(K.vertices, 9)
     quantized += 0.0  # flush -0.0
     h = hashlib.sha256()

@@ -20,12 +20,21 @@ class BodyFormatError(ValueError):
     """A JSON document does not describe a body or container."""
 
 
+def _dim(obj):
+    """The document's 'dim', None if it has none; only a JSON integer is one."""
+    dim = obj.get("dim")
+    if "dim" in obj and type(dim) is not int:
+        raise BodyFormatError("'dim' must be an integer")
+    return dim
+
+
 def load_body(obj) -> VPolytope:
     """Body from a parsed JSON object: vertex list or arc-body recipe."""
     if not isinstance(obj, dict):
         raise BodyFormatError("body document must be a JSON object")
+    dim = _dim(obj)
     if "arc_body" in obj:
-        if obj.get("dim") != 2:
+        if dim != 2:
             raise BodyFormatError("arc bodies live in the plane (dim 2)")
         data = obj["arc_body"]
         if not isinstance(data, dict) or not {"removed_center_angle",
@@ -34,14 +43,19 @@ def load_body(obj) -> VPolytope:
                 "arc_body needs removed_center_angle and removed_width")
         try:
             return CapBody.from_json(obj)
-        except (TypeError, ValueError) as exc:
+        except (TypeError, ValueError, OverflowError) as exc:
             raise BodyFormatError(f"bad arc body: {exc}") from exc
     if "vertices" not in obj:
         raise BodyFormatError("body document needs 'vertices' or 'arc_body'")
-    verts = np.asarray(obj["vertices"], dtype=float)
+    try:
+        verts = np.asarray(obj["vertices"], dtype=float)
+    except OverflowError:
+        raise BodyFormatError("vertex coordinates must be finite") from None
+    except (TypeError, ValueError):
+        raise BodyFormatError("'vertices' must be a nonempty list of points") from None
     if verts.ndim != 2 or verts.shape[0] == 0:
         raise BodyFormatError("'vertices' must be a nonempty list of points")
-    if "dim" in obj and int(obj["dim"]) != verts.shape[1]:
+    if dim is not None and dim != verts.shape[1]:
         raise BodyFormatError("'dim' disagrees with the vertex coordinates")
     if not np.all(np.isfinite(verts)):
         raise BodyFormatError("vertex coordinates must be finite")
@@ -58,6 +72,7 @@ def load_container(obj) -> HPolytope:
     """
     if not isinstance(obj, dict) or "halfspaces" not in obj:
         raise BodyFormatError("container document needs 'halfspaces'")
+    dim = _dim(obj)
     rows = obj["halfspaces"]
     if not isinstance(rows, list) or len(rows) == 0:
         raise BodyFormatError("'halfspaces' must be a nonempty list")
@@ -81,7 +96,7 @@ def load_container(obj) -> HPolytope:
         k = int(bad[0])
         raise BodyFormatError(f"halfspace {k} has non-finite entries" if not finite[k]
                               else f"halfspace {k} has a zero normal")
-    if "dim" in obj and int(obj["dim"]) != A.shape[1]:
+    if dim is not None and dim != A.shape[1]:
         raise BodyFormatError("'dim' disagrees with the normal coordinates")
     return HPolytope(A / norms[:, None], b / norms)
 

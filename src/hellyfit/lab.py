@@ -23,7 +23,7 @@ from .geometry import (
     VPolytope,
     cap_measure_2d,
 )
-from .lp import (FIT_TOL, OPTIMAL, LpInstance, build_beta_instance, seidel_lp,
+from .lp import (OPTIMAL, LpInstance, _violators, build_beta_instance, seidel_lp,
                  support_values)
 from .nets import cached_net_2d
 from .solver import beta_direct
@@ -216,8 +216,8 @@ def _widest_gap(spans):
     return best_gap, best_mid % TWO_PI
 
 
-def _boxed(inst, reach):
-    """The scale LP `inst` boxed in by the rows |a_k| <= reach.
+def _boxed(inst):
+    """The scale LP `inst` boxed in by the rows |a_k| <= 2 * INFLATION_BUDGET.
 
     A copy that can only slide along a strip needs no box: seidel_lp reads
     that LP as optimal.  The box's one remaining job is the sliver of
@@ -228,35 +228,24 @@ def _boxed(inst, reach):
     and with it the tolerance on the other rows.
     """
     d = inst.dim_vars - 1
-    eye = np.eye(d + 1)[:d]
-    box = np.vstack([eye / reach, -eye / reach])
+    eye = np.eye(d + 1)[:d] / (2.0 * INFLATION_BUDGET)
+    box = np.vstack([eye, -eye])
     return LpInstance.maximize_last(np.vstack([inst.rows, box]),
                                     np.concatenate([inst.bounds, np.ones(len(box))]))
-
-
-def _inside(K, placement, P):
-    """Does every vertex image of the placement obey every half-space (within 1e-9)?"""
-    pts = placement.apply_points(K.vertices)
-    tol = FIT_TOL * np.maximum(1.0, np.abs(P.offsets))
-    return bool(np.all(P.normals @ pts.T <= (P.offsets + tol)[:, None]))
 
 
 @dataclass(eq=False)
 class InflationResult:
     """Inflated placement of a body inside a tangent subfamily.
 
-    Iterating yields (delta2, placement) so callers can unpack the pair;
     `capped` marks subfamilies that cannot bound the scale at all, where
-    delta2 is reported at the search budget instead of infinity.
+    delta2, the scale less 1, is reported at the search budget.
     """
 
     delta2: float
     placement: Placement
     rotation_tries: int
     capped: bool = False
-
-    def __iter__(self):
-        return iter((self.delta2, self.placement))
 
 
 def inflation_search(K, family: TangentFamily, seed=0) -> InflationResult:
@@ -285,18 +274,19 @@ def inflation_search(K, family: TangentFamily, seed=0) -> InflationResult:
     box is there for a contact gap in (pi, pi + CAP_SLACK], whose scale is
     unbounded though the subfamily is not capped, and which it gives an
     optimum.  Up to SEARCH_ROTATIONS rotations are tried.  Every placement
-    returned has scale above 1 and passes a containment check of its
-    vertex images against every half-plane; a capped one that fails it
-    raises SearchFailure.
+    returned has scale above 1 and leaves no half-plane, by the scale LP's
+    own support rows (`lp._violators` on the support column already
+    computed); a capped one that fails it raises SearchFailure.
     """
     P = family.halfspaces
     gap, w_angle = _widest_gap((a, a) for a in family.angles)
     if gap > math.pi + CAP_SLACK:
         w = np.array([math.cos(w_angle), math.sin(w_angle)])
         rotation = Rotation.from_angle(0.0)
-        s = float(np.max(support_values(K, rotation, P.normals) / -(P.normals @ w)))
+        support = support_values(K, rotation, P.normals)
+        s = float(np.max(support / -(P.normals @ w)))
         placement = Placement(INFLATION_BUDGET * s * w, INFLATION_BUDGET, rotation)
-        if not _inside(K, placement, P):
+        if _violators(placement, support, P).size:
             raise SearchFailure("the budget placement of a capped subfamily "
                                 f"leaves it (contact gap {gap})")
         return InflationResult(placement.scale - 1.0, placement, 0, capped=True)
@@ -322,10 +312,10 @@ def inflation_search(K, family: TangentFamily, seed=0) -> InflationResult:
         rotation = Rotation.from_angle(theta)
         lp_seed = int(rng.integers(2 ** 31))
         inst = build_beta_instance(K, rotation, P)
-        res = seidel_lp(_boxed(inst, 2.0 * INFLATION_BUDGET), seed=lp_seed)
+        res = seidel_lp(_boxed(inst), seed=lp_seed)
         if res.status == OPTIMAL and res.value > 1.0:
             placement = Placement(res.witness[:K.dim], res.value, rotation)
-            if _inside(K, placement, P):
+            if not _violators(placement, inst.rows[:-1, -1], P).size:
                 return InflationResult(placement.scale - 1.0, placement, tries)
         last = theta
     raise SearchFailure(f"inflation failed after {SEARCH_ROTATIONS} rotations "

@@ -812,7 +812,7 @@ def _lex_closure(inst, placement, P, start):
 
 
 def beta_fixed_rotation(K: VPolytope, rotation: Rotation, P: HPolytope,
-                        seed=0, canonical=True, rows=None) -> BetaResult:
+                        seed=0, *, rows=None) -> BetaResult:
     """Largest alpha >= 0 with a + alpha * A * K inside P, at rotation A.
 
     Solves the len(P) + 1 row LP of `build_beta_instance` in
@@ -824,10 +824,9 @@ def beta_fixed_rotation(K: VPolytope, rotation: Rotation, P: HPolytope,
     0; rows held that are empty already mean P is.  A container that lets
     the copy grow forever reports "unbounded".  An unbounded solve is
     tested at its witness on the implicit box, so the rows that cut that
-    ray are added; if none is, P is unbounded there too.  With `canonical`
-    the witness goes through `canonical_placement`, so repeated runs (any
-    seed) agree on the placement, not just the value, up to seidel_lp's
-    row tolerance.
+    ray are added; if none is, P is unbounded there too.  The placement is
+    the last solve's witness, which can move with `seed` where the optimum
+    is not unique; `canonical_placement` picks one that does not.
     """
     n, d = len(P), K.dim
     inst = build_beta_instance(K, rotation, P)
@@ -852,8 +851,6 @@ def beta_fixed_rotation(K: VPolytope, rotation: Rotation, P: HPolytope,
         return BetaResult(math.inf, None, UNBOUNDED, (), held, tested, solves)
     value = max(res.value, 0.0)
     placement = Placement(res.witness[:d], value, rotation)
-    if canonical:
-        placement = canonical_placement(K, placement, P)[0]
     ids = np.append(held, n)
     tight = tuple(sorted(int(ids[r]) for r in res.tight_set if ids[r] < n))
     return BetaResult(value, placement, OPTIMAL, tight, held, tested, solves)
@@ -883,9 +880,9 @@ def canonical_placement(K: VPolytope, placement: Placement, P: HPolytope):
     return placed, tested
 
 
-def fit_check(K: VPolytope, rotation: Rotation, scale, P: HPolytope, seed=0) -> bool:
+def fit_check(K: VPolytope, rotation: Rotation, scale, P: HPolytope) -> bool:
     """Does some translate of scale * A * K fit inside P (within 1e-9)?"""
-    res = beta_fixed_rotation(K, rotation, P, seed=seed, canonical=False)
+    res = beta_fixed_rotation(K, rotation, P)
     if res.status == UNBOUNDED:
         return True
     if res.status == INFEASIBLE:
@@ -900,12 +897,12 @@ class InradiusResult:
     status: str
 
 
-def chebyshev_inradius(P: HPolytope, seed=0) -> InradiusResult:
+def chebyshev_inradius(P: HPolytope) -> InradiusResult:
     """Largest ball inside P: maximize r subject to <u_k, c> + r <= b_k."""
     n, d = P.normals.shape
     rows = np.hstack([P.normals, np.ones((n, 1))])
     inst = LpInstance.maximize_last(rows, P.offsets)
-    res = seidel_lp(inst, seed=seed)
+    res = seidel_lp(inst)
     if res.status == UNBOUNDED:
         return InradiusResult(math.inf, None, UNBOUNDED)
     if res.status == INFEASIBLE or res.value < -FEAS_TOL:

@@ -102,17 +102,17 @@ def _ring(t):
 
 def _margin(K, rotation, PK, target):
     """K's scale inside its hull PK at a rotation, less target; -1 unless optimal."""
-    res = beta_fixed_rotation(K, rotation, PK, canonical=False)
+    res = beta_fixed_rotation(K, rotation, PK)
     return res.value - target if res.ok else -1.0
 
 
 @dataclass(eq=False)
 class RotationNet:
-    """Immutable list of rotations with the accuracy they were built for."""
+    """Immutable list of rotations with the accuracy they were built for;
+    which body they are for is `cached_net_2d`'s key, not the net's."""
 
     rotations: tuple
     epsilon: float
-    shape_hash: str
     certificate: str
 
     def __post_init__(self):
@@ -156,16 +156,14 @@ class RotationNet:
 # planar slack angle
 
 
-def _margin_fn(K: VPolytope, epsilon: float, PK=None):
+def _margin_fn(K: VPolytope, epsilon: float, PK):
     """Fit margin as a function of the rotation angle.
 
-    The margin is the fixed-rotation scale of K inside its own hull `PK`
-    (computed if not given), less 1 - eps, from `beta_fixed_rotation`
-    without canonicalization: one LP of |PK| + 1 support-function rows per
-    angle.  A status other than optimal gives margin -1.
+    The margin is the fixed-rotation scale of K inside its own hull `PK`,
+    `K.hull_halfspaces()`, less 1 - eps, from `beta_fixed_rotation`: one LP
+    of |PK| + 1 support-function rows per angle.  A status other than
+    optimal gives margin -1.
     """
-    if PK is None:
-        PK = K.hull_halfspaces()
     target = 1.0 - epsilon
 
     def margin(theta):
@@ -390,7 +388,7 @@ def build_net_2d(K: VPolytope, epsilon: float, tol: float = ANGLE_TOL) -> Rotati
             break
         t += 1
     _refuse_above_limit(t, "planar", epsilon)
-    return RotationNet(_ring(t), epsilon, shape_digest(K), EXACT_2D)
+    return RotationNet(_ring(t), epsilon, EXACT_2D)
 
 
 _NETS_2D = {}
@@ -464,7 +462,7 @@ def build_net_sufficient(K: VPolytope, epsilon: float) -> RotationNet:
                     mats.append(_euler_zyz(p1, p2, p3))
         rots = tuple(Rotation(m) for m in mats)
 
-    net = RotationNet(rots, epsilon, shape_digest(K), SUFFICIENT_BOUND)
+    net = RotationNet(rots, epsilon, SUFFICIENT_BOUND)
     mats = net.matrices
     target = 1.0 - epsilon
     for trial in range(20):

@@ -255,8 +255,7 @@ def _sweep(K, net, P, seed, msw=False):
         if msw and binding[i] is not None:
             rows = binding[i] if rows is None else np.union1d(binding[i], rows)
         results[i] = beta_fixed_rotation(K, net.rotations[i], P,
-                                         seed=_rotation_seed(seed, i),
-                                         canonical=False, rows=rows)
+                                         seed=_rotation_seed(seed, i), rows=rows)
         bounds[rep == i] = -math.inf
         return results[i]
 
@@ -347,15 +346,13 @@ def _finish(K, net, P, swept, stats, method):
     winner's value is kept as solved; `canonical_placement` (counted as
     one LP call, plus the rows its violation tests read) only replaces its
     translation, starting from the rows nearly tight at the winner's
-    optimum.  For a solve over P that is `beta_fixed_rotation(...,
-    canonical=True)`'s placement at that rotation and seed, bit for bit.
-    The basis, as indices into P, is the union over the solved rotations
-    of the rows that pin their values (`_certified`, at most d + 1 each,
-    from the sweep's dual where it computed one and `scale_dual` on the
-    chain where not), so at most `_class_count` * (d + 1) rows: each
-    member of a class is a translate of its solved rotation, and each
-    pruned one stays below the best by the dual on a solved rotation's
-    chain.
+    optimum.  The basis, as indices into P, is the union over the solved
+    rotations of the rows that pin their values (`_certified`, at most
+    d + 1 each, from the sweep's dual where it computed one and
+    `scale_dual` on the chain where not), so at most `_class_count` *
+    (d + 1) rows: each member of a class is a translate of its solved
+    rotation, and each pruned one stays below the best by the dual on a
+    solved rotation's chain.
     """
     results, duals = swept
     i_star, best = _argmax_rotation(results)

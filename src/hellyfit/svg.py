@@ -94,11 +94,11 @@ class _Canvas:
         joined = " ".join(self.pix(p) for p in pts)
         self.parts.append(f'<polygon class="{cls}" points="{joined}"/>')
 
-    def path(self, pts, cls, closed=True):
+    def path(self, pts, cls):
         if len(pts) == 0:
             return
         coords = [self.pix(p) for p in pts]
-        d = "M" + " L".join(coords) + ("Z" if closed else "")
+        d = "M" + " L".join(coords) + "Z"
         self.parts.append(f'<path class="{cls}" d="{d}"/>')
 
     def line(self, a, b, cls):

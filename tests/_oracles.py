@@ -255,7 +255,7 @@ def full_sweep(K, net, P, seed):
     from hellyfit.lp import beta_fixed_rotation
     from hellyfit.solver import _rotation_seed
 
-    return [beta_fixed_rotation(K, A, P, seed=_rotation_seed(seed, i), canonical=False)
+    return [beta_fixed_rotation(K, A, P, seed=_rotation_seed(seed, i))
             for i, A in enumerate(net.rotations)]
 
 
@@ -290,8 +290,7 @@ def beta_angle_scan(K, P, angles, seed=0):
     best = -math.inf
     best_theta = None
     for theta in angles:
-        r = beta_fixed_rotation(K, Rotation.from_angle(theta), P, seed=seed,
-                                canonical=False)
+        r = beta_fixed_rotation(K, Rotation.from_angle(theta), P, seed=seed)
         v = r.value if r.status == OPTIMAL else (math.inf if r.status == UNBOUNDED else 0.0)
         if v > best:
             best, best_theta = v, theta
@@ -386,7 +385,7 @@ def grid_scan_max_angle(K, epsilon, tol=1e-3):
     """
     from hellyfit.nets import TOUCH_TOL, _margin_fn
 
-    margin = _margin_fn(K, epsilon)
+    margin = _margin_fn(K, epsilon, K.hull_halfspaces())
     if margin(0.0) <= TOUCH_TOL:
         return 0.0
     a_pos = _grid_first_stop(margin, +1.0, tol)

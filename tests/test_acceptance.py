@@ -81,7 +81,7 @@ def random_container(rng, extra):
 def small_net(rng, t):
     angles = np.sort(rng.uniform(0.0, 2.0 * math.pi, t))
     rots = tuple(Rotation.from_angle(float(a)) for a in angles)
-    return RotationNet(rots, 0.5, "", SUFFICIENT_BOUND)
+    return RotationNet(rots, 0.5, SUFFICIENT_BOUND)
 
 
 @pytest.fixture(scope="module")
@@ -234,8 +234,7 @@ def test_criterion_6_known_values():
                                [0.0, 1.0], [0.0, -1.0]]),
                      np.array([2.0, 0.0, 2.0, 0.0]))
     beta_two = beta_direct(square, build_net_2d(square, 0.3), box2, seed=0).beta
-    tilted = RotationNet((Rotation.from_angle(math.pi / 4.0),), 0.5, "",
-                         SUFFICIENT_BOUND)
+    tilted = RotationNet((Rotation.from_angle(math.pi / 4.0),), 0.5, SUFFICIENT_BOUND)
     box1 = HPolytope(np.array([[1.0, 0.0], [-1.0, 0.0],
                                [0.0, 1.0], [0.0, -1.0]]),
                      np.array([1.0, 0.0, 1.0, 0.0]))

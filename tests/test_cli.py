@@ -146,6 +146,23 @@ def test_fit_rejects_dimension_mismatch(capsys, tmp_path, bigsquare):
     assert main(["fit", cube, bigsquare]) == 2
 
 
+@pytest.mark.parametrize("body, container", [
+    ({"dim": 2, "vertices": [[0, 0], [10 ** 400, 0], [0, 1]]}, {}),
+    ({"dim": None, "vertices": [[0, 0], [1, 0], [0, 1]]}, {}),
+    ({"dim": 2, "vertices": [[0, 0], [1, 0], [0, 1]]}, {"dim": [2]}),
+])
+def test_fit_rejects_unreadable_numbers_with_one_error_line(capsys, tmp_path, bigsquare,
+                                                            body, container):
+    # a coordinate beyond the float range, or a 'dim' that is not an
+    # integer, in either file is a usage error, not a traceback
+    body = write_json(tmp_path / "body.json", body)
+    with open(bigsquare, encoding="utf-8") as fh:
+        box = write_json(tmp_path / "box.json", {**json.load(fh), **container})
+    assert main(["fit", body, box]) == 2
+    [line] = capsys.readouterr().err.splitlines()
+    assert line.startswith("error: ")
+
+
 @pytest.mark.parametrize("scale, message", [(1e-8, "circumradius rounds to 0"),
                                             (1e200, "the hull overflowed")])
 def test_fit_refuses_bodies_too_small_or_too_large(capsys, tmp_path, bigsquare,

@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from hellyfit.jsonio import BodyFormatError, load_container
+from hellyfit.jsonio import BodyFormatError, load_body, load_container
 
 
 def _doc(rows, **extra):
@@ -68,3 +68,31 @@ def test_container_errors_name_the_first_bad_row():
     doc = _doc([([1, 0], 1), ([0, 0], 1), ([math.nan, 1], 1)])
     with pytest.raises(BodyFormatError, match="halfspace 1 has a zero normal"):
         load_container(doc)
+
+
+SQUARE = [[0, 0], [1, 0], [1, 1], [0, 1]]
+ARC = {"removed_center_angle": 0.0, "removed_width": 2.0}
+
+
+@pytest.mark.parametrize("doc, message", [
+    ({"vertices": [[0, 0], [10 ** 400, 0], [0, 1]]}, "vertex coordinates must be finite"),
+    ({"vertices": [[0, 0], [{}, 0], [0, 1]]}, "'vertices' must be a nonempty list of points"),
+    ({"dim": None, "vertices": SQUARE}, "'dim' must be an integer"),
+    ({"dim": [2], "vertices": SQUARE}, "'dim' must be an integer"),
+    ({"dim": "2", "vertices": SQUARE}, "'dim' must be an integer"),
+    ({"dim": 2.0, "vertices": SQUARE}, "'dim' must be an integer"),
+    ({"dim": True, "vertices": SQUARE}, "'dim' must be an integer"),
+    ({"dim": None, "arc_body": ARC}, "'dim' must be an integer"),
+    ({"dim": 2, "arc_body": {**ARC, "removed_center_angle": 10 ** 400}},
+     "bad arc body: int too large to convert to float"),
+])
+def test_body_errors_are_format_errors(doc, message):
+    with pytest.raises(BodyFormatError) as exc:
+        load_body(doc)
+    assert str(exc.value) == message
+
+
+@pytest.mark.parametrize("dim", [None, [2], "2", 2.0, True])
+def test_container_dim_must_be_an_integer(dim):
+    with pytest.raises(BodyFormatError, match="'dim' must be an integer"):
+        load_container(_doc([([1, 0], 1), ([0, 1], 1)], dim=dim))

@@ -2,6 +2,7 @@
 
 import json
 import math
+from dataclasses import replace
 from itertools import combinations
 
 import numpy as np
@@ -192,10 +193,9 @@ def test_inflation_search_beats_three_tangents():
     result = inflation_search(body, fam, seed=0)
     assert result.delta2 > 0.0
     assert not result.capped
-    delta2, placement = result
+    delta2, placement = result.delta2, result.placement
     assert placement.scale == pytest.approx(1.0 + delta2, abs=1e-12)
-    check = beta_fixed_rotation(body, placement.rotation, fam.halfspaces,
-                                seed=99, canonical=False)
+    check = beta_fixed_rotation(body, placement.rotation, fam.halfspaces, seed=99)
     assert check.value >= 1.0 + delta2 - RECHECK_TOL
 
 
@@ -225,8 +225,31 @@ def test_inflation_search_handles_opposite_tangent_pairs(monkeypatch):
     assert result.delta2 > 0.0
     assert not result.capped
     check = beta_fixed_rotation(body, result.placement.rotation,
-                                fam.halfspaces, seed=7, canonical=False)
+                                fam.halfspaces, seed=7)
     assert check.value >= 1.0 + result.delta2 - RECHECK_TOL
+
+
+def test_inflation_search_refuses_a_copy_that_leaves_a_half_plane(monkeypatch):
+    # negative control for the containment gate: every boxed solve's
+    # witness is moved 1e-6 outward across its tightest half-plane, so no
+    # copy the search finds may be returned
+    from hellyfit import lab
+
+    body = cap_body(3, math.pi / 6, m=128)
+    fam = TangentFamily.at_angles(np.array([0.0, TWO_PI / 3, 2 * TWO_PI / 3]))
+    n = len(fam)
+    plain = lab.seidel_lp
+
+    def outward(inst, seed=0):
+        res = plain(inst, seed=seed)
+        x = res.witness.copy()
+        i = int(np.argmin(inst.bounds[:n] - inst.rows[:n] @ x))
+        x[:2] += 1e-6 * inst.rows[i, :2]
+        return replace(res, witness=x)
+
+    monkeypatch.setattr(lab, "seidel_lp", outward)
+    with pytest.raises(SearchFailure):
+        inflation_search(body, fam, seed=0)
 
 
 def test_inflation_search_caps_a_single_half_plane(monkeypatch):

@@ -43,6 +43,7 @@ from hellyfit.lp import (
     _screen,
     beta_fixed_rotation,
     build_beta_instance,
+    canonical_placement,
     chebyshev_inradius,
     fit_check,
     seidel_lp,
@@ -169,7 +170,8 @@ def test_rotated_square_in_unit_square():
     res = beta_fixed_rotation(K, Rotation.from_angle(math.pi / 4.0), P)
     assert res.ok
     assert abs(res.value - math.sqrt(2.0) / 2.0) <= 1e-9
-    assert np.allclose(res.placement.translation, [0.5, 0.5], atol=1e-8)
+    placement = canonical_placement(K, res.placement, P)[0]
+    assert np.allclose(placement.translation, [0.5, 0.5], atol=1e-8)
 
 
 def test_axis_square_in_double_box():
@@ -183,8 +185,7 @@ def test_square_fit_matches_closed_form_across_angles():
     K = VPolytope(np.array([[0.5, 0.5], [-0.5, 0.5], [-0.5, -0.5], [0.5, -0.5]]))
     P = _square_h()
     for theta in np.linspace(0.0, 2.0 * math.pi, 37):
-        res = beta_fixed_rotation(K, Rotation.from_angle(float(theta)), P,
-                                  canonical=False)
+        res = beta_fixed_rotation(K, Rotation.from_angle(float(theta)), P)
         assert res.ok
         assert abs(res.value - square_fit_scale(float(theta))) <= 1e-9
 
@@ -246,7 +247,7 @@ def test_support_rows_match_vertex_rows(seed):
     A = Rotation.from_angle(float(rng.uniform(0.0, 2.0 * math.pi)))
     lp_seed = int(rng.integers(1000))
     vert = seidel_lp(vertex_beta_instance(K, A, P), seed=lp_seed)
-    supp = beta_fixed_rotation(K, A, P, seed=lp_seed, canonical=False)
+    supp = beta_fixed_rotation(K, A, P, seed=lp_seed)
     assert supp.status == vert.status
     if vert.status != OPTIMAL:
         return
@@ -254,7 +255,7 @@ def test_support_rows_match_vertex_rows(seed):
     assert abs(value - vert.value) <= 1e-9 * max(1.0, abs(value))
     vert_tight = sorted({int(r) // len(K) for r in vert.tight_set})
     for tight in (vert_tight, list(supp.tight_rows)):
-        sub = beta_fixed_rotation(K, A, P.take(tight), canonical=False)
+        sub = beta_fixed_rotation(K, A, P.take(tight))
         assert sub.ok, (tight, sub.status)
         assert abs(sub.value - value) <= 1e-9 * max(1.0, abs(value))
 
@@ -291,11 +292,12 @@ def test_value_and_placement_are_seed_independent():
     K = regular_polygon(5, 1.0, phase=0.3)
     P = regular_polygon(9, 2.5, phase=0.1).hull_halfspaces()
     base = beta_fixed_rotation(K, Rotation.from_angle(0.2), P, seed=0)
+    base_at = canonical_placement(K, base.placement, P)[0].translation
     for seed in (1, 2, 3, 17, 91):
         res = beta_fixed_rotation(K, Rotation.from_angle(0.2), P, seed=seed)
         assert abs(res.value - base.value) <= 1e-9
-        assert np.allclose(res.placement.translation, base.placement.translation,
-                           atol=1e-7)
+        at = canonical_placement(K, res.placement, P)[0].translation
+        assert np.allclose(at, base_at, atol=1e-7)
 
 
 def test_canonical_translation_is_lex_min_on_degenerate_strip():
@@ -305,7 +307,8 @@ def test_canonical_translation_is_lex_min_on_degenerate_strip():
     P = box_polytope(np.array([0.0, 0.0]), np.array([5.0, 1.0]))
     res = beta_fixed_rotation(K, Rotation.identity(2), P, seed=3)
     assert abs(res.value - 1.0) <= 1e-9
-    assert np.allclose(res.placement.translation, [0.0, 0.0], atol=1e-7)
+    placement = canonical_placement(K, res.placement, P)[0]
+    assert np.allclose(placement.translation, [0.0, 0.0], atol=1e-7)
 
 
 # ---------------------------------------------------------------------------
@@ -319,8 +322,9 @@ def test_beta_translation_equivariance():
     res0 = beta_fixed_rotation(K, Rotation.from_angle(0.5), P)
     res1 = beta_fixed_rotation(K, Rotation.from_angle(0.5), P.translated(t))
     assert abs(res0.value - res1.value) <= 1e-9
-    assert np.allclose(res0.placement.translation + t, res1.placement.translation,
-                       atol=1e-7)
+    at0 = canonical_placement(K, res0.placement, P)[0].translation
+    at1 = canonical_placement(K, res1.placement, P.translated(t))[0].translation
+    assert np.allclose(at0 + t, at1, atol=1e-7)
 
 
 def test_beta_scale_equivariance():

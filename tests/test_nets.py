@@ -115,11 +115,10 @@ def test_max_angle_rejects_bad_inputs():
 def test_reduced_margin_matches_full_lp():
     rng = np.random.default_rng(4)
     for K in (unit_square(), regular_polygon(5, 1.0, phase=0.2), random_hexagon()):
-        margin = _margin_fn(K, 0.2)
         PK = K.hull_halfspaces()
+        margin = _margin_fn(K, 0.2, PK)
         for theta in rng.uniform(-math.pi, math.pi, 6):
-            res = beta_fixed_rotation(K, Rotation.from_angle(float(theta)), PK,
-                                      canonical=False)
+            res = beta_fixed_rotation(K, Rotation.from_angle(float(theta)), PK)
             assert abs(margin(float(theta)) - (res.value - 0.8)) <= 1e-10
 
 
@@ -135,8 +134,8 @@ def has_contact(K, eps):
     # some sampled rotation of K already fails to hold the shrunk copy, so
     # the slack is below pi and the plain scan stops early
     PK = K.hull_halfspaces()
-    return any(beta_fixed_rotation(K, Rotation.from_angle(float(t)), PK,
-                                   canonical=False).value < 1.0 - eps
+    return any(beta_fixed_rotation(K, Rotation.from_angle(float(t)), PK).value
+               < 1.0 - eps
                for t in np.linspace(-math.pi, math.pi, 48, endpoint=False))
 
 
@@ -186,8 +185,7 @@ def test_clean_radius_bound(seed, theta, delta, frac, eps):
     R = miniball(K.vertices).radius
 
     def beta(angle):
-        return beta_fixed_rotation(K, Rotation.from_angle(angle), PK,
-                                   canonical=False).value
+        return beta_fixed_rotation(K, Rotation.from_angle(angle), PK).value
 
     b = beta(theta)
     assert beta(theta + delta) >= b * r / (r + b * abs(delta) * R) - 1e-9
@@ -364,7 +362,7 @@ def test_verify_square_net_100_trials():
 
 def test_verify_trivial_net_on_rotation_invariant_body():
     body = regular_polygon(256, 1.0)
-    net = RotationNet((Rotation.identity(2),), 0.1, "", SUFFICIENT_BOUND)
+    net = RotationNet((Rotation.identity(2),), 0.1, SUFFICIENT_BOUND)
     rep = verify_net(net, body, trials=50, seed=1)
     assert rep.ok
 
@@ -372,7 +370,7 @@ def test_verify_trivial_net_on_rotation_invariant_body():
 def test_verify_flags_a_known_bad_net():
     # identity-only net cannot cover a quarter turn of a long thin rectangle
     rect = VPolytope(np.array([[0.0, 0.0], [4.0, 0.0], [4.0, 1.0], [0.0, 1.0]]))
-    net = RotationNet((Rotation.identity(2),), 0.01, "", SUFFICIENT_BOUND)
+    net = RotationNet((Rotation.identity(2),), 0.01, SUFFICIENT_BOUND)
     rep = verify_net(net, rect, rotations=[Rotation.from_angle(math.pi / 2.0)])
     assert rep.failures == 1
     assert rep.worst_margin < 0.0

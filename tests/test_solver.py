@@ -19,7 +19,7 @@ from hellyfit.geometry import (
 )
 from hellyfit import lp, solver
 from hellyfit.cli import _bench_instance
-from hellyfit.lp import FEAS_TOL, beta_fixed_rotation, scale_dual
+from hellyfit.lp import FEAS_TOL, beta_fixed_rotation, canonical_placement, scale_dual
 from hellyfit.nets import (
     SUFFICIENT_BOUND,
     NetTooLargeError,
@@ -42,7 +42,7 @@ EPS_SQUARE = 1.0 - 1.0 / math.sqrt(2.0)
 
 def spin_net(angles, epsilon=0.3):
     rots = tuple(Rotation.from_angle(float(a)) for a in angles)
-    return RotationNet(rots, epsilon, "", SUFFICIENT_BOUND)
+    return RotationNet(rots, epsilon, SUFFICIENT_BOUND)
 
 
 def uniform_net(t, epsilon=0.3):
@@ -144,10 +144,11 @@ def test_direct_placement_is_the_canonical_fit_at_the_winning_rotation():
         r = beta_direct(K, net, P, seed=seed)
         i = r.rotation_index
         ref = beta_fixed_rotation(K, net.rotations[i], P,
-                                  seed=solver._rotation_seed(seed, i), canonical=True)
+                                  seed=solver._rotation_seed(seed, i))
+        placement = canonical_placement(K, ref.placement, P)[0]
         assert r.beta == ref.value
-        assert r.placement.scale == ref.placement.scale
-        assert np.array_equal(r.placement.translation, ref.placement.translation)
+        assert r.placement.scale == placement.scale
+        assert np.array_equal(r.placement.translation, placement.translation)
         assert r.placement.rotation is net.rotations[i]
 
 
@@ -300,7 +301,7 @@ def test_pruned_sweep_matches_full_sweep_on_ties_and_edges():
                                for z in (0.0, 1.0)]))
     rots = [random_rotation(3, seed=s) for s in range(40)]
     rots.insert(17, Rotation.identity(3))
-    net3 = RotationNet(tuple(rots), 0.5, "", SUFFICIENT_BOUND)
+    net3 = RotationNet(tuple(rots), 0.5, SUFFICIENT_BOUND)
     cut = HPolytope(np.array([[1.0, 1.0, 1.0]]) / math.sqrt(3.0), np.array([3.0]))
     for P in (box_polytope([0.0] * 3, [2.0] * 3), box_polytope([0.0] * 3, [2.0, 3.0, 2.5])):
         assert assert_sweep_matches_full_sweep(cube, net3, P, 4) < len(net3)
@@ -377,7 +378,7 @@ def test_basis_pins_beta_where_the_seidel_chain_does_not():
     # alone leave the scale unbounded
     sq = centred_square()
     net = build_net_2d(sq, EPS_SQUARE)
-    one = RotationNet(net.rotations[:1], net.epsilon, net.shape_hash, net.certificate)
+    one = RotationNet(net.rotations[:1], net.epsilon, net.certificate)
     ang = np.random.default_rng(np.random.SeedSequence([9201, 1, 25])).uniform(
         0.0, 2.0 * math.pi, 30000)
     P = HPolytope(np.stack([np.cos(ang), np.sin(ang)], axis=1), np.ones(30000))
