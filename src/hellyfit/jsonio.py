@@ -14,10 +14,21 @@ from .geometry import HPolytope, VPolytope
 from .lab import CapBody
 
 ZERO_NORMAL_TOL = 1e-14
+_JSON_NUMBERS = {int, float}
 
 
 class BodyFormatError(ValueError):
     """A JSON document does not describe a body or container."""
+
+
+def _numbers(rows):
+    """Whether every entry of `rows`, a list of flat lists, is a JSON number.
+
+    `json` reads a JSON number as an int or a float, and true and false as
+    bools; numpy would also read the strings "1" and "1e0", and the bools,
+    as numbers.  Every loader asks this of the entries it reads.
+    """
+    return {type(x) for row in rows for x in row} <= _JSON_NUMBERS
 
 
 def _dim(obj):
@@ -41,6 +52,8 @@ def load_body(obj) -> VPolytope:
                                               "removed_width"} <= set(data):
             raise BodyFormatError(
                 "arc_body needs removed_center_angle and removed_width")
+        if not _numbers([[data["removed_center_angle"], data["removed_width"]]]):
+            raise BodyFormatError("arc_body angles must be numbers")
         try:
             return CapBody.from_json(obj)
         except (TypeError, ValueError, OverflowError) as exc:
@@ -59,6 +72,8 @@ def load_body(obj) -> VPolytope:
         raise BodyFormatError("'dim' disagrees with the vertex coordinates")
     if not np.all(np.isfinite(verts)):
         raise BodyFormatError("vertex coordinates must be finite")
+    if not _numbers(obj["vertices"]):
+        raise BodyFormatError("vertex coordinates must be numbers")
     return VPolytope(verts)
 
 
@@ -66,9 +81,10 @@ def load_container(obj) -> HPolytope:
     """H-polytope from a parsed JSON object; normals are normalized here.
 
     One Python pass checks that every row has a normal and an offset; the
-    values then become one array each.  A row's norm is sqrt(u . u), as
-    `np.linalg.norm(u)` computes it, so the normalized rows match a
-    row-by-row load bit for bit.  Errors name the first bad row.
+    values then become one array each, and must all be JSON numbers.  A
+    row's norm is sqrt(u . u), as `np.linalg.norm(u)` computes it, so the
+    normalized rows match a row-by-row load bit for bit.  Errors name the
+    first bad row.
     """
     if not isinstance(obj, dict) or "halfspaces" not in obj:
         raise BodyFormatError("container document needs 'halfspaces'")
@@ -96,6 +112,9 @@ def load_container(obj) -> HPolytope:
         k = int(bad[0])
         raise BodyFormatError(f"halfspace {k} has non-finite entries" if not finite[k]
                               else f"halfspace {k} has a zero normal")
+    if not (_numbers(normals) and _numbers([offsets])):
+        k = next(k for k, (u, o) in enumerate(zip(normals, offsets)) if not _numbers([u, [o]]))
+        raise BodyFormatError(f"halfspace {k} has entries that are not numbers")
     if dim is not None and dim != A.shape[1]:
         raise BodyFormatError("'dim' disagrees with the normal coordinates")
     return HPolytope(A / norms[:, None], b / norms)

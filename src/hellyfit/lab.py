@@ -36,6 +36,7 @@ SUBSET_CAP = 10 ** 4     # exhaustive subset check limit, else sampled
 SEARCH_TRIES = 4096      # uniform angles per rotation of an inflation search
 SEARCH_ROTATIONS = 8     # rotations an inflation search tries before failing
 MEASURE_TOL = 1e-12
+MAX_ARC_VERTICES = 4096  # most vertices an arc body read from JSON may have
 
 
 class SearchFailure(RuntimeError):
@@ -83,9 +84,12 @@ class CapBody(VPolytope):
         data = obj["arc_body"]
         # vertex_count is optional; without it the body gets the default
         # discretization
-        m = int(data.get("vertex_count", 130)) - 2
+        count = data.get("vertex_count", 130)
+        if type(count) is not int or not 3 <= count <= MAX_ARC_VERTICES:
+            raise ValueError(
+                f"vertex_count must be an integer from 3 to {MAX_ARC_VERTICES}")
         return cls.of_width(data["removed_center_angle"],
-                            data["removed_width"], m)
+                            data["removed_width"], count - 2)
 
     @classmethod
     def of_width(cls, center, width, m: int = 128):

@@ -16,26 +16,27 @@ rotations.  Neither builder exploits symmetries of K: a square gets four
 rotations even though one would do.  The solver does, by solving the
 rotations whose copies of K are translates of one another only once.
 
-The planar scan bisects each proper failure it meets under one of two stop
-rules.  `max_angle_2d` stops when the bracket is BISECT_TOL wide;
-`build_net_2d` also stops as soon as both ends of the bracket give the same
-net size t = ceil(pi / alpha), since t is all the net uses.  The shorter
-bisection is a prefix of the longer, so the full-precision alpha lies in
-its last bracket and gives the same t: the net is unchanged, at a fraction
-of the margin LPs.
+The planar builder follows beta(theta), the largest scale of R_theta K
+inside K, exactly.  That scale is an LP, max s subject to <u_i, a> +
+s h_i(theta) <= b_i over K's own hull rows, with h_i(theta) =
+max_j <u_i, R_theta v_j>.  Its dual rays lambda (lambda >= 0, sum lambda_i
+u_i = 0) do not depend on theta, and between the angles where some h_i
+switches vertex each ray gives beta <= (b . lambda) / (A cos + B sin).  So
+a walk from theta = 0 that pivots from one optimal basis to the next
+(`_walk`) finds every event, every crossing of 1 - eps and every minimum of
+beta in closed form; it solves no LP.
 
-Both rest on one bound.  Let B(z, r) be K's inball, B(c, R) its miniball
-and q = r/R.  If a + beta*R_theta K lies in K, rotate that copy by delta
-about the image of c: each point moves by at most beta*|delta|*R.  Shrinking
-the result towards z by r / (r + beta*|delta|*R) puts it back inside K, so
+Both builders rest on one bound.  Let B(z, r) be K's inball, B(c, R) its
+miniball and q = r/R.  If a + beta*R_theta K lies in K, rotate that copy
+by delta about the image of c: each point moves by at most beta*|delta|*R.
+Shrinking the result towards z by r / (r + beta*|delta|*R) puts it back
+inside K, so
 
     beta(theta + delta) >= beta(theta) * r / (r + beta(theta)*|delta|*R).
 
-The general builder's spacing rests on the same argument at the identity.
-The slack scan applies the bound around every angle it solves: margins
-within the radius of `_clean_radius` are proven positive and not solved.  Applied to the
-inball alone, the bound gives beta(theta) >= q at every theta, so a body
-with q above 1 - eps has full slack and needs no scan at all.
+The general builder's spacing rests on this argument at the identity.
+Applied to the inball alone, the bound gives beta(theta) >= q at every
+theta, so a body with q above 1 - eps has full slack and needs no walk.
 """
 
 import logging
@@ -50,6 +51,7 @@ from .geometry import (
     Rotation,
     UnsupportedDimensionError,
     VPolytope,
+    convex_hull_2d,
     miniball,
     random_rotation,
     shape_digest,
@@ -62,12 +64,10 @@ from .lp import (
 
 TOUCH_TOL = 1e-9       # a fit margin this small counts as a boundary contact
 FAIL_TOL = 1e-7        # margins below -FAIL_TOL are proper failures
-ANGLE_TOL = 1e-3       # default scan resolution for max_angle_2d
 CEIL_SLACK = 1e-6      # protects t = ceil(pi/alpha) from fp noise in alpha
-BOUND_SLACK = 1e-7     # LP error allowed for by the clean radius of the scan
-REFINE_ROUNDS = 3      # parabola rounds, each moving at most one grid cell
-REFINE_STEP = 1e-4     # half-width of the parabola refine's 3-point stencil
-BISECT_TOL = 1e-9      # angle to which a proper failure's boundary is bisected
+NOISE_TOL = 1e-12      # walk slacks, dual weights and angles this small (relative) are 0
+WINDOW = 3             # vertices per half-space that the walk follows at once
+WALK_STEPS = 64        # the walk gives up after WALK_STEPS * m^2 pivots (m vertices)
 NET_LIMIT = 20_000     # most rotations any net builder will build
 
 log = logging.getLogger(__name__)
@@ -156,141 +156,16 @@ class RotationNet:
 # planar slack angle
 
 
-def _margin_fn(K: VPolytope, epsilon: float, PK):
-    """Fit margin as a function of the rotation angle.
-
-    The margin is the fixed-rotation scale of K inside its own hull `PK`,
-    `K.hull_halfspaces()`, less 1 - eps, from `beta_fixed_rotation`: one LP
-    of |PK| + 1 support-function rows per angle.  A status other than
-    optimal gives margin -1.
-    """
-    target = 1.0 - epsilon
-
-    def margin(theta):
-        return _margin(K, Rotation.from_angle(theta), PK, target)
-
-    return margin
-
-
-def _clean_radius(beta, target, q):
-    """Rotation angle within which the fit margin provably stays above TOUCH_TOL.
-
-    From beta(theta + delta) >= beta*r / (r + beta*|delta|*R) (module
-    docstring), the scale stays at or above tau = target + TOUCH_TOL +
-    BOUND_SLACK for |delta| <= q*(beta - tau) / (tau*beta), where beta is
-    the scale at theta and q = r/R.  BOUND_SLACK absorbs the LP error of
-    both the solved and the skipped margins.  Zero when beta <= tau.
-    """
-    tau = target + TOUCH_TOL + BOUND_SLACK
-    if beta <= tau:
-        return 0.0
-    return q * (beta - tau) / (tau * beta)
-
-
-def _parabola_refine(margin, center, max_step):
-    """Locate a smooth local minimum by repeated 3-point parabola fits.
-
-    The true minimum may sit up to a grid cell away from `center`, so the
-    per-round step is clipped at `max_step`, the grid cell.
-    """
-    h = REFINE_STEP
-    v = center
-    for _ in range(REFINE_ROUNDS):
-        m_l, m_c, m_r = margin(v - h), margin(v), margin(v + h)
-        denom = m_l - 2.0 * m_c + m_r
-        if denom <= 0.0:
-            break
-        step = 0.5 * h * (m_l - m_r) / denom
-        v += float(np.clip(step, -max_step, max_step))
-    return v, margin(v)
-
-
 def _net_size(alpha):
     """Rotations t = ceil(pi / alpha) of the planar net for slack angle alpha.
 
     The one place t is computed.  The ceiling is taken with CEIL_SLACK
     because alpha is resolved numerically.  t does not increase with alpha;
-    at alpha = 0 it is infinite, so a bracket starting at 0 never counts as
-    deciding t.
+    at alpha = 0 it is infinite.
     """
     if alpha <= 0.0:
         return math.inf
     return max(1, int(math.ceil(math.pi / alpha - CEIL_SLACK)))
-
-
-def _angle_settled(lo, hi):
-    """Stop rule of `max_angle_2d`: the bracket is BISECT_TOL wide."""
-    return hi - lo <= BISECT_TOL
-
-
-def _size_settled(lo, hi):
-    """Stop rule of `build_net_2d`: as above, or every angle in it gives one t."""
-    return hi - lo <= BISECT_TOL or _net_size(lo) == _net_size(hi)
-
-
-def _cross_boundary(margin, lo, hi, settled):
-    """Bisect for the edge of {margin > TOUCH_TOL} until settled(lo, hi).
-
-    lo is clean, hi is not; returns the final hi.
-    """
-    while not settled(lo, hi):
-        mid = 0.5 * (lo + hi)
-        if margin(mid) > TOUCH_TOL:
-            lo = mid
-        else:
-            hi = mid
-    return hi
-
-
-def _first_stop(margin, sign, tol, m_zero, target, q, settled):
-    """Smallest positive angle along one direction where the shrunk copy
-    stops fitting strictly (failure or boundary contact); pi if none.
-
-    Walks the grid k*tol (the last point is pi).  A grid point stops the
-    walk if its margin is at most TOUCH_TOL, or if it ends a window of three
-    consecutive points whose middle is a local minimum that a parabola
-    refine (at most REFINE_ROUNDS cells away) takes down to TOUCH_TOL.
-    After each solved point the walk jumps to the last grid point k such
-    that every grid point up to k, and every angle a refine started at one
-    of them can reach, lies within that point's clean radius.  No skipped
-    point could have stopped the walk, so the result is that of solving
-    every grid point; a jump restarts the window.  `m_zero` is the margin
-    at 0; a proper failure is bisected until `settled` holds.
-    """
-    def along(x):
-        return margin(sign * x)
-
-    n_steps = int(math.ceil(math.pi / tol))
-    k, m, prev_t = 0, m_zero, 0.0
-    window = [(0.0, m_zero)]  # trailing (theta, margin) of consecutive grid points
-    while k < n_steps:
-        cells = int(_clean_radius(m + target, target, q) / tol) - REFINE_ROUNDS
-        if cells >= 2:
-            k += cells
-            if k >= n_steps:
-                return math.pi
-            window = []
-        else:
-            k += 1
-        t = k * tol if k < n_steps else math.pi
-        m = along(t)
-        if m <= TOUCH_TOL:
-            if m < -FAIL_TOL:
-                return _cross_boundary(along, prev_t, t, settled)
-            v, mv = _parabola_refine(along, t, max_step=tol)
-            return max(0.0, v)
-        window.append((t, m))
-        if len(window) == 3:
-            (t0, m0), (t1, m1), (t2, m2) = window
-            if m1 <= m0 and m1 <= m2:
-                v, mv = _parabola_refine(along, t1, max_step=tol)
-                if mv <= TOUCH_TOL:
-                    if mv < -FAIL_TOL:
-                        return _cross_boundary(along, t0, v, settled)
-                    return max(0.0, v)
-            window.pop(0)
-        prev_t = t
-    return math.pi
 
 
 def _circumradius(K: VPolytope) -> float:
@@ -306,12 +181,221 @@ def _circumradius(K: VPolytope) -> float:
     return R
 
 
-def _slack_angle(K: VPolytope, epsilon: float, tol: float, settled):
-    """The slack-angle scan behind `max_angle_2d` and `build_net_2d`.
+def _corners(W):
+    """The counterclockwise polygon W without its vertices where the
+    boundary turns by less than NOISE_TOL radians.
 
-    Returns alpha and K's hull PK.  Proper failures are bisected until
-    `settled(lo, hi)` holds for the bracket; everything else is as
-    `max_angle_2d` documents.
+    At such a vertex, which a hull keeps when rounding puts it a hair
+    outside the chord, the two edge normals agree to rounding, and no
+    basis of the walk can tell them apart.  Dropping it moves the boundary
+    by less than NOISE_TOL times the edge length.
+    """
+    E = np.roll(W, -1, axis=0) - W
+    before = np.roll(E, 1, axis=0)
+    turn = _cross(before, E)
+    return W[turn > NOISE_TOL * np.hypot(*before.T) * np.hypot(*E.T)]
+
+
+def _walk_frame(W):
+    """K's hull rows for the walk, from its counterclockwise vertices W.
+
+    Returns the unit edge normals U (edge j runs from W[j] to W[j + 1]),
+    the offsets b and the normals' angles, increasing from that of u_0.
+    """
+    E = np.roll(W, -1, axis=0) - W
+    N = np.stack([E[:, 1], -E[:, 0]], axis=1)
+    U = N / np.sqrt((N * N).sum(axis=1))[:, None]
+    ang = np.arctan2(U[:, 1], U[:, 0])
+    return U, (U * W).sum(axis=1), ang[0] + np.mod(ang - ang[0], 2.0 * math.pi)
+
+
+def _support(U, W, j, k):
+    """<u_j, R_theta w_k> = c cos(theta) + s sin(theta); returns (c, s)."""
+    u, w = U[j], W[k]
+    return (u[..., 0] * w[..., 0] + u[..., 1] * w[..., 1],
+            u[..., 1] * w[..., 0] - u[..., 0] * w[..., 1])
+
+
+def _cross(p, q):
+    """z-component of p x q, row by row."""
+    return p[..., 0] * q[..., 1] - p[..., 1] * q[..., 0]
+
+
+def _start_basis(ang):
+    """Edge 0 and the two consecutive edges whose normals' cone holds -u_0.
+
+    Their normals hold the origin in their hull, so they form a dual ray;
+    any ray would do, since the pivots at theta = 0 reach the optimal one.
+    `ang` are the normals' angles, increasing from that of u_0.
+    """
+    a = int(np.searchsorted(ang, ang[0] + math.pi, side="right")) - 1
+    return np.array([0, a, (a + 1) % len(ang)])
+
+
+def _dual(U, b, rows):
+    """The basis' dual ray: mu with sum mu_l u_l = 0, scaled to mu . b = 1."""
+    n = U[rows]
+    mu = np.array([_cross(n[1], n[2]), _cross(n[2], n[0]), _cross(n[0], n[1])])
+    size = mu @ b[rows]
+    return mu / size if size != 0.0 else np.full(3, math.nan)
+
+
+def _pivot(U, b, J, V, mu, rho, j, k, m):
+    """Row (j, k) enters the basis; the ratio test picks the row it replaces.
+
+    The duals on the basis and the entering row form the line
+    mu cos(tau) + rho sin(tau), tau in [0, pi]; the first basis row whose
+    weight reaches zero leaves, the lowest row index among ties.  A weight
+    that is zero and stays zero, or a replacement that leaves no dual ray,
+    rules its row out.
+    """
+    free = mu <= NOISE_TOL * np.abs(mu).max()
+    flat = np.abs(rho) <= NOISE_TOL * np.abs(rho).max()
+    tau = np.where(free, np.where(flat | (rho > 0.0), math.pi, 0.0),
+                   np.arctan2(mu, -rho))
+    lim = tau.min() + NOISE_TOL
+    for out in sorted(range(3), key=lambda l: (tau[l] > lim, tau[l] if tau[l] > lim else 0.0,
+                                                  J[l] * m + V[l])):
+        J2, V2 = J.copy(), V.copy()
+        J2[out], V2[out] = j, k
+        mu2 = _dual(U, b, J2)
+        if np.all(np.isfinite(mu2)) and mu2.min() >= -NOISE_TOL * np.abs(mu2).max():
+            return J2, V2, mu2
+    raise RuntimeError("no row of the walk's basis can leave; this is a bug")
+
+
+def _window(ang, theta):
+    """The vertex rows the walk follows from theta on, and for how long.
+
+    As theta grows, the vertex of K that h_j(theta) reads moves clockwise,
+    from one edge normal's angle to the next.  Half-space j's rows are the
+    WINDOW vertices from the one read just after theta on; they stay the
+    only candidates until some half-space's direction leaves its last one,
+    `reach` radians on (infinite when the window holds every vertex).
+    """
+    m = len(ang)
+    t = ang[0] + np.mod(ang - theta - ang[0], 2.0 * math.pi)
+    size = min(WINDOW, m)
+    k = (np.searchsorted(ang, t)[:, None] - np.arange(size)) % m
+    if size == m:
+        return k, math.inf
+    return k, float(np.mod(t - ang[(k[:, -1] - 1) % m], 2.0 * math.pi).min())
+
+
+def _rates(U, b, W, J, V, mu, j, k):
+    """The basis' D = Dc cos + Ds sin, and slack * D = X cos + Y sin of rows (j, k).
+
+    Also returns each half-space's rho on the basis and, per row, the size
+    of the terms that X and Y sum.
+    """
+    hc, hs = _support(U, W, J, V)
+    Dc, Ds = float(mu @ hc), float(mu @ hs)
+    UB = U[J]
+    (g11, g12), (_, g22) = UB.T @ UB
+    M = np.array([[g22, -g12], [-g12, g11]]) @ UB.T / (g11 * g22 - g12 * g12)
+    rho = -(U @ M)                          # rho_B of every half-space
+    r = rho @ b[J] + b
+    c, s = _support(U, W, j, k)
+    size = (np.abs(rho).sum(axis=1) + 2.0) * (math.hypot(Dc, Ds) + 1.0)
+    return (Dc, Ds, rho, (r * Dc - rho @ hc)[j] - c, (r * Ds - rho @ hs)[j] - s,
+            size[j])
+
+
+def _walk(W, target):
+    """Where the stop rule ends the walk over theta in (0, pi]; pi if nowhere.
+
+    W is the body's hull, counterclockwise, centred at its inball centre
+    and scaled to circumradius 1.  The rows of the scale LP are its vertex
+    rows (j, k): <u_j, a> + s <u_j, R_theta w_k> <= b_j.  A basis is three
+    rows; its dual ray mu does not depend on theta, so its scale is
+    1 / D(theta) with D = mu . h_B(theta) = Dc cos(theta) + Ds sin(theta).
+    For a row e outside the basis, let rho (rho_e = 1) combine e and the
+    basis normals to zero.  Summing the rows with weights rho gives
+    slack_e * D = (rho . b) D - rho . h, again of the form X cos + Y sin:
+    the next row to become tight is one atan2 per row, `_pivot`'s ratio
+    test picks the row that leaves, and the scale's crossing of
+    target + TOUCH_TOL (acos) and its minimum (atan2) are read off D in
+    closed form.  Only the rows of `_window` are followed, so a step costs
+    O(m) for m vertices.  After each event only the rows tight there are
+    followed until none is about to turn negative: at theta = 0, where
+    every row on an edge is tight, these pivots find the basis optimal just
+    after 0.  Rows whose slack is identically zero under the basis (ties,
+    as on symmetric bodies) never enter.
+    """
+    U, b, ang = _walk_frame(W)
+    m = len(b)
+    J = _start_basis(ang)             # basis half-spaces
+    V = J.copy()                      # the vertex of each basis row
+    mu = _dual(U, b, J)
+    hi, lo = target + TOUCH_TOL, target - FAIL_TOL
+    theta, cross, settled = 0.0, None, 0
+    edge = np.arange(m)
+    tight = (np.concatenate([edge, edge]), np.concatenate([edge, (edge + 1) % m]))
+    for _ in range(WALK_STEPS * m * m):
+        if tight is None:
+            k, reach = _window(ang, theta)
+            j = np.broadcast_to(edge[:, None], k.shape)
+        else:
+            j, k = tight
+        Dc, Ds, rho, X, Y, size = _rates(U, b, W, J, V, mu, j, k)
+        c0, s0 = math.cos(theta), math.sin(theta)
+        now, slope = X * c0 + Y * s0, Y * c0 - X * s0
+        # time to the next zero of slack * D on its way down; 0 if past it
+        phase = np.arctan2(-slope, now)
+        wait = np.where(phase <= 0.5 * math.pi, 0.5 * math.pi - phase, 0.0)
+        row = j * m + k
+        basis = (row == J[0] * m + V[0]) | (row == J[1] * m + V[1]) | (row == J[2] * m + V[2])
+        wait[(np.hypot(now, slope) <= NOISE_TOL * size) | basis] = math.inf
+        if tight is not None:
+            go = wait <= NOISE_TOL
+            if go.any():
+                # the fastest falling row enters; after m such pivots at one
+                # angle, the lowest row index (Bland's rule, which cannot cycle)
+                pick = np.flatnonzero(go)
+                pick = pick[np.argmin(slope[go])] if settled < m else pick[np.argmin(row[go])]
+                J, V, mu = _pivot(U, b, J, V, mu, rho[j[pick]], j[pick], k[pick], m)
+                settled += 1
+            else:
+                tight = None
+            continue
+        event = theta + float(wait.min())
+        end = min(event, theta + reach, math.pi)
+
+        def scale(x):
+            return 1.0 / (Dc * math.cos(x) + Ds * math.sin(x))
+
+        psi = theta + math.remainder(math.atan2(Ds, Dc) - theta, 2.0 * math.pi)
+        if cross is None and math.hypot(Dc, Ds) * hi >= 1.0:
+            gap = math.acos(1.0 / (math.hypot(Dc, Ds) * hi))
+            first = max(theta, psi - gap)
+            if first <= min(end, psi + gap):
+                cross = first
+        if cross is not None:
+            if psi <= end:              # the dip's minimum
+                at = max(psi, theta)
+                return at if scale(at) >= lo else cross
+            if end >= math.pi:
+                return math.pi if scale(math.pi) >= lo else cross
+            if scale(end) < lo:
+                return cross
+        if end >= math.pi:
+            return math.pi
+
+        theta = end
+        if event <= end:
+            c0, s0 = math.cos(theta), math.sin(theta)
+            zero = np.abs(X * c0 + Y * s0) <= NOISE_TOL * size
+            tight, settled = (j[zero], k[zero]), 0
+    raise RuntimeError("the slack-angle walk did not end; this is a bug")
+
+
+def _slack_angle(K: VPolytope, epsilon: float):
+    """alpha of `max_angle_2d`, with the copy Kc of K's hull centred on its
+    vertex mean and Kc's half-spaces PK, for the net's probes.
+
+    beta(theta) does not change when K moves.  Centred, the inradius LP and
+    the probes solve rows whose offsets are of K's size: far from the
+    origin, the LP's offset-relative tolerances would swamp a small body.
     """
     if K.dim != 2:
         raise UnsupportedDimensionError("max_angle_2d is planar only")
@@ -319,72 +403,64 @@ def _slack_angle(K: VPolytope, epsilon: float, tol: float, settled):
         raise ValueError("epsilon must lie in [0, 1)")
     if not K.is_full_dimensional():
         raise DegenerateGeometryError("body must be full-dimensional")
-    if tol <= 0:
-        raise ValueError("tol must be positive")
-    PK = K.hull_halfspaces()
+    with np.errstate(over="ignore", invalid="ignore"):
+        V = K.vertices[convex_hull_2d(K.vertices)]
+    Kc = VPolytope(V - V.mean(axis=0))
+    PK = Kc.hull_halfspaces()
     target = 1.0 - epsilon
-    q = max(0.0, chebyshev_inradius(PK).radius) / _circumradius(K)
-    if q > target + TOUCH_TOL + BOUND_SLACK:
-        return math.pi, PK
-    margin = _margin_fn(K, epsilon, PK)
-    m0 = margin(0.0)
-    if m0 <= TOUCH_TOL:
-        return 0.0, PK
-    a_pos = _first_stop(margin, +1.0, tol, m0, target, q, settled)
-    a_neg = _first_stop(margin, -1.0, tol, m0, target, q, settled)
-    return min(a_pos, a_neg, math.pi), PK
+    if epsilon <= TOUCH_TOL:
+        return 0.0, Kc, PK
+    inball = chebyshev_inradius(PK)
+    R = _circumradius(Kc)
+    if max(0.0, inball.radius) / R > target + TOUCH_TOL + FAIL_TOL:
+        return math.pi, Kc, PK
+    W = _corners((Kc.vertices - inball.center) / R)
+    mirror = W[::-1] * np.array([1.0, -1.0])
+    return min(_walk(W, target), _walk(mirror, target)), Kc, PK
 
 
-def max_angle_2d(K: VPolytope, epsilon: float, tol: float = ANGLE_TOL) -> float:
+def max_angle_2d(K: VPolytope, epsilon: float) -> float:
     """Largest alpha such that (1-eps)R_theta K fits in K for all |theta| <= alpha.
 
-    Scans a theta grid at resolution `tol` in both directions (fit slack is
-    not symmetric for bodies without mirror symmetry), refines grid local
-    minima by parabola fitting to catch contacts between grid points, and
-    bisects proper failures to BISECT_TOL.  Capped at pi, which means every
-    rotation fits.
-
-    Each solved margin LP proves, by the inradius/circumradius bound of
-    the module docstring, that the margin stays positive over a radius
-    around its angle; the scan skips the grid points in it.  Far from a
-    contact that radius spans many grid cells; near one it shrinks below a
-    cell, and the scan solves every grid point there as a plain scan would,
-    so alpha is that of the plain scan.  If the inradius/circumradius ratio
-    q = r/R exceeds 1 - eps (plus TOUCH_TOL and BOUND_SLACK), every rotation
-    fits and pi is returned without any margin LP.
+    beta(theta), the largest scale of R_theta K inside K, is followed
+    exactly from theta = 0 in both directions (fit slack is not symmetric
+    for bodies without mirror symmetry) by a walk along the dual of the
+    scale LP (`_walk`); the walk in the negative direction is the walk of
+    K's mirror image.  The walk stops at the first dip of beta that reaches
+    1 - eps + TOUCH_TOL: at the dip's minimum if that lies within
+    [1 - eps - FAIL_TOL, 1 - eps + TOUCH_TOL], a boundary contact, and
+    where beta crosses 1 - eps + TOUCH_TOL otherwise.  Capped at pi, which
+    means every rotation fits.  If the inradius/circumradius ratio q = r/R
+    exceeds 1 - eps (plus TOUCH_TOL and FAIL_TOL), every rotation fits,
+    since beta(theta) >= q at every theta (module docstring), and pi is
+    returned without a walk.  One LP is solved, the inradius.
     """
-    return _slack_angle(K, epsilon, tol, _angle_settled)[0]
+    return _slack_angle(K, epsilon)[0]
 
 
-def build_net_2d(K: VPolytope, epsilon: float, tol: float = ANGLE_TOL) -> RotationNet:
-    """Uniform planar net with spacing set by the measured slack angle.
+def build_net_2d(K: VPolytope, epsilon: float) -> RotationNet:
+    """Uniform planar net with spacing set by the slack angle.
 
-    t = ceil(pi / alpha) rotations at angles 2*pi*j/t, j = 1..t.  The ceiling
-    is taken with a small slack because alpha itself is resolved numerically;
-    a direct fit probe at the worst-case relative angle then confirms the
-    spacing (and densifies as a last resort, which no known input triggers).
-    Above NET_LIMIT rotations it raises NetTooLargeError before building any.
-
-    The scan is that of `max_angle_2d`, except that a bisection also stops
-    once both ends of its bracket give the same t.  The stopped bisection is
-    a prefix of the full one, so the full-precision alpha lies in its last
-    bracket; t does not increase with alpha, so that alpha gives the same t,
-    and t(min(a+, a-)) = max(t(a+), t(a-)) carries this over to the two
-    directions.  The net is the one `max_angle_2d`'s alpha would give.
+    t = ceil(pi / alpha) rotations at angles 2*pi*j/t, j = 1..t, with alpha
+    from `max_angle_2d`.  The ceiling is taken with a small slack; two fit
+    LPs at the worst-case relative angles +-pi/t then confirm the spacing
+    independently of the walk (and densify as a last resort, which no
+    known input triggers).  Above NET_LIMIT rotations it raises
+    NetTooLargeError before building any.
     """
     if K.dim != 2:
         raise UnsupportedDimensionError("build_net_2d is planar only")
     if not (0.0 < epsilon < 1.0):
         raise ValueError("epsilon must lie in (0, 1)")
-    alpha, PK = _slack_angle(K, epsilon, tol, _size_settled)
+    alpha, Kc, PK = _slack_angle(K, epsilon)
     if alpha <= 0.0:
         raise DegenerateGeometryError(
             "body has no rotational slack at this epsilon; increase epsilon")
     t = _net_size(alpha)
     target = 1.0 - epsilon
     for _ in range(3):
-        if fit_check(K, Rotation.from_angle(math.pi / t), target, PK) and \
-           fit_check(K, Rotation.from_angle(-math.pi / t), target, PK):
+        if fit_check(Kc, Rotation.from_angle(math.pi / t), target, PK) and \
+           fit_check(Kc, Rotation.from_angle(-math.pi / t), target, PK):
             break
         t += 1
     _refuse_above_limit(t, "planar", epsilon)

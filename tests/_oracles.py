@@ -332,11 +332,30 @@ def arc_cap_overlap_grid(arcs, cap, cells):
     return float(np.count_nonzero(on_arc & in_cap)) * step
 
 
-def _plain_bisect(margin, lo, hi):
-    """Halve [lo, hi] down to BISECT_TOL; lo is clean, hi is not.  Returns hi."""
-    from hellyfit.nets import BISECT_TOL, TOUCH_TOL
+GRID_BISECT_TOL = 1e-9   # width to which the grid scan bisects a proper failure
+GRID_REFINE_ROUNDS = 3   # parabola rounds, each moving at most one grid cell
+GRID_REFINE_STEP = 1e-4  # half-width of the parabola refine's 3-point stencil
 
-    while hi - lo > BISECT_TOL:
+
+def _grid_margin(K, epsilon):
+    """theta -> K's scale inside its own hull at R_theta, less 1 - epsilon."""
+    from hellyfit.geometry import Rotation
+    from hellyfit.lp import beta_fixed_rotation
+
+    PK = K.hull_halfspaces()
+
+    def margin(theta):
+        res = beta_fixed_rotation(K, Rotation.from_angle(theta), PK)
+        return res.value - (1.0 - epsilon) if res.ok else -1.0
+
+    return margin
+
+
+def _plain_bisect(margin, lo, hi):
+    """Halve [lo, hi] down to GRID_BISECT_TOL; lo is clean, hi is not.  Returns hi."""
+    from hellyfit.nets import TOUCH_TOL
+
+    while hi - lo > GRID_BISECT_TOL:
         mid = 0.5 * (lo + hi)
         if margin(mid) > TOUCH_TOL:
             lo = mid
@@ -345,9 +364,23 @@ def _plain_bisect(margin, lo, hi):
     return hi
 
 
+def _parabola_refine(margin, center, max_step):
+    """A smooth local minimum near `center` from repeated 3-point parabola fits,
+    each step clipped at `max_step`, the grid cell."""
+    h = GRID_REFINE_STEP
+    v = center
+    for _ in range(GRID_REFINE_ROUNDS):
+        m_l, m_c, m_r = margin(v - h), margin(v), margin(v + h)
+        denom = m_l - 2.0 * m_c + m_r
+        if denom <= 0.0:
+            break
+        v += float(np.clip(0.5 * h * (m_l - m_r) / denom, -max_step, max_step))
+    return v, margin(v)
+
+
 def _grid_first_stop(margin, sign, tol):
     """Plain scan of one direction: solves the margin at every grid point."""
-    from hellyfit.nets import FAIL_TOL, TOUCH_TOL, _parabola_refine
+    from hellyfit.nets import FAIL_TOL, TOUCH_TOL
 
     n_steps = int(math.ceil(math.pi / tol))
     thetas = [k * tol for k in range(1, n_steps)] + [math.pi]
@@ -375,22 +408,123 @@ def _grid_first_stop(margin, sign, tol):
 
 
 def grid_scan_max_angle(K, epsilon, tol=1e-3):
-    """Slack angle of K from one margin LP per grid point, no skipping.
+    """Slack angle of K from one scale LP per grid point, no skipping.
 
-    The plain form of `nets.max_angle_2d`: it solves every grid point k*tol
-    in both directions until the first stop, with the same margin function
-    and refine, and a plain bisection of its own.  About pi/tol LPs per
-    direction for a body with full slack, so tests keep it to bodies that
-    stop early.
+    The sampled form of `nets.max_angle_2d`: it solves the scale LP
+    (`beta_fixed_rotation`) at every grid point k*tol in both directions
+    until the first stop.  A grid point at most TOUCH_TOL above 1 - eps,
+    or a grid local minimum that a parabola refine takes there, stops it;
+    a proper failure is bisected to GRID_BISECT_TOL.  A dip narrower than a
+    cell that is not a local minimum of three grid points goes unseen.
+    About pi/tol LPs per direction for a body with full slack, so tests
+    keep it to bodies that stop early.
     """
-    from hellyfit.nets import TOUCH_TOL, _margin_fn
+    from hellyfit.nets import TOUCH_TOL
 
-    margin = _margin_fn(K, epsilon, K.hull_halfspaces())
+    margin = _grid_margin(K, epsilon)
     if margin(0.0) <= TOUCH_TOL:
         return 0.0
     a_pos = _grid_first_stop(margin, +1.0, tol)
     a_neg = _grid_first_stop(margin, -1.0, tol)
     return min(a_pos, a_neg, math.pi)
+
+
+def _cross(p, q):
+    return p[0] * q[1] - p[1] * q[0]
+
+
+def dual_rays_2d(U):
+    """Every extreme ray of {lambda >= 0 : sum lambda_i u_i = 0} for unit rows U.
+
+    Returns (rows, weights): the antipodal pairs with weights (1, 1), and
+    the triples whose normals hold the origin strictly inside their hull,
+    with the cross-product weights, which are then all positive.
+    """
+    m = len(U)
+    rows, weights = [], []
+    for i, j in itertools.combinations(range(m), 2):
+        if np.linalg.norm(U[i] + U[j]) <= 1e-12:
+            rows.append((i, j, j))
+            weights.append((1.0, 1.0, 0.0))
+    for i, j, k in itertools.combinations(range(m), 3):
+        w = np.array([_cross(U[j], U[k]), _cross(U[k], U[i]), _cross(U[i], U[j])])
+        w = w if w.sum() > 0 else -w
+        if w.min() > 1e-12 * w.max():
+            rows.append((i, j, k))
+            weights.append(tuple(w))
+    return np.array(rows), np.array(weights)
+
+
+def _envelope_first_stop(V, U, b, target, sign):
+    """First stop in direction `sign` of the lower envelope of the rays' bounds."""
+    from hellyfit.nets import FAIL_TOL, TOUCH_TOL
+
+    hi, lo = target + TOUCH_TOL, target - FAIL_TOL
+    rows, lam = dual_rays_2d(U)
+    top = (lam * b[rows]).sum(axis=1)                  # b . lambda, one per ray
+    C = U @ V.T                                         # <u_i, R_x v_k> = C cos x + S sin x
+    S = sign * (U @ np.stack([-V[:, 1], V[:, 0]], axis=1).T)
+    normal = np.arctan2(U[:, 1], U[:, 0])
+    # x where R_{sign x} turns some u_i onto an edge normal: h_i switches vertex
+    cuts = np.mod(sign * (normal[:, None] - normal[None, :]), 2.0 * math.pi).ravel()
+    cuts = np.unique(np.concatenate([[0.0, math.pi], cuts[cuts < math.pi]]))
+
+    def beta(x):
+        h = (C * math.cos(x) + S * math.sin(x)).max(axis=1)
+        return float((top / (lam * h[rows]).sum(axis=1)).min())
+
+    cross = None
+    for x0, x1 in zip(cuts[:-1], cuts[1:]):
+        mid = 0.5 * (x0 + x1)
+        k = np.argmax(C * math.cos(mid) + S * math.sin(mid), axis=1)
+        A = (lam * C[rows, k[rows]]).sum(axis=1)        # h(x) . lambda = A cos x + B sin x
+        B = (lam * S[rows, k[rows]]).sum(axis=1)
+        R = np.hypot(A, B)
+        psi = mid + np.remainder(np.arctan2(B, A) - mid + math.pi, 2.0 * math.pi) - math.pi
+        if cross is None:
+            reach = top / (hi * R)
+            ok = reach <= 1.0
+            gap = np.arccos(np.minimum(reach, 1.0))
+            first = np.maximum(x0, psi - gap)
+            ok &= first <= np.minimum(x1, psi + gap)
+            if ok.any():
+                cross = float(first[ok].min())
+        if cross is not None:
+            for i in np.argsort(psi):
+                p = float(psi[i])
+                if max(x0, cross) <= p <= x1 and top[i] / R[i] <= beta(p) * (1.0 + 1e-12):
+                    return p if beta(p) >= lo else cross
+    if cross is None:
+        return math.pi
+    return math.pi if beta(math.pi) >= lo else cross
+
+
+def envelope_slack_angle(K, epsilon):
+    """`nets.max_angle_2d` from every extreme ray of the scale LP's dual cone.
+
+    The fit of R_theta K in K is the LP max s subject to <u_i, a> + s h_i(theta)
+    <= b_i over K's hull rows, with h_i(theta) = max_j <u_i, R_theta v_j>.  Its
+    dual cone {lambda >= 0 : sum lambda_i u_i = 0} does not depend on theta, so
+    beta(theta) is the least (b . lambda) / (h(theta) . lambda) over its extreme
+    rays (`dual_rays_2d`).  Between the angles where some h_i switches vertex,
+    every ray's denominator is A cos + B sin, so each ray's crossing of
+    1 - eps + TOUCH_TOL is an acos and its minimum an atan2.  The stop rule is
+    `max_angle_2d`'s, in each direction: the first crossing, unless the dip's
+    minimum (the first stationary point of an active ray after it) stays at or
+    above 1 - eps - FAIL_TOL, in which case that minimum.  Slow in the ray
+    count, which is cubic in K's vertices.
+    """
+    from hellyfit.geometry import VPolytope, convex_hull_2d
+    from hellyfit.nets import TOUCH_TOL
+
+    if epsilon <= TOUCH_TOL:
+        return 0.0
+    V = K.vertices[convex_hull_2d(K.vertices)]
+    V = V - V.mean(axis=0)
+    PK = VPolytope(V).hull_halfspaces()
+    U, b = PK.normals, PK.offsets
+    stops = [_envelope_first_stop(V, U, b, 1.0 - epsilon, sign) for sign in (1.0, -1.0)]
+    return min(stops + [math.pi])
 
 
 def pairwise_clip_to_box(P, lo, hi, tol=1e-9):

@@ -163,6 +163,30 @@ def test_fit_rejects_unreadable_numbers_with_one_error_line(capsys, tmp_path, bi
     assert line.startswith("error: ")
 
 
+TRIANGLE = [[0, 0], [1, 0], [0, 1]]
+BOX_ROWS = [{"normal": [1, 0], "offset": 2}, {"normal": [-1, 0], "offset": 0},
+            {"normal": [0, 1], "offset": 2}, {"normal": [0, -1], "offset": 0}]
+
+
+@pytest.mark.parametrize("body, rows, message", [
+    ({"dim": 2, "vertices": [["0", "0"], ["1", "0"], ["0", "1e0"]]}, BOX_ROWS,
+     "vertex coordinates must be numbers"),
+    ({"dim": 2, "vertices": [[False, False], [True, False], [False, True]]}, BOX_ROWS,
+     "vertex coordinates must be numbers"),
+    ({"dim": 2, "vertices": TRIANGLE}, [{**BOX_ROWS[0], "offset": "2"}] + BOX_ROWS[1:],
+     "halfspace 0 has entries that are not numbers"),
+    ({"dim": 2, "vertices": TRIANGLE}, BOX_ROWS[:3] + [{"normal": [True, 0], "offset": 0}],
+     "halfspace 3 has entries that are not numbers"),
+])
+def test_fit_refuses_strings_and_booleans_as_numbers(capsys, tmp_path, body, rows, message):
+    # numpy reads "0" and false as 0; a JSON document must say 0
+    body = write_json(tmp_path / "body.json", body)
+    box = write_json(tmp_path / "box.json", {"dim": 2, "halfspaces": rows})
+    assert main(["fit", body, box]) == 2
+    [line] = capsys.readouterr().err.splitlines()
+    assert line == f"error: {message}"
+
+
 @pytest.mark.parametrize("scale, message", [(1e-8, "circumradius rounds to 0"),
                                             (1e200, "the hull overflowed")])
 def test_fit_refuses_bodies_too_small_or_too_large(capsys, tmp_path, bigsquare,
@@ -355,7 +379,7 @@ def test_fit_refuses_a_huge_planar_net(capsys, square, bigsquare):
     out = capsys.readouterr()
     assert out.out == ""
     [line] = out.err.splitlines()
-    assert line.startswith("error: ") and "314183 rotations" in line
+    assert line.startswith("error: ") and "314186 rotations" in line
     assert "limit of 20000" in line
 
 

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from hellyfit.jsonio import BodyFormatError, load_body, load_container
+from hellyfit.lab import MAX_ARC_VERTICES
 
 
 def _doc(rows, **extra):
@@ -55,6 +56,9 @@ def test_container_of_unit_rows_keeps_python_integers_exact():
     (_doc([([1, 0], 10 ** 400)]), "halfspace 0 has entries that are not numbers"),
     (_doc([([1, 0], 1), ([1, 1], 1), ([0, 1e-15], 1)]), "halfspace 2 has a zero normal"),
     (_doc([([1, 0], 1), ([0, 1], 1)], dim=3), "'dim' disagrees with the normal coordinates"),
+    (_doc([([1, 0], "2"), ([0, 1], 1)]), "halfspace 0 has entries that are not numbers"),
+    (_doc([([1, 0], 1), ([True, 0], 1)]), "halfspace 1 has entries that are not numbers"),
+    (_doc([([1, 0], 1), ([0, 1], False)]), "halfspace 1 has entries that are not numbers"),
 ])
 def test_container_errors_name_the_row(doc, message):
     with pytest.raises(BodyFormatError) as exc:
@@ -85,6 +89,16 @@ ARC = {"removed_center_angle": 0.0, "removed_width": 2.0}
     ({"dim": None, "arc_body": ARC}, "'dim' must be an integer"),
     ({"dim": 2, "arc_body": {**ARC, "removed_center_angle": 10 ** 400}},
      "bad arc body: int too large to convert to float"),
+    ({"vertices": [["0", "0"], ["1", "0"], ["0", "1e0"]]}, "vertex coordinates must be numbers"),
+    ({"vertices": [[False, False], [True, False], [False, True]]},
+     "vertex coordinates must be numbers"),
+    ({"dim": 2, "arc_body": {**ARC, "removed_width": "2"}}, "arc_body angles must be numbers"),
+    ({"dim": 2, "arc_body": {**ARC, "vertex_count": MAX_ARC_VERTICES + 1}},
+     f"bad arc body: vertex_count must be an integer from 3 to {MAX_ARC_VERTICES}"),
+    ({"dim": 2, "arc_body": {**ARC, "vertex_count": 130.0}},
+     f"bad arc body: vertex_count must be an integer from 3 to {MAX_ARC_VERTICES}"),
+    ({"dim": 2, "arc_body": {**ARC, "vertex_count": 2}},
+     f"bad arc body: vertex_count must be an integer from 3 to {MAX_ARC_VERTICES}"),
 ])
 def test_body_errors_are_format_errors(doc, message):
     with pytest.raises(BodyFormatError) as exc:
@@ -96,3 +110,8 @@ def test_body_errors_are_format_errors(doc, message):
 def test_container_dim_must_be_an_integer(dim):
     with pytest.raises(BodyFormatError, match="'dim' must be an integer"):
         load_container(_doc([([1, 0], 1), ([0, 1], 1)], dim=dim))
+
+
+def test_arc_body_may_have_the_most_vertices():
+    body = load_body({"dim": 2, "arc_body": {**ARC, "vertex_count": MAX_ARC_VERTICES}})
+    assert len(body) == MAX_ARC_VERTICES

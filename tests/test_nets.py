@@ -5,8 +5,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from _oracles import grid_scan_max_angle
-from hellyfit import nets
+from _oracles import envelope_slack_angle, grid_scan_max_angle
+from hellyfit import lp, nets
 from hellyfit.geometry import (
     DegenerateGeometryError,
     Rotation,
@@ -20,15 +20,11 @@ from hellyfit.geometry import (
 from hellyfit.lab import DEMO_NET_EPS, cap_body
 from hellyfit.lp import beta_fixed_rotation, chebyshev_inradius, fit_check
 from hellyfit.nets import (
-    CEIL_SLACK,
     EXACT_2D,
     NET_LIMIT,
     SUFFICIENT_BOUND,
-    TOUCH_TOL,
     NetTooLargeError,
     RotationNet,
-    _clean_radius,
-    _margin_fn,
     _net_size,
     _ring,
     build_net_2d,
@@ -94,9 +90,21 @@ def test_max_angle_monotone_in_epsilon():
     shapes = [regular_polygon(3, 1.0), unit_square(), random_hexagon()]
     grid = (0.15, 0.25, 0.35, 0.45)
     for K in shapes:
-        vals = [max_angle_2d(K, e, tol=2e-3) for e in grid]
+        vals = [max_angle_2d(K, e) for e in grid]
         for lo, hi in zip(vals, vals[1:]):
             assert hi >= lo - 1e-6
+
+
+def test_max_angle_ignores_a_vertex_on_a_straight_edge():
+    # an edge's midpoint pushed out by rounding's size stays on the hull; its
+    # two edges share a normal to rounding, and the slack is the polygon's
+    for seed, push in ((33, 1e-16), (58, 1e-15), (74, 1e-16), (87, 1e-16), (105, 1e-16)):
+        pts = np.random.default_rng(seed).normal(size=(5, 2))
+        H = pts[convex_hull_2d(pts)]
+        mid = 0.5 * (H[0] + H[1])
+        V = np.vstack([H, mid + (mid - H.mean(axis=0)) * push])
+        alpha = max_angle_2d(VPolytope(V), 0.2)
+        assert abs(alpha - max_angle_2d(VPolytope(H), 0.2)) <= 1e-9, seed
 
 
 def test_max_angle_rejects_bad_inputs():
@@ -110,16 +118,6 @@ def test_max_angle_rejects_bad_inputs():
         max_angle_2d(cube, 0.1)
     with pytest.raises(DegenerateGeometryError):
         max_angle_2d(VPolytope(np.array([[0.0, 0.0], [1.0, 1.0], [2.0, 2.0]])), 0.1)
-
-
-def test_reduced_margin_matches_full_lp():
-    rng = np.random.default_rng(4)
-    for K in (unit_square(), regular_polygon(5, 1.0, phase=0.2), random_hexagon()):
-        PK = K.hull_halfspaces()
-        margin = _margin_fn(K, 0.2, PK)
-        for theta in rng.uniform(-math.pi, math.pi, 6):
-            res = beta_fixed_rotation(K, Rotation.from_angle(float(theta)), PK)
-            assert abs(margin(float(theta)) - (res.value - 0.8)) <= 1e-10
 
 
 def jittered_polygon(rng, m, jitter=0.3):
@@ -139,20 +137,24 @@ def has_contact(K, eps):
                for t in np.linspace(-math.pi, math.pi, 48, endpoint=False))
 
 
-def count_margin_lps(monkeypatch):
+def count_lps(monkeypatch):
     calls = [0]
-    solve = nets.beta_fixed_rotation
+    solve = lp.seidel_lp
 
     def counting(*args, **kwargs):
         calls[0] += 1
         return solve(*args, **kwargs)
 
-    monkeypatch.setattr(nets, "beta_fixed_rotation", counting)
+    monkeypatch.setattr(lp, "seidel_lp", counting)
     return calls
 
 
 def test_max_angle_matches_plain_grid_scan():
-    # skipping proven-clean grid points leaves alpha, and so t, bit-identical
+    # the walk follows beta(theta) exactly, the scan samples it on a grid and
+    # bisects to 1e-9: alpha agrees within 1e-9 and t is equal.  A dip
+    # narrower than a grid cell that is not a grid local minimum goes unseen
+    # by the scan, so there the walk's alpha may be smaller; it must then be
+    # the all-rays envelope's.
     rng = np.random.default_rng(2024)
     cases = [(regular_polygon(3, 1.0), 0.4, 1e-3), (unit_square(), EPS_SQUARE, 1e-3)]
     while len(cases) < 10:
@@ -161,22 +163,38 @@ def test_max_angle_matches_plain_grid_scan():
         if has_contact(K, eps):
             cases.append((K, eps, 2e-3))
     for K, eps, tol in cases:
-        alpha = grid_scan_max_angle(K, eps, tol)
-        assert alpha < math.pi
-        assert max_angle_2d(K, eps, tol) == alpha, (len(K), eps)
-        t = max(1, int(math.ceil(math.pi / alpha - CEIL_SLACK)))
-        assert len(build_net_2d(K, eps, tol)) == t
+        grid = grid_scan_max_angle(K, eps, tol)
+        assert grid < math.pi
+        alpha = max_angle_2d(K, eps)
+        if abs(alpha - grid) <= 1e-9:
+            assert _net_size(alpha) == _net_size(grid), (len(K), eps)
+            assert len(build_net_2d(K, eps)) == _net_size(grid)
+        else:
+            assert alpha < grid, (len(K), eps)
+            assert abs(alpha - envelope_slack_angle(K, eps)) <= 1e-9, (len(K), eps)
+
+
+@settings(max_examples=100, deadline=None)
+@given(seed=st.integers(min_value=0, max_value=2**31 - 1),
+       eps=st.floats(min_value=0.01, max_value=0.6))
+def test_max_angle_matches_the_ray_envelope(seed, eps):
+    # the walk's alpha is that of the envelope of every dual ray, in closed form
+    rng = np.random.default_rng(seed)
+    pts = rng.normal(size=(int(rng.integers(3, 9)), 2))
+    try:
+        K = VPolytope(pts[convex_hull_2d(pts)])
+    except DegenerateGeometryError:
+        return
+    assert abs(max_angle_2d(K, eps) - envelope_slack_angle(K, eps)) <= 1e-9
 
 
 @settings(max_examples=100, deadline=None)
 @given(seed=st.integers(min_value=0, max_value=2**31 - 1),
        theta=st.floats(min_value=-math.pi, max_value=math.pi),
-       delta=st.floats(min_value=-1.0, max_value=1.0),
-       frac=st.floats(min_value=-1.0, max_value=1.0),
-       eps=st.floats(min_value=0.01, max_value=0.6))
-def test_clean_radius_bound(seed, theta, delta, frac, eps):
-    # beta(theta + delta) >= beta(theta) r / (r + beta(theta) |delta| R), and
-    # every rotation within the clean radius keeps the margin above TOUCH_TOL
+       delta=st.floats(min_value=-1.0, max_value=1.0))
+def test_rotated_scale_bound(seed, theta, delta):
+    # beta(theta + delta) >= beta(theta) r / (r + beta(theta) |delta| R), the
+    # bound behind the full-slack shortcut (module docstring)
     rng = np.random.default_rng(seed)
     pts = rng.normal(size=(int(rng.integers(3, 11)), 2))
     K = VPolytope(pts[convex_hull_2d(pts)])
@@ -189,26 +207,19 @@ def test_clean_radius_bound(seed, theta, delta, frac, eps):
 
     b = beta(theta)
     assert beta(theta + delta) >= b * r / (r + b * abs(delta) * R) - 1e-9
-    radius = _clean_radius(b, 1.0 - eps, r / R)
-    if radius > 0.0:
-        margin = _margin_fn(K, eps, PK)
-        assert margin(theta + frac * radius) > TOUCH_TOL
 
 
 def test_full_slack_bodies_need_no_scan(monkeypatch):
-    calls = count_margin_lps(monkeypatch)
+    # r/R above 1 - eps: the inradius LP is the only one, and there is no walk
+    walks = []
+    monkeypatch.setattr(nets, "_walk", lambda *args: walks.append(args))
+    calls = count_lps(monkeypatch)
     for K, eps in ((regular_polygon(64, 1.0), 0.05),
                    (cap_body(2, margin=math.pi / 4), DEMO_NET_EPS)):
         calls[0] = 0
         assert max_angle_2d(K, eps) == math.pi
-        assert calls[0] <= 2
-
-
-def test_square_scan_solves_few_margin_lps(monkeypatch):
-    # the plain scan solves 1595 margin LPs here
-    calls = count_margin_lps(monkeypatch)
-    max_angle_2d(unit_square(), EPS_SQUARE)
-    assert calls[0] < 400
+        assert calls[0] <= 1
+    assert walks == []
 
 
 # ---------------------------------------------------------------------------
@@ -245,7 +256,7 @@ def test_ring_ends_on_the_exact_identity():
 
 
 def probed_net_size(K, eps):
-    # t from full-precision max_angle_2d, then build_net_2d's +-pi/t probes
+    # t from max_angle_2d, then build_net_2d's +-pi/t probes
     t = _net_size(max_angle_2d(K, eps))
     PK = K.hull_halfspaces()
     for _ in range(3):
@@ -257,9 +268,9 @@ def probed_net_size(K, eps):
 
 
 def test_net_size_is_that_of_the_full_precision_angle(monkeypatch):
-    # build_net_2d stops bisecting once t is decided; the scan's t (the first
-    # probe is at pi/t) and the probed net size must be the ones the full
-    # BISECT_TOL bisection gives.  The polygons carry fit_cli's jitter of 0.1.
+    # build_net_2d's t (the first probe is at pi/t) and its probed net size
+    # are the ones max_angle_2d's alpha gives.  The polygons carry fit_cli's
+    # jitter of 0.1.
     probes = []
     check = nets.fit_check
 
@@ -287,23 +298,30 @@ def test_net_size_is_infinite_at_zero_slack():
     assert _net_size(math.pi / 4.0) == 4
 
 
-def test_net_build_stops_bisecting_once_t_is_decided(monkeypatch):
-    # the full bisection solves 71 margin LPs here, the net's 31
-    calls = count_margin_lps(monkeypatch)
-    K = regular_polygon(3, 1.0)
-    max_angle_2d(K, 0.4)
-    full, calls[0] = calls[0], 0
-    build_net_2d(K, 0.4)
-    assert calls[0] <= full - 30
+def test_planar_nets_solve_at_most_three_lps(monkeypatch):
+    # the inradius and the two +-pi/t probes; the walk solves no LP.  The cap
+    # bodies' nets keep their sizes
+    calls = count_lps(monkeypatch)
+    rng = np.random.default_rng(11)
+    cases = [(unit_square(), EPS_SQUARE, 4), (regular_polygon(3, 1.0), 0.4, 7),
+             (jittered_polygon(rng, 5), 0.1, None), (regular_polygon(64, 1.0), 0.05, 1)]
+    cases += [(cap_body(n, margin=math.pi / (2 * n)), DEMO_NET_EPS, t)
+              for n, t in ((2, 1), (3, 23), (4, 31))]
+    for K, eps, t in cases:
+        calls[0] = 0
+        net = build_net_2d(K, eps)
+        assert calls[0] <= 3, (len(K), eps)
+        assert t is None or len(net) == t
 
 
 def test_planar_net_refuses_more_than_the_limit(monkeypatch):
-    # the square at eps = 1e-5 has slack angle 1e-5 rad, so t = 314183
+    # the square at eps = 1e-5 has slack angle 9.99915e-6 rad, where
+    # cos + sin reaches 1 / (1 - eps + TOUCH_TOL), so t = 314186
     built = []
     monkeypatch.setattr(nets, "_ring", lambda t: built.append(t))
     with pytest.raises(NetTooLargeError) as info:
         build_net_2d(unit_square(), 1e-5)
-    assert "314183 rotations" in str(info.value)
+    assert "314186 rotations" in str(info.value)
     assert str(NET_LIMIT) in str(info.value)
     assert built == []
 
