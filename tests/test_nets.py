@@ -222,6 +222,14 @@ def test_full_slack_bodies_need_no_scan(monkeypatch):
     assert walks == []
 
 
+def test_square_scan_solves_few_margin_lps(monkeypatch):
+    # a plain 1e-3 rad grid scan solves 1595 margin LPs here; the walk solves
+    # none, so the inradius LP is the only one
+    calls = count_lps(monkeypatch)
+    assert max_angle_2d(unit_square(), EPS_SQUARE) < math.pi
+    assert calls[0] <= 1
+
+
 # ---------------------------------------------------------------------------
 # build_net_2d
 
@@ -296,6 +304,17 @@ def test_net_size_is_infinite_at_zero_slack():
     assert _net_size(0.0) == math.inf
     assert _net_size(math.pi) == 1
     assert _net_size(math.pi / 4.0) == 4
+
+
+def test_net_build_stops_bisecting_once_t_is_decided(monkeypatch):
+    # once max_angle_2d has decided t, the net build solves only the +-pi/t
+    # fit probes on top of it
+    calls = count_lps(monkeypatch)
+    K = regular_polygon(3, 1.0)
+    max_angle_2d(K, 0.4)
+    angle_lps, calls[0] = calls[0], 0
+    build_net_2d(K, 0.4)
+    assert calls[0] <= angle_lps + 2
 
 
 def test_planar_nets_solve_at_most_three_lps(monkeypatch):
