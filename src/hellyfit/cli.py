@@ -37,17 +37,9 @@ def _emit(text, out_path):
             fh.write(text)
 
 
-def _mirror(K):
-    """K reflected in the first coordinate, in any dimension."""
-    flip = np.ones(K.dim)
-    flip[0] = -1.0
-    return VPolytope(K.vertices * flip)
-
-
-def _build_net(K, epsilon):
-    if K.dim == 2:
-        return build_net_2d(K, epsilon)
-    return build_net_sufficient(K, epsilon)
+def _build_net(K, epsilon, reflections=False):
+    net = build_net_2d(K, epsilon) if K.dim == 2 else build_net_sufficient(K, epsilon)
+    return net.with_reflections() if reflections else net
 
 
 _SOLVERS = {"direct": beta_direct, "msw": beta_msw, "brute": beta_brute}
@@ -73,24 +65,15 @@ def cmd_fit(args) -> int:
     K, P = _load_instance(args)
     if args.svg is not None and K.dim != 2:
         raise BodyFormatError("SVG output needs a planar instance")
-    solve = _SOLVERS[args.method]
-
-    def run(body):
-        net = _build_net(body, args.epsilon)
-        if args.method == "brute":
-            return body, net, solve(body, net, P)
-        return body, net, solve(body, net, P, seed=args.seed)
-
-    body, net, result = run(K)
-    if args.with_reflection:
-        m_body, m_net, mirrored = run(_mirror(K))
-        if mirrored.beta > result.beta:
-            body, net, result = m_body, m_net, mirrored
-            result.stats.note = (result.stats.note + "; " if result.stats.note
-                                 else "") + "reflected copy wins"
+    net = _build_net(K, args.epsilon, args.with_reflection)
+    seeded = {} if args.method == "brute" else {"seed": args.seed}
+    result = _SOLVERS[args.method](K, net, P, **seeded)
+    if result.placement is not None and np.linalg.det(result.placement.rotation.matrix) < 0.0:
+        result.stats.note = (result.stats.note + "; " if result.stats.note
+                             else "") + "reflected copy wins"
     _emit(json.dumps(result.to_json(), indent=2), args.out)
     if args.svg is not None:
-        render_fit_svg(body, P, result, path=args.svg)
+        render_fit_svg(K, P, result, path=args.svg)
     return OK
 
 
@@ -165,10 +148,8 @@ def cmd_bench(args) -> int:
 
 def cmd_oracle(args) -> int:
     K, P = _load_instance(args)
-    alpha = alpha_reference(K, P, args.fine_eps, seed=args.seed)
-    if args.with_reflection:
-        alpha = max(alpha, alpha_reference(_mirror(K), P, args.fine_eps,
-                                           seed=args.seed))
+    alpha = alpha_reference(K, P, args.fine_eps, seed=args.seed,
+                            reflections=args.with_reflection)
     _emit(json.dumps({"alpha": alpha, "fine_eps": args.fine_eps}), args.out)
     return OK
 

@@ -4,7 +4,7 @@ Conventions used throughout the package:
 
 * points are 1-d float arrays of length d,
 * half-spaces are stored as {x : <normal, x> <= offset} with a unit normal,
-* rotations are proper (det +1) orthogonal matrices,
+* rotations are orthogonal matrices, proper (det +1) or improper (det -1),
 * bodies that genuinely touch the unit circle along arcs carry an explicit
   arc descriptor (`CircleArcs`), because a polygon's intersection with the
   circle is a finite, hence null, set.
@@ -21,7 +21,7 @@ import numpy as np
 TWO_PI = 2.0 * math.pi
 
 UNIT_NORM_TOL = 1e-12      # unit-normal invariant for half-spaces
-ORTHO_TOL = 1e-10          # orthogonality / determinant tolerance for rotations
+ORTHO_TOL = 1e-10          # orthogonality tolerance for rotations
 
 
 class DimensionMismatchError(ValueError):
@@ -217,7 +217,7 @@ def _hull_halfspaces_2d(vertices):
 
 @dataclass(eq=False)
 class Rotation:
-    """Proper rotation: orthogonal matrix with determinant +1."""
+    """Orthogonal matrix: a proper (det +1) or an improper (det -1) rotation."""
 
     matrix: np.ndarray
 
@@ -228,8 +228,6 @@ class Rotation:
         d = M.shape[0]
         if np.max(np.abs(M.T @ M - np.eye(d))) > ORTHO_TOL:
             raise ValueError("matrix is not orthogonal within tolerance")
-        if abs(np.linalg.det(M) - 1.0) > ORTHO_TOL:
-            raise ValueError("matrix is orthogonal but not proper (det != +1)")
         self.matrix = M
 
     @classmethod
@@ -249,6 +247,8 @@ class Rotation:
     def angle(self):
         if self.dim != 2:
             raise UnsupportedDimensionError("angle is only defined for d=2 rotations")
+        if np.linalg.det(self.matrix) < 0.0:
+            raise ValueError("angle is only defined for proper rotations (det +1)")
         return math.atan2(self.matrix[1, 0], self.matrix[0, 0])
 
     def apply(self, points):

@@ -4,7 +4,8 @@ A net for a body K at accuracy eps is a finite list of rotations A_1..A_t
 such that every rotated copy of K contains a translate of (1-eps)A_iK for
 some i.  Equivalently, for every rotation D there is a net element within
 the body's rotational slack: a shrunk copy at the relative rotation still
-fits inside K.
+fits inside K.  A net is one stack of orthogonal matrices; the builders
+make rotations, and `RotationNet.with_reflections` adds mirror images.
 
 Two builders are provided.  The planar one measures the slack angle of K
 directly (`max_angle_2d`) and spaces rotations accordingly; it produces the
@@ -42,11 +43,11 @@ theta, so a body with q above 1 - eps has full slack and needs no walk.
 import logging
 import math
 from dataclasses import dataclass
-from functools import cached_property
 
 import numpy as np
 
 from .geometry import (
+    ORTHO_TOL,
     DegenerateGeometryError,
     Rotation,
     UnsupportedDimensionError,
@@ -92,12 +93,15 @@ def _refuse_above_limit(count, kind, epsilon):
 
 
 def _ring(t):
-    """The t planar rotations at angles 2*pi*j/t, j = 1..t.
+    """The (t, 2, 2) stack of planar rotations at angles 2*pi*j/t, j = 1..t.
 
     Angles are taken modulo the full turn, so the last rotation is exactly
-    the identity rather than a rotation by a rounded 2*pi.
+    the identity rather than a rotation by a rounded 2*pi.  The entries are
+    `Rotation.from_angle`'s, from `math.cos` and `math.sin`.
     """
-    return tuple(Rotation.from_angle(2.0 * math.pi * (j % t) / t) for j in range(1, t + 1))
+    angles = [2.0 * math.pi * (j % t) / t for j in range(1, t + 1)]
+    c, s = np.array([[math.cos(a) for a in angles], [math.sin(a) for a in angles]])
+    return np.stack([c, -s, s, c], axis=1).reshape(t, 2, 2)
 
 
 def _margin(K, rotation, PK, target):
@@ -106,49 +110,65 @@ def _margin(K, rotation, PK, target):
     return res.value - target if res.ok else -1.0
 
 
-@dataclass(eq=False)
 class RotationNet:
-    """Immutable list of rotations with the accuracy they were built for;
-    which body they are for is `cached_net_2d`'s key, not the net's."""
+    """Immutable (t, d, d) stack `matrices` of orthogonal matrices, from a
+    sequence of `Rotation`s or such an array, with the accuracy they were
+    built for; which body they are for is `cached_net_2d`'s key, not the
+    net's.  `net[i]` and `rotations` build `Rotation`s on access."""
 
-    rotations: tuple
-    epsilon: float
-    certificate: str
-
-    def __post_init__(self):
-        if len(self.rotations) < 1:
+    def __init__(self, rotations, epsilon, certificate):
+        M = np.array(rotations if isinstance(rotations, np.ndarray)
+                     else [r.matrix for r in rotations], dtype=float)
+        if len(M) < 1:
             raise ValueError("a net needs at least one rotation")
-        if not (0.0 < self.epsilon < 1.0):
+        if np.abs(M.transpose(0, 2, 1) @ M - np.eye(M.shape[1])).max() > ORTHO_TOL:
+            raise ValueError("a net matrix is not orthogonal within tolerance")
+        if not (0.0 < epsilon < 1.0):
             raise ValueError("epsilon must lie in (0, 1)")
-        if self.certificate not in _CERTIFICATES:
-            raise ValueError(f"unknown certificate {self.certificate!r}")
-        self.rotations = tuple(self.rotations)
+        if certificate not in _CERTIFICATES:
+            raise ValueError(f"unknown certificate {certificate!r}")
+        M.flags.writeable = False
+        self.matrices, self.epsilon, self.certificate = M, epsilon, certificate
 
     def __len__(self):
-        return len(self.rotations)
+        return len(self.matrices)
 
-    def __iter__(self):
-        return iter(self.rotations)
+    def __getitem__(self, i):
+        return Rotation(self.matrices[i])
+
+    @property
+    def rotations(self):
+        return tuple(self)
 
     @property
     def dim(self):
-        return self.rotations[0].dim
+        return self.matrices.shape[1]
 
-    @cached_property
-    def matrices(self):
-        """The rotation matrices stacked into one (t, d, d) array."""
-        return np.stack([r.matrix for r in self.rotations])
+    def with_reflections(self):
+        """The t matrices A_i, then A_i F for F = diag(-1, 1, ..., 1): a net
+        for every isometry, at most 2 * NET_LIMIT matrices.
+
+        For an improper D, D^-1 (A_i F) = F ((DF)^-1 A_i) F conjugates the
+        relative rotation of the net element A_i for the rotation DF.  In
+        the plane the conjugate turns by the opposite angle, which the
+        slack angle covers too (|theta| <= alpha, `max_angle_2d`); the
+        radius-ratio covering bounds an operator norm, which F keeps.
+        """
+        flip = np.ones(self.dim)
+        flip[0] = -1.0
+        return RotationNet(np.concatenate([self.matrices, self.matrices * flip]),
+                           self.epsilon, self.certificate)
 
     def angles(self):
         if self.dim != 2:
             raise UnsupportedDimensionError("angles are only defined for 2-d nets")
-        return np.array([r.angle for r in self.rotations])
+        return np.array([r.angle for r in self])
 
     def to_json(self):
         return {
             "epsilon": self.epsilon,
             "certificate": self.certificate,
-            "rotations": [r.matrix.reshape(-1).tolist() for r in self.rotations],
+            "rotations": self.matrices.reshape(len(self), -1).tolist(),
         }
 
 
@@ -483,14 +503,14 @@ def cached_net_2d(K: VPolytope, epsilon: float) -> RotationNet:
 # radius-ratio builder, any supported dimension
 
 
-def _euler_zyz(p1, p2, p3):
-    c1, s1 = math.cos(p1), math.sin(p1)
-    c2, s2 = math.cos(p2), math.sin(p2)
-    c3, s3 = math.cos(p3), math.sin(p3)
-    rz1 = np.array([[c1, -s1, 0.0], [s1, c1, 0.0], [0.0, 0.0, 1.0]])
-    ry = np.array([[c2, 0.0, s2], [0.0, 1.0, 0.0], [-s2, 0.0, c2]])
-    rz3 = np.array([[c3, -s3, 0.0], [s3, c3, 0.0], [0.0, 0.0, 1.0]])
-    return rz1 @ ry @ rz3
+def _turns(angles, axis):
+    """The (k, 3, 3) stack of rotations by `angles` about coordinate `axis`."""
+    i, j = (axis + 1) % 3, (axis + 2) % 3
+    c, s = np.array([[math.cos(a) for a in angles], [math.sin(a) for a in angles]])
+    M = np.zeros((len(angles), 3, 3))
+    M[:, axis, axis] = 1.0
+    M[:, i, i], M[:, j, j], M[:, i, j], M[:, j, i] = c, c, -s, s
+    return M
 
 
 def build_net_sufficient(K: VPolytope, epsilon: float) -> RotationNet:
@@ -529,17 +549,14 @@ def build_net_sufficient(K: VPolytope, epsilon: float) -> RotationNet:
     _refuse_above_limit(count, "radius-ratio", epsilon)
 
     if d == 2:
-        rots = _ring(t)
+        mats = _ring(t)
     else:
-        mats = []
-        for p1 in 2.0 * math.pi * np.arange(n1) / n1:
-            for p2 in np.linspace(0.0, math.pi, n2):
-                for p3 in 2.0 * math.pi * np.arange(n1) / n1:
-                    mats.append(_euler_zyz(p1, p2, p3))
-        rots = tuple(Rotation(m) for m in mats)
+        # the ZYZ Euler grid Rz(p1) Ry(p2) Rz(p3), p3 fastest
+        rz = _turns(2.0 * math.pi * np.arange(n1) / n1, 2)
+        ry = _turns(np.linspace(0.0, math.pi, n2), 1)
+        mats = ((rz[:, None] @ ry[None, :])[:, :, None] @ rz[None, None, :]).reshape(-1, 3, 3)
 
-    net = RotationNet(rots, epsilon, SUFFICIENT_BOUND)
-    mats = net.matrices
+    net = RotationNet(mats, epsilon, SUFFICIENT_BOUND)
     target = 1.0 - epsilon
     for trial in range(20):
         D = random_rotation(d, seed=trial)
@@ -553,7 +570,7 @@ def build_net_sufficient(K: VPolytope, epsilon: float) -> RotationNet:
         j = int(cand[int(np.argmin(ops))])
         if min(ops) > rho + 1e-9:
             raise RuntimeError("covering radius check failed; spacing bound is wrong")
-        rel = D.inverse().compose(net.rotations[j])
+        rel = D.inverse().compose(net[j])
         if not fit_check(K, rel, target, PK):
             raise RuntimeError("spacing bound did not certify a fit; bound is wrong")
     return net
@@ -593,8 +610,7 @@ def verify_net(net: RotationNet, K: VPolytope, trials: int = 100, seed: int = 0,
     PK = K.hull_halfspaces()
     target = 1.0 - net.epsilon
     if rotations is not None:
-        tests = [r if isinstance(r, Rotation) else Rotation(np.asarray(r, dtype=float))
-                 for r in rotations]
+        tests = [Rotation(getattr(r, "matrix", r)) for r in rotations]
     else:
         tests = [random_rotation(K.dim, seed=int(s))
                  for s in np.random.SeedSequence(seed).generate_state(trials)]
@@ -607,7 +623,7 @@ def verify_net(net: RotationNet, K: VPolytope, trials: int = 100, seed: int = 0,
         trial_best = -math.inf
         hit = False
         for j in order:
-            rel = D.inverse().compose(net.rotations[int(j)])
+            rel = D.inverse().compose(net[j])
             m = _margin(K, rel, PK, target)
             trial_best = max(trial_best, m)
             if m >= -1e-9:

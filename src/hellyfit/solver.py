@@ -254,7 +254,7 @@ def _sweep(K, net, P, seed, msw=False):
             rows = rng.choice(n, size=size, replace=False)
         if msw and binding[i] is not None:
             rows = binding[i] if rows is None else np.union1d(binding[i], rows)
-        results[i] = beta_fixed_rotation(K, net.rotations[i], P,
+        results[i] = beta_fixed_rotation(K, net[i], P,
                                          seed=_rotation_seed(seed, i), rows=rows)
         bounds[rep == i] = -math.inf
         return results[i]
@@ -271,7 +271,7 @@ def _sweep(K, net, P, seed, msw=False):
         best = max(best, res.value)
         if bounds.max() == -math.inf:
             break
-        dual = duals[i] = scale_dual(K, net.rotations[i], P, res.tight_rows)
+        dual = duals[i] = scale_dual(K, res.placement.rotation, P, res.tight_rows)
         if dual is not None:
             new = dual.bounds(K, net.matrices)
             lower = np.flatnonzero(new < bounds)
@@ -338,7 +338,7 @@ def _subfamily_value(K, net, P, indices, seed):
     return value, _lp_calls(results)
 
 
-def _finish(K, net, P, swept, stats, method):
+def _finish(K, P, swept, stats, method):
     """Shared tail of all methods: canonicalize the winning rotation's solve.
 
     `swept` is `_sweep`'s output over P: the solves, None where pruned or
@@ -369,7 +369,7 @@ def _finish(K, net, P, swept, stats, method):
     rows = set()
     for i, r in enumerate(results):
         if r is not None and r.ok:
-            dual = duals[i] if i in duals else scale_dual(K, net.rotations[i], P,
+            dual = duals[i] if i in duals else scale_dual(K, r.placement.rotation, P,
                                                           r.tight_rows)
             rows.update(_certified(K, P, r, dual))
     return FitResult(win.value, placement, sorted(rows), method, stats, i_star)
@@ -396,7 +396,7 @@ def _fit(K, net, P, seed, method):
     results = swept[0]
     stats.lp_calls += _lp_calls(results)
     stats.violation_tests += sum(r.tested for r in results if r is not None)
-    out = _finish(K, net, P, swept, stats, method)
+    out = _finish(K, P, swept, stats, method)
     stats.wall_time_s = time.perf_counter() - start
     return out
 
@@ -442,16 +442,17 @@ def beta_msw(K: VPolytope, net: RotationNet, P: HPolytope, seed=0) -> FitResult:
 def beta_brute(K: VPolytope, net: RotationNet, P: HPolytope) -> FitResult:
     """Minimum fit over every small subfamily of half-spaces.
 
-    Enumerates all subsets of size len(net) * (d + 1) (capped at 10^6
-    tuples) and minimizes the per-subset fit; the result must agree with
-    the whole-family methods, which makes it a strong cross-check despite
-    the cost.
+    Enumerates all subsets of c * (d + 1) half-spaces, the basis size for
+    the net's c rotation classes (`_class_count`), capped at 10^6 tuples,
+    and minimizes the per-subset fit; the result must agree with the
+    whole-family methods, which makes it a strong cross-check despite the
+    cost.
     """
     if K.dim != P.dim or net.dim != K.dim:
         raise ValueError("body, net and container disagree on dimension")
     start = time.perf_counter()
     n = len(P)
-    size = min(len(net) * (K.dim + 1), n)
+    size = min(_class_count(K, net) * (K.dim + 1), n)
     count = math.comb(n, size)
     if count > BRUTE_LIMIT:
         msg = (f"brute enumeration needs C({n}, {size}) = {count} tuples, "
@@ -468,7 +469,7 @@ def beta_brute(K: VPolytope, net: RotationNet, P: HPolytope) -> FitResult:
     # from the whole family so the reported copy respects every half-space
     swept = _sweep(K, net, P, 0)
     stats.lp_calls += _lp_calls(swept[0])
-    out = _finish(K, net, P, swept, stats, "brute")
+    out = _finish(K, P, swept, stats, "brute")
     out.beta = best
     stats.wall_time_s = time.perf_counter() - start
     return out
@@ -500,14 +501,16 @@ def extract_basis(result: FitResult, K: VPolytope, net: RotationNet,
     return basis
 
 
-def alpha_reference(K: VPolytope, P: HPolytope, fine_eps: float, seed=0) -> float:
+def alpha_reference(K: VPolytope, P: HPolytope, fine_eps: float, seed=0,
+                    reflections=False) -> float:
     """Near-exact best fit over all rotations, for use as a test yardstick.
 
     Runs the direct sweep on a net much finer than anyone would use in
-    anger; the true optimum over the rotation group lies within a factor
-    (1 - fine_eps) of the returned value.
+    anger; the true optimum over the rotation group, or over all
+    isometries with `reflections`, lies within a factor (1 - fine_eps) of
+    the returned value.
     """
     if K.dim != 2:
         raise UnsupportedDimensionError("reference sweeps are planar only")
     net = cached_net_2d(K, fine_eps)
-    return beta_direct(K, net, P, seed=seed).beta
+    return beta_direct(K, net.with_reflections() if reflections else net, P, seed=seed).beta

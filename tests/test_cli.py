@@ -11,8 +11,9 @@ import numpy as np
 import pytest
 
 import hellyfit
-from hellyfit.cli import _mirror, main
-from hellyfit.geometry import VPolytope
+from hellyfit import cli
+from hellyfit.cli import main
+from hellyfit.nets import build_net_sufficient
 
 FIT_KEYS = {"beta", "placement", "basis", "method", "stats"}
 PLACEMENT_KEYS = {"translation", "scale", "rotation"}
@@ -124,6 +125,28 @@ def test_fit_with_reflection_never_loses(capsys, tmp_path, bigsquare):
     assert code == 0
     assert (json.loads(mirrored)["beta"]
             >= json.loads(plain)["beta"] - 1e-9)
+
+
+def test_fit_with_reflection_places_the_input_body(capsys, tmp_path):
+    # the triangle fits better reflected; the printed placement is a reflected
+    # copy of the input body, not a rotated copy of a mirrored one
+    vertices = [[0, 0], [1, 0], [0.2, 0.7]]
+    normals, offsets = [[0, -1], [-1, 0], [0.8, 0.6], [0.6, 0.8]], [0, 0, 1, 1.1]
+    body = write_json(tmp_path / "tri.json", {"dim": 2, "vertices": vertices})
+    box = write_json(tmp_path / "box.json", {
+        "dim": 2, "halfspaces": [{"normal": u, "offset": b}
+                                 for u, b in zip(normals, offsets)]})
+    code, out = run(capsys, "fit", "--epsilon", "0.1", "--with-reflection", body, box)
+    assert code == 0
+    doc = json.loads(out)
+    assert doc["stats"]["note"] == "reflected copy wins"
+    p = doc["placement"]
+    R = np.array(p["rotation"]).reshape(2, 2)
+    assert np.linalg.det(R) == pytest.approx(-1.0, abs=1e-12)
+    X = np.array(p["translation"]) + p["scale"] * np.array(vertices) @ R.T
+    assert (X @ np.array(normals).T - offsets).max() <= 1e-9 * max(1.0, max(offsets))
+    _, ref = run(capsys, "oracle", "--fine-eps", "0.01", "--with-reflection", body, box)
+    assert doc["beta"] <= json.loads(ref)["alpha"] * (1.0 + 1e-9)
 
 
 def test_fit_rejects_malformed_json(capsys, tmp_path, bigsquare):
@@ -290,7 +313,8 @@ def test_bench_csv_shape_and_determinism(capsys):
 
 
 def test_bench_brute_refuses_huge_subset_counts(capsys):
-    assert main(["bench", "--sizes", "100", "--method", "brute"]) == 2
+    # the bench square's net is one rotation class: C(200, 3) subsets
+    assert main(["bench", "--sizes", "200", "--method", "brute"]) == 2
 
 
 def test_bench_rejects_unsorted_sizes(capsys):
@@ -330,15 +354,6 @@ def test_unknown_subcommand_exits_via_argparse(capsys, square, bigsquare):
         assert info.value.code == 2
 
 
-def test_mirror_reflects_first_coordinate_in_3d():
-    cube = VPolytope(np.array([[x, y, z] for x in (0.0, 1.0) for y in (0.0, 2.0)
-                               for z in (0.0, 3.0)]))
-    m = _mirror(cube)
-    assert m.dim == 3
-    assert np.array_equal(m.vertices[:, 0], -cube.vertices[:, 0])
-    assert np.array_equal(m.vertices[:, 1:], cube.vertices[:, 1:])
-
-
 @pytest.fixture
 def cube_in_box(tmp_path):
     """The unit cube and the box [0, 2]^3."""
@@ -361,6 +376,26 @@ def test_fit_3d_cube_solves_few_of_its_rotations(capsys, cube_in_box):
     doc = json.loads(out)
     assert doc["beta"] == pytest.approx(2.0, abs=1e-9)
     assert doc["stats"]["lp_calls"] <= 200
+
+
+def test_fit_3d_with_reflection_builds_one_net(capsys, monkeypatch, cube_in_box):
+    # the cube is its own mirror image: its reflected copies merge into the
+    # classes of its rotated ones and cost no LP
+    built = []
+
+    def counted(K, epsilon):
+        built.append(epsilon)
+        return build_net_sufficient(K, epsilon)
+
+    monkeypatch.setattr(cli, "build_net_sufficient", counted)
+    cube, box = cube_in_box
+    _, plain = run(capsys, "fit", cube, box, "--epsilon", "0.9")
+    code, out = run(capsys, "fit", cube, box, "--epsilon", "0.9", "--with-reflection")
+    assert code == 0
+    doc = json.loads(out)
+    assert doc["beta"] == pytest.approx(2.0, abs=1e-9)
+    assert doc["stats"]["lp_calls"] == json.loads(plain)["stats"]["lp_calls"]
+    assert built == [0.9, 0.9]
 
 
 def test_fit_and_net_refuse_a_huge_3d_net(capsys, cube_in_box):
@@ -391,6 +426,16 @@ def test_fit_svg_of_a_3000_row_container(capsys, tmp_path, square):
     tree = ET.parse(svg_path)
     [outline] = [e for e in tree.iter() if e.get("class") == "container"]
     assert outline.get("d").count("L") >= 3
+
+
+def test_import_loads_no_scipy():
+    # scipy is imported where a 3-d hull is first built; the CLI's start-up
+    # time is mostly import time
+    src = os.path.dirname(os.path.dirname(hellyfit.__file__))
+    code = "import sys, hellyfit; print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          env={**os.environ, "PYTHONPATH": src}, check=True)
+    assert proc.stdout.strip() == "[]"
 
 
 def test_refusal_prints_only_the_error_line(cube_in_box):

@@ -193,9 +193,13 @@ def test_rotation_from_angle_and_back():
 
 def test_rotation_validates_orthogonality_and_det():
     with pytest.raises(ValueError):
-        Rotation(np.array([[1.0, 0.1], [0.0, 1.0]]))
+        Rotation(np.array([[1.0, 0.1], [0.0, 1.0]]))  # shear
     with pytest.raises(ValueError):
-        Rotation(np.array([[1.0, 0.0], [0.0, -1.0]]))  # reflection
+        Rotation(np.array([[2.0, 0.0], [0.0, 2.0]]))  # det 4
+    flip = Rotation(np.array([[1.0, 0.0], [0.0, -1.0]]))  # reflection, det -1
+    assert flip.compose(flip).angle == 0.0
+    with pytest.raises(ValueError, match="proper"):
+        flip.angle
 
 
 def test_rotation_compose_inverse():

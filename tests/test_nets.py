@@ -14,6 +14,7 @@ from hellyfit.geometry import (
     VPolytope,
     convex_hull_2d,
     miniball,
+    random_rotation,
     regular_polygon,
     unit_square,
 )
@@ -260,7 +261,7 @@ def test_ring_ends_on_the_exact_identity():
     for t in (1, 2, 3, 7, 27):
         ring = _ring(t)
         assert len(ring) == t
-        assert np.array_equal(ring[-1].matrix, np.eye(2))
+        assert np.array_equal(ring[-1], np.eye(2))
 
 
 def probed_net_size(K, eps):
@@ -412,6 +413,30 @@ def test_verify_flags_a_known_bad_net():
     assert rep.failures == 1
     assert rep.worst_margin < 0.0
     assert len(rep.failed_rotations) == 1
+
+
+def test_doubled_nets_cover_improper_isometries():
+    # D F for Haar rotations D are Haar-distributed improper isometries; the
+    # triangle's plain net at eps 0.1 misses some of them
+    cube = VPolytope(np.array([[x, y, z] for x in (0, 1) for y in (0, 1)
+                               for z in (0, 1)], dtype=float))
+    triangle = VPolytope(np.array([[0.0, 0.0], [1.0, 0.0], [0.2, 0.7]]))
+    pentagon = jittered_polygon(np.random.default_rng(36), 5)
+    for K, eps in ((unit_square(), 0.1), (triangle, 0.2), (triangle, 0.1), (pentagon, 0.2),
+                   (cube, 0.9)):
+        net = build_net_2d(K, eps) if K.dim == 2 else build_net_sufficient(K, eps)
+        F = np.diag([-1.0] + [1.0] * (K.dim - 1))
+        tests = [random_rotation(K.dim, seed=s).matrix @ F for s in range(64)]
+        rep = verify_net(net.with_reflections(), K, rotations=tests)
+        assert rep.ok, (K.vertices, eps, rep.worst_margin)
+    tests = [random_rotation(2, seed=s).matrix @ np.diag([-1.0, 1.0]) for s in range(64)]
+    assert not verify_net(build_net_2d(triangle, 0.1), triangle, rotations=tests).ok
+
+
+def test_net_refuses_a_matrix_that_is_not_orthogonal():
+    shear = np.array([[1.0, 0.1], [0.0, 1.0]])
+    with pytest.raises(ValueError, match="not orthogonal"):
+        RotationNet(np.stack([np.eye(2), shear]), 0.1, EXACT_2D)
 
 
 def test_net_requires_matching_dimension():

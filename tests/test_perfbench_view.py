@@ -12,7 +12,7 @@ import importlib.util
 import inspect
 from pathlib import Path
 
-from hellyfit import lab, lp, nets, solver
+from hellyfit import geometry, lab, lp, nets, solver
 
 SPANS = Path(__file__).resolve().parents[1] / "perfbench" / "spans.py"
 
@@ -34,7 +34,8 @@ def test_fields_read_by_annotations_and_workloads_exist():
     assert solver.SolveStats().fallback is False
     fields = lab.InflationResult.__dataclass_fields__
     assert {"rotation_tries", "capped", "placement"} <= set(fields)
-    assert "rotations" in nets.RotationNet.__dataclass_fields__
+    net = nets.build_net_2d(geometry.unit_square(), 0.3)
+    assert [r.matrix.shape for r in net.rotations] == [(2, 2)] * len(net)
     assert "contact_points" in lab.TangentFamily.__dataclass_fields__
     family = lab.TangentFamily.at_angles([0.0, 1.0, 2.0])
     assert len(family.take([0, 2]).contact_points) == 2

@@ -21,9 +21,11 @@ from hellyfit import lp, solver
 from hellyfit.cli import _bench_instance
 from hellyfit.lp import FEAS_TOL, beta_fixed_rotation, canonical_placement, scale_dual
 from hellyfit.nets import (
+    EXACT_2D,
     SUFFICIENT_BOUND,
     NetTooLargeError,
     RotationNet,
+    _ring,
     build_net_2d,
     build_net_sufficient,
 )
@@ -149,7 +151,7 @@ def test_direct_placement_is_the_canonical_fit_at_the_winning_rotation():
         assert r.beta == ref.value
         assert r.placement.scale == placement.scale
         assert np.array_equal(r.placement.translation, placement.translation)
-        assert r.placement.rotation is net.rotations[i]
+        assert np.array_equal(r.placement.rotation.matrix, net.matrices[i])
 
 
 def test_direct_does_not_call_a_container_holding_the_disk_empty():
@@ -257,7 +259,7 @@ def assert_sweep_matches_full_sweep(K, net, P, seed):
     else:
         assert r.placement.scale == placement.scale
         assert r.placement.translation.tobytes() == placement.translation.tobytes()
-        assert r.placement.rotation is net.rotations[index]
+        assert np.array_equal(r.placement.rotation.matrix, net.matrices[index])
     assert r.basis == sorted(set(r.basis)) and set(r.basis) <= set(range(len(P)))
     classes = np.unique(solver._rotation_classes(K, net))
     assert len(r.basis) <= classes.size * (K.dim + 1)
@@ -344,6 +346,53 @@ def test_class_sweep_matches_full_sweep_on_symmetric_bodies():
     P = HPolytope(np.vstack([P.normals, np.ones((1, 3)) / math.sqrt(3.0)]),
                   np.concatenate([P.offsets, [3.5]]))
     assert assert_sweep_matches_full_sweep(cube, net3, P, 4) <= 3
+
+
+def test_reflections_of_symmetric_rings_cost_no_lp():
+    # F = diag(-1, 1) maps the centred square onto itself and the pentagon
+    # onto its half turn, which its eps = 0.1 ring holds, so each reflected
+    # copy is a translate of a rotated one and joins that class: the doubled
+    # net fits as the plain one does.  A ring that the mirror does not map
+    # onto itself, such as the pentagon's single rotation at eps 0.2, pays
+    # for its reflected classes.
+    sq, pent = centred_square(), regular_polygon(5, 1.0)
+    cases = [(sq, RotationNet(_ring(t), 0.3, EXACT_2D)) for t in (4, 11, 27)]
+    cases.append((pent, build_net_2d(pent, 0.1)))
+    containers = [box(0.0, 2.0).rotated(Rotation.from_angle(0.3)), _bench_instance(300, 1)]
+    for K, net in cases:
+        doubled = net.with_reflections()
+        assert len(doubled) == 2 * len(net)
+        assert solver._class_count(K, doubled) == solver._class_count(K, net)
+        for P in containers:
+            for solve in (beta_direct, beta_msw):
+                plain, both = solve(K, net, P), solve(K, doubled, P)
+                assert both.beta == plain.beta
+                assert both.rotation_index == plain.rotation_index
+                assert both.stats.lp_calls == plain.stats.lp_calls
+
+
+def test_reflections_of_mirror_free_bodies_match_a_fit_of_the_mirror_image():
+    # the doubled net's fit is the better of the fits of K and of its mirror
+    # image F K, each on its own net, and a reflected copy wins somewhere;
+    # jittered pentagons have no mirror symmetry
+    rng = np.random.default_rng(36)
+    tri = VPolytope(np.array([[0.0, 0.0], [1.0, 0.0], [0.2, 0.7]]))
+    flip = np.array([-1.0, 1.0])
+    containers = [box(0.0, 2.0).rotated(Rotation.from_angle(0.7)), tangent_family(80, 5),
+                  HPolytope(np.array([[0.0, -1.0], [-1.0, 0.0], [0.8, 0.6], [0.6, 0.8]]),
+                            np.array([0.0, 0.0, 1.0, 1.1]))]
+    reflected = 0
+    pentagons = [VPolytope(regular_polygon(5, 1.0).vertices + rng.uniform(-0.1, 0.1, (5, 2)))
+                 for _ in range(2)]
+    for K in [tri] + pentagons:
+        net, mirror = build_net_2d(K, 0.1), VPolytope(K.vertices * flip)
+        mirror_net = build_net_2d(mirror, 0.1)
+        for P in containers:
+            r = beta_msw(K, net.with_reflections(), P)
+            best = max(beta_msw(K, net, P).beta, beta_msw(mirror, mirror_net, P).beta)
+            assert abs(r.beta - best) <= 1e-12 * best
+            reflected += r.rotation_index >= len(net)
+    assert reflected > 0
 
 
 def test_near_symmetric_bodies_do_not_merge():
@@ -871,6 +920,27 @@ def test_brute_monotone_when_halfspace_added():
     smaller = beta_brute(K, net, P).beta
     bigger = beta_brute(K, net, P.take(range(7))).beta
     assert smaller <= bigger + 1e-9
+
+
+def test_brute_enumerates_subsets_of_the_class_basis_size(monkeypatch):
+    # the square's t = 4 net is one rotation class: subsets of 1 * 3 rows,
+    # C(24, 3) = 2 024 of them, where 4 * 3 rows would be C(24, 12) = 2 704 156
+    sq = centred_square()
+    net = build_net_2d(sq, EPS_SQUARE)
+    P = _bench_instance(24, 0)
+    subsets = []
+    value = solver._subfamily_value
+
+    def counted(K, net, P, rows, seed):
+        subsets.append(rows)
+        return value(K, net, P, rows, seed)
+
+    monkeypatch.setattr(solver, "_subfamily_value", counted)
+    rb = beta_brute(sq, net, P)
+    assert len(net) == 4 and len(subsets) == math.comb(24, 3)
+    assert {len(rows) for rows in subsets} == {3}
+    rd = beta_direct(sq, net, P)
+    assert abs(rb.beta - rd.beta) <= 1e-12 * rd.beta
 
 
 def test_brute_refuses_large_enumeration():
