@@ -191,7 +191,7 @@ def _parser():
     bench.add_argument("--sizes", default="1000,10000")
     bench.add_argument("--reps", type=int, default=3)
     bench.add_argument("--method", choices=sorted(_SOLVERS), default="msw")
-    # the coarse square net keeps every common size in the sampling regime
+    # the coarse square net is one rotation class: bench times one class loop per size
     bench.add_argument("--epsilon", type=float, default=1.0 - 1.0 / math.sqrt(2.0))
     common(bench)
 

@@ -495,6 +495,58 @@ def _eliminate_list(A, b, ids, c, rng, at):
     return x, head + chain
 
 
+def _normalized(instance):
+    """`seidel_lp`'s view of an instance: the offsets divided by their
+    `_offset_scale`, the objective by its largest |c_j|, and that scale.
+
+    So FEAS_TOL is relative to the offsets and PIVOT_TOL to the objective.
+    """
+    scale = _offset_scale(instance.bounds)
+    c = instance.objective
+    c_max = float(np.max(np.abs(c)))
+    if c_max > 0.0:
+        c = c / c_max
+    return instance.bounds / scale, c, scale
+
+
+def _seidel(A, b, ids, c, rng):
+    """`_solve`, then a polish: a violation that slipped past the guards at
+    huge intermediate coordinates is repaired by pinning that row."""
+    x, chain = _solve(A, b, ids, c, rng)
+    for _ in range(4):
+        if A.shape[0] == 0 or np.max(np.abs(x)) >= 0.999 * BOX_BOUND:
+            break
+        b_tols = _offset_tols(b)
+        if A.shape[0] < SCAN_SMALL and _screen(
+                A.tolist(), b.tolist(), b_tols.tolist(), x.tolist(), 0,
+                A.shape[0])[0] == A.shape[0]:
+            break  # every row certainly clean
+        resid = _excess(A, b, b_tols, x)
+        worst = int(np.argmax(resid))
+        if resid[worst] <= 0:
+            break
+        if abs(A[worst, int(np.argmax(np.abs(A[worst])))]) < PIVOT_TOL:
+            if b[worst] < -FEAS_TOL * max(1.0, abs(b[worst])):
+                raise _Infeasible
+            break
+        prefix = np.delete(np.arange(A.shape[0]), worst)
+        x, chain = _eliminate(A, b, ids, c, rng, worst, prefix)
+    return x, chain
+
+
+def _read(objective, x, chain, scale):
+    """The result of an optimum x found in `_normalized` units.
+
+    x on the implicit box means unbounded; otherwise its pinning chain,
+    ids of the instance's rows, gives the tight set in chain order.
+    """
+    witness = x * scale
+    if np.max(np.abs(x)) >= (1.0 - 1e-6) * BOX_BOUND:
+        return LpResult(UNBOUNDED, math.inf, witness, ())
+    tight = tuple(dict.fromkeys(i for i in chain if i >= 0))
+    return LpResult(OPTIMAL, float(objective @ witness), witness, tight)
+
+
 def seidel_lp(instance: LpInstance, seed=0):
     """Solve a small-dimensional LP; see the module docstring for the scheme.
 
@@ -510,44 +562,14 @@ def seidel_lp(instance: LpInstance, seed=0):
         raise UnsupportedDimensionError(f"seidel_lp handles at most {MAX_DIM} variables, got {d}")
     if d == 0:
         raise ValueError("LP needs at least one variable")
-    rng = np.random.default_rng(seed)
-    scale = _offset_scale(instance.bounds)
+    b, c, scale = _normalized(instance)
     A = instance.rows
-    b = instance.bounds / scale
-    c = instance.objective
-    c_max = float(np.max(np.abs(c)))
-    if c_max > 0.0:
-        c = c / c_max
-    ids = np.arange(A.shape[0], dtype=int)
     try:
-        x, chain = _solve(A, b, ids, c, rng)
-        # polish: a violation that slipped past the guards at huge
-        # intermediate coordinates is repaired by pinning that row
-        for _ in range(4):
-            if A.shape[0] == 0 or np.max(np.abs(x)) >= 0.999 * BOX_BOUND:
-                break
-            b_tols = _offset_tols(b)
-            if A.shape[0] < SCAN_SMALL and _screen(
-                    A.tolist(), b.tolist(), b_tols.tolist(), x.tolist(), 0,
-                    A.shape[0])[0] == A.shape[0]:
-                break  # every row certainly clean
-            resid = _excess(A, b, b_tols, x)
-            worst = int(np.argmax(resid))
-            if resid[worst] <= 0:
-                break
-            if abs(A[worst, int(np.argmax(np.abs(A[worst])))]) < PIVOT_TOL:
-                if b[worst] < -FEAS_TOL * max(1.0, abs(b[worst])):
-                    raise _Infeasible
-                break
-            prefix = np.delete(np.arange(A.shape[0]), worst)
-            x, chain = _eliminate(A, b, ids, c, rng, worst, prefix)
+        x, chain = _seidel(A, b, np.arange(A.shape[0], dtype=int), c,
+                           np.random.default_rng(seed))
     except _Infeasible:
         return LpResult(INFEASIBLE, -math.inf, None, ())
-    witness = x * scale
-    if np.max(np.abs(x)) >= (1.0 - 1e-6) * BOX_BOUND:
-        return LpResult(UNBOUNDED, math.inf, witness, ())
-    tight = tuple(dict.fromkeys(i for i in chain if i >= 0))
-    return LpResult(OPTIMAL, float(instance.objective @ witness), witness, tight)
+    return _read(instance.objective, x, chain, scale)
 
 
 # ---------------------------------------------------------------------------
@@ -562,9 +584,9 @@ class BetaResult:
     placement: Placement | None
     status: str
     tight_rows: tuple   # indices of half-spaces of P that pin the optimum
-    held: np.ndarray     # rows of P the loop's last solve held
+    held: np.ndarray     # rows of P the solve held at its end
     tested: int          # rows its violation tests read
-    solves: int
+    solves: int          # rounds: the first solve, then one per row held after it
 
     @property
     def ok(self):
@@ -759,20 +781,32 @@ def _near_tight(slack, P):
     return np.flatnonzero(slack <= 4 * FEAS_TOL * _offset_scale(P.offsets))
 
 
-def _violators(placement, support, P):
-    """Indices of half-spaces the placed copy leaves.
+def _violation_limits(P):
+    """The reach b_i + VIOL_TOL * max(1, |b_i|) + 1e-13 beyond which a
+    placed copy violates half-space i of P."""
+    tol = VIOL_TOL * np.maximum(1.0, np.abs(P.offsets)) + 1e-13
+    return P.offsets + tol
+
+
+def _overshoot(placement, support, P, limits):
+    """How far the placed copy reaches past each half-space's limit
+    (`_violation_limits`); a positive entry is a violation.
 
     `support` holds h_AK(u_i) for every half-space at the placement's
     rotation, so each test is the scale LP's own row
-    <u_i, a> + s * h_AK(u_i) <= b_i.
+    <u_i, a> + s * h_AK(u_i) <= b_i.  Every violation test reads P here.
     """
-    depth = P.normals @ placement.translation + placement.scale * support
-    tol = VIOL_TOL * np.maximum(1.0, np.abs(P.offsets)) + 1e-13
-    return np.nonzero(depth > P.offsets + tol)[0]
+    return P.normals @ placement.translation + placement.scale * support - limits
+
+
+def _violators(placement, support, P):
+    """Indices of half-spaces the placed copy leaves (`_overshoot`)."""
+    return np.nonzero(_overshoot(placement, support, P, _violation_limits(P)) > 0)[0]
 
 
 def _lp_type_loop(inst, P, start, solve):
-    """The LP-type loop of Clarkson and of Matousek, Sharir and Welzl.
+    """The LP-type loop of Clarkson and of Matousek, Sharir and Welzl, for
+    `_lex_closure`.
 
     `held` masks the len(P) + 1 rows of `inst`, `build_beta_instance` over
     P: the distinct indices `start`, the sign row and P's row of largest
@@ -811,48 +845,89 @@ def _lex_closure(inst, placement, P, start):
         inst.rows[held], inst.bounds[held], placement))
 
 
+def _insertion_loop(inst, rotation, P, start, seed):
+    """Seidel's scan of the scale LP `inst`, offered P's rows deepest first.
+
+    The rows held start as the distinct indices `start`, P's row of largest
+    |b_i| and the sign row, and are solved by `seidel_lp`'s scan in its
+    normalization (`_normalized`, `_seidel`), which P's row of largest
+    |b_i| keeps that of all of P.  Each round then tests the standing
+    optimum against all of P (`_overshoot`) and holds the deepest violator
+    not yet held.  Where Seidel's own row test (`_excess`) finds that row
+    violated too, it is inserted as Seidel's scan inserts a row: the
+    optimum moves onto its boundary by one `_eliminate` over the rows
+    held before it, with no re-solve.  Rows of P have unit normals, so
+    none is flat.  The loop ends when no row outside those held is
+    violated, which certifies the optimum for P, or when the rows held are
+    empty; each round holds one more row, so it ends within n rounds.
+    Returns the `LpResult` over the instance's row ids, the sorted rows of
+    P held, the rows tested and the number of rounds.
+    """
+    n, d = len(P), rotation.dim
+    b, c, scale = _normalized(inst)
+    A = inst.rows
+    mask = np.zeros(n + 1, dtype=bool)
+    mask[np.asarray(start, dtype=int)] = True
+    mask[[int(np.argmax(np.abs(P.offsets))), n]] = True
+    held = np.flatnonzero(mask)
+    ids = np.arange(n + 1)
+    rng = np.random.default_rng(seed)
+    support, limits = A[:n, -1], _violation_limits(P)
+    tested, rounds = 0, 1
+    try:
+        x, chain = _seidel(A[held], b[held], held, c, rng)
+        while True:
+            w = x * scale
+            depth = _overshoot(Placement(w[:d], max(float(w[d]), 0.0), rotation),
+                               support, P, limits)
+            tested += n
+            depth[held[held < n]] = -math.inf
+            r = int(depth.argmax())
+            if not depth[r] > 0:
+                break
+            rounds += 1
+            prefix, held = held, np.append(held, r)
+            if _excess(A[r:r + 1], b[r:r + 1], _offset_tols(b[r:r + 1]), x)[0] > 0:
+                x, chain = _eliminate(A, b, ids, c, rng, r, prefix)
+    except _Infeasible:
+        res = LpResult(INFEASIBLE, -math.inf, None, ())
+    else:
+        res = _read(inst.objective, x, chain, scale)
+    return res, np.sort(held[held < n]), tested, rounds
+
+
 def beta_fixed_rotation(K: VPolytope, rotation: Rotation, P: HPolytope,
                         seed=0, *, rows=None) -> BetaResult:
     """Largest alpha >= 0 with a + alpha * A * K inside P, at rotation A.
 
-    Solves the len(P) + 1 row LP of `build_beta_instance` in
-    `_lp_type_loop` from `rows`, distinct start indices into P, all of P by
-    default: then the loop is one solve and tests nothing.  `held`,
-    `tested` and `solves` report the loop, and `tight_rows` are the
-    half-spaces of P among the last solve's pinning rows (the sign row is
-    not one).  An empty container reports status "infeasible" with value
-    0; rows held that are empty already mean P is.  A container that lets
-    the copy grow forever reports "unbounded".  An unbounded solve is
-    tested at its witness on the implicit box, so the rows that cut that
-    ray are added; if none is, P is unbounded there too.  The placement is
-    the last solve's witness, which can move with `seed` where the optimum
+    Solves the len(P) + 1 row LP of `build_beta_instance`: by one
+    `seidel_lp` call over all of it by default, and from `rows`, distinct
+    start indices into P, by `_insertion_loop`, which reads the rows it
+    does not hold only in violation tests.  `held`, `tested` and `solves`
+    report the rows held at the end, the rows the violation tests read and
+    the rounds (one solve by default, testing nothing), and `tight_rows`
+    are the half-spaces of P among the optimum's pinning rows (the sign row
+    is not one).  An empty container reports status "infeasible" with
+    value 0; rows held that are empty already mean P is.  A container that
+    lets the copy grow forever reports "unbounded": an optimum on the
+    implicit box is tested at that witness, so the rows that cut its ray
+    are inserted, and if none is, P is unbounded there too.  The placement
+    is the optimum's witness, which can move with `seed` where the optimum
     is not unique; `canonical_placement` picks one that does not.
     """
     n, d = len(P), K.dim
     inst = build_beta_instance(K, rotation, P)
-    solved = []
-
-    def solve(held):
-        sub = inst if held.all() else LpInstance(inst.rows[held], inst.bounds[held],
-                                                 inst.objective)
-        solved.append(seidel_lp(sub, seed=seed))
-        x = solved[-1].witness
-        if x is None:
-            return None, False
-        return Placement(x[:d], max(float(x[d]), 0.0), rotation), True
-
-    _, _, mask, tested = _lp_type_loop(inst, P, np.arange(n) if rows is None else rows,
-                                       solve)
-    held = np.flatnonzero(mask[:n])
-    res, solves = solved[-1], len(solved)
+    if rows is None:
+        res, held, tested, solves = seidel_lp(inst, seed=seed), np.arange(n), 0, 1
+    else:
+        res, held, tested, solves = _insertion_loop(inst, rotation, P, rows, seed)
     if res.status == INFEASIBLE:
         return BetaResult(0.0, None, INFEASIBLE, (), held, tested, solves)
     if res.status == UNBOUNDED:
         return BetaResult(math.inf, None, UNBOUNDED, (), held, tested, solves)
     value = max(res.value, 0.0)
     placement = Placement(res.witness[:d], value, rotation)
-    ids = np.append(held, n)
-    tight = tuple(sorted(int(ids[r]) for r in res.tight_set if ids[r] < n))
+    tight = tuple(sorted(int(r) for r in res.tight_set if r < n))
     return BetaResult(value, placement, OPTIMAL, tight, held, tested, solves)
 
 

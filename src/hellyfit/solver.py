@@ -4,12 +4,11 @@
 best first, one LP per class of rotations whose copies of K are
 translates of one another (`_class_map`), skipping the classes that a
 solved rotation's dual rules out.  `beta_direct` solves each LP over all
-of P.  `beta_msw` solves it as an LP-type loop from the rows of the dual
-that bounds the class and, at large n, a random sample of
-ceil((d + 1) sqrt(n)) half-spaces, grown by violation tests until no
-half-space objects (Clarkson; Matousek, Sharir and Welzl), so it touches
-each half-space O(1) times expected and reads all of P mostly in
-vectorized products.  `beta_brute` minimizes over all small subfamilies, which the
+of P.  `beta_msw` solves it by Seidel's scan over a few rows, the support
+of the dual that bounds the class where there is one, and inserts into
+that optimum the deepest violator of P, one row a round, until no
+half-space objects; it reads all of P only in vectorized violation
+tests.  `beta_brute` minimizes over all small subfamilies, which the
 other two must match.  Every method reports the witnessing placement, a
 small basis of half-space indices that already pins the value, and
 counters suitable for scaling measurements.
@@ -50,7 +49,7 @@ TIE_TOL = 1e-12      # relative slack when picking the winning rotation
 MERGE_TOL = TIE_TOL / 10    # relative vertex distance within which rotated copies merge
 BASIS_TOL = 1e-9     # value agreement required of a reduced family
 PRUNE_SLACK = 1e-7   # relative margin for LP and rounding error when pruning a rotation
-BRUTE_LIMIT = 10 ** 6
+BRUTE_LIMIT = 10 ** 5     # class solves, subsets * `_class_count`, that beta_brute may make
 
 log = logging.getLogger(__name__)
 
@@ -91,7 +90,8 @@ class FitResult:
     exceeds c * (d + 1) for a net whose rotations fall into c translation
     classes, which is at most len(net) * (d + 1).  `rotation_index` is the
     winning net element.
-    `stats.lp_calls` counts each round of a sampled loop as a solve.
+    `stats.lp_calls` counts each round of a class loop as a solve, a
+    round being one solve or one insertion into the standing optimum.
     """
 
     beta: float
@@ -228,32 +228,23 @@ def _sweep(K, net, P, seed, msw=False):
     not optimal (unbounded or empty) every remaining class is solved in
     index order.
 
-    With `msw`, each class solve is an LP-type loop.  A class with a
-    binding dual starts from that dual's support, at most d + 1 rows of P
-    that alone bound its scale.  Where ceil(delta * sqrt(n)) < n, with
-    delta = c * (d + 1) for c classes (`_class_count`), it also starts from
-    ceil((d + 1) sqrt(n)) rows drawn with a seed from `seed` and the class
-    index, as the scale LP at one rotation has combinatorial dimension
-    d + 1; the first class, which no dual bounds yet, starts from that
-    sample alone, or from all of P below the gate.  A dual from a loop lies
-    on rows of P and bounds P's scale, as a subfamily never allows less.
+    With `msw`, each class is solved by `beta_fixed_rotation`'s insertion
+    loop from start rows: the support of the dual that bounds it, at most
+    d + 1 rows of P that alone bound its scale, or none for a class that
+    no dual bounds yet, such as the first.  A dual from a loop lies on rows
+    of P and bounds P's scale, as a subfamily never allows less.
     """
-    t, n = len(net), len(P)
+    t = len(net)
     rep = _rotation_classes(K, net)
     results = [None] * t
     duals = {}
     bounds = np.full(t, math.inf)   # -inf once its class is solved
     binding = [None] * t            # support of the dual that set bounds[i]
-    size = math.ceil((K.dim + 1) * math.sqrt(n))
-    sample = msw and math.ceil(_class_count(K, net) * (K.dim + 1) * math.sqrt(n)) < n
 
     def solve(i):
         rows = None
-        if sample:
-            rng = np.random.default_rng([int(seed) % (2 ** 63), i, 1])
-            rows = rng.choice(n, size=size, replace=False)
-        if msw and binding[i] is not None:
-            rows = binding[i] if rows is None else np.union1d(binding[i], rows)
+        if msw:
+            rows = np.empty(0, dtype=int) if binding[i] is None else binding[i]
         results[i] = beta_fixed_rotation(K, net[i], P,
                                          seed=_rotation_seed(seed, i), rows=rows)
         bounds[rep == i] = -math.inf
@@ -378,15 +369,10 @@ def _finish(K, P, swept, stats, method):
 def _fit(K, net, P, seed, method):
     """`beta_direct` and `beta_msw`: one `_sweep`, then `_finish`.
 
-    For "msw" the sweep runs each class as an LP-type loop: from the
-    support of the dual that bounds it, where one does, and from a random
-    sample only where ceil(delta * sqrt(n)) < n, i.e. n > delta^2 + 1, with
-    delta = c * (d + 1) for c rotation classes (`_class_count`).  That
-    sampling gate is the routing of the earlier `beta_msw`, which sampled
-    the whole sweep at once, kept as it was: sampling at every n made
-    perfbench's `fit_cli` workload about 20 % slower (3 pairs).  Below the
-    gate the dual's support alone is the cheaper start: it cut `fit_cli`'s
-    Seidel rows by more than half.
+    For "msw" the sweep solves each class by an insertion loop from the
+    support of the dual that bounds it, or from no row of P where none
+    does; the counters add up the loops' rounds and the rows their
+    violation tests read.
     """
     if K.dim != P.dim or net.dim != K.dim:
         raise ValueError("body, net and container disagree on dimension")
@@ -416,25 +402,24 @@ def beta_direct(K: VPolytope, net: RotationNet, P: HPolytope, seed=0) -> FitResu
 
 
 def beta_msw(K: VPolytope, net: RotationNet, P: HPolytope, seed=0) -> FitResult:
-    """Same fit as beta_direct, touching each half-space O(1) times expected.
+    """Same fit as beta_direct, reading all of P only in violation tests.
 
     The same sweep as `beta_direct`, but each class it cannot prune is
-    solved by an LP-type loop (`lp.beta_fixed_rotation` with start rows):
-    solve on the rows held, add the rows of P the result leaves, and stop
-    when none is left.  That last violation test is the certificate: an
-    optimum on rows of P that no row of P violates is optimal for P.  A
-    class starts from the support of the dual that bounds it, at most
-    d + 1 rows that an earlier class's solve found, joined where `_fit`
-    samples (n > delta^2 + 1) by a random sample of ceil((d + 1) sqrt(n))
-    half-spaces; the first class starts from its sample, or from all of P
-    where `_fit` does not sample.  The canonical step, as for every method,
-    starts from the rows nearly tight at the winner's optimum, so apart
-    from that first class where `_fit` does not sample, all of P is read
-    only by violation tests, and `violation_tests` counts every row they
-    read.  β, the
-    rotation and the placement are `beta_direct`'s up to the LP
-    tolerance, not bit for bit, and where several rows pin the optimum
-    the basis may name others of them.
+    solved by an insertion loop (`lp.beta_fixed_rotation` with start
+    rows).  Seidel's scan solves the rows held: the support of the dual
+    that bounds the class, at most d + 1 rows that an earlier class's
+    solve found, or none for the first class, plus the sign row and P's
+    row of largest |b|.  Each round then tests all of P against the
+    standing optimum and inserts the deepest violator not yet held, by one
+    Seidel step over the rows held, with no re-solve; the loop stops when
+    no row is violated.  That last violation test is the certificate: an
+    optimum on rows of P that no row of P violates is optimal for P.  The
+    canonical step, as for every method, starts from the rows nearly tight
+    at the winner's optimum, so all of P is read only by violation tests,
+    and `violation_tests` counts every row they read.  β, the rotation and
+    the placement are `beta_direct`'s up to the LP tolerance, not bit for
+    bit, and where several rows pin the optimum the basis may name others
+    of them.
     """
     return _fit(K, net, P, seed, "msw")
 
@@ -443,20 +428,22 @@ def beta_brute(K: VPolytope, net: RotationNet, P: HPolytope) -> FitResult:
     """Minimum fit over every small subfamily of half-spaces.
 
     Enumerates all subsets of c * (d + 1) half-spaces, the basis size for
-    the net's c rotation classes (`_class_count`), capped at 10^6 tuples,
-    and minimizes the per-subset fit; the result must agree with the
-    whole-family methods, which makes it a strong cross-check despite the
-    cost.
+    the net's c rotation classes (`_class_count`), and minimizes the
+    per-subset fit.  Each subset sweeps up to c class solves, so the
+    subsets times c are capped at BRUTE_LIMIT.  The result must agree with
+    the whole-family methods, which makes it a strong cross-check despite
+    the cost.
     """
     if K.dim != P.dim or net.dim != K.dim:
         raise ValueError("body, net and container disagree on dimension")
     start = time.perf_counter()
-    n = len(P)
-    size = min(_class_count(K, net) * (K.dim + 1), n)
+    n, classes = len(P), _class_count(K, net)
+    size = min(classes * (K.dim + 1), n)
     count = math.comb(n, size)
-    if count > BRUTE_LIMIT:
-        msg = (f"brute enumeration needs C({n}, {size}) = {count} tuples, "
-               f"over the {BRUTE_LIMIT} limit")
+    if count * classes > BRUTE_LIMIT:
+        msg = (f"brute enumeration needs C({n}, {size}) = {count} subsets of "
+               f"{classes} class solves each, {count * classes} solves, over "
+               f"the {BRUTE_LIMIT} limit")
         log.warning("refused: %s", msg)
         raise ValueError(msg)
     stats = SolveStats()

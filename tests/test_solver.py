@@ -509,14 +509,16 @@ def test_msw_matches_direct_on_tangent_instances():
 
 
 def test_msw_base_case_identical_to_direct():
+    # the first class is no longer solved over all of P: its optimum is
+    # built by insertions, so beta may differ from direct's in the last bit
     K = regular_polygon(3, 1.0)
-    net = uniform_net(5)          # delta = 15 >= n = 12: plain sweep inside
+    net = uniform_net(5)
     P = tangent_family(12, 4)
     a = beta_direct(K, net, P, seed=7)
     b = beta_msw(K, net, P, seed=7)
-    assert b.beta == a.beta
+    assert abs(b.beta - a.beta) <= 1e-12 * abs(a.beta)
     assert b.basis == a.basis
-    assert np.array_equal(b.placement.translation, a.placement.translation)
+    assert b.rotation_index == a.rotation_index
 
 
 def _seidel_rows(solve, *args, **kwargs):
@@ -669,7 +671,7 @@ def test_msw_canonical_step_reads_the_family_only_in_violation_tests(monkeypatch
     # from the rows nearly tight at the winner's optimum and hands
     # seidel_lp a small share of the rows (over 2n when it solved over
     # every row), and its violation tests count in violation_tests next to
-    # the sampling rounds'
+    # the class loops'
     K = VPolytope(np.array([[0.5, 0.5], [-0.5, 0.5], [-0.5, -0.5], [0.5, -0.5]]))
     net = build_net_2d(K, EPS_SQUARE)
     n = 30000
@@ -679,7 +681,7 @@ def test_msw_canonical_step_reads_the_family_only_in_violation_tests(monkeypatch
     seed = int(np.random.SeedSequence([101, 2, 25]).generate_state(1)[0])
     rows, tests, inside = [], [], [False]
     plain_lp, plain_canon = lp.seidel_lp, solver.canonical_placement
-    plain_loop = lp._violators
+    plain_test = lp._overshoot
 
     def counting_lp(inst, seed=0):
         if inside[0]:
@@ -693,13 +695,13 @@ def test_msw_canonical_step_reads_the_family_only_in_violation_tests(monkeypatch
         finally:
             inside[0] = False
 
-    def counting(placement, support, P_):
+    def counting(placement, support, P_, limits):
         tests.append(len(P_))
-        return plain_loop(placement, support, P_)
+        return plain_test(placement, support, P_, limits)
 
     monkeypatch.setattr(lp, "seidel_lp", counting_lp)
     monkeypatch.setattr(solver, "canonical_placement", canonical)
-    monkeypatch.setattr(lp, "_violators", counting)
+    monkeypatch.setattr(lp, "_overshoot", counting)
     r = beta_msw(K, net, P, seed=seed)
     assert not r.stats.fallback
     assert 0 < sum(rows) < n / 4
@@ -710,25 +712,30 @@ def test_msw_canonical_step_reads_the_family_only_in_violation_tests(monkeypatch
 
 
 def test_msw_samples_by_rotation_classes(monkeypatch):
-    # the square's t = 4 net is one rotation class, so delta = 1 * (d + 1)
-    # = 3 and the first sample is ceil(3 sqrt(n)) half-spaces, not
-    # ceil(t (d + 1) sqrt(n)), which would take all of P below n = 144
-    K = unit_square()
-    net = build_net_2d(K, EPS_SQUARE)
-    assert len(net) == 4
-    sizes = []
+    # no class loop samples: each starts from at most d + 1 rows, the
+    # support of the dual that bounds it (none for the first), plus the
+    # two rows always held, P's row of largest |b| and the sign row; the
+    # first is the only row of P those two add.  A t = 27 net makes many
+    # classes start from a dual's support
+    K = VPolytope(np.array([[0.5, 0.5], [-0.5, 0.5], [-0.5, -0.5], [0.5, -0.5]]))
+    loops = []
     plain = solver.beta_fixed_rotation
 
     def recording(K_, rotation, P_, *args, **kwargs):
-        sizes.append(len(kwargs["rows"]))
-        return plain(K_, rotation, P_, *args, **kwargs)
+        loops.append((len(kwargs["rows"]), plain(K_, rotation, P_, *args, **kwargs)))
+        return loops[-1][1]
 
     monkeypatch.setattr(solver, "beta_fixed_rotation", recording)
-    for n in (100, 1000, 10000):
-        sizes.clear()
-        r = beta_msw(K, net, tangent_family(n, 70 + n), seed=n)
-        assert sizes[0] == math.ceil(3 * math.sqrt(n))
-        assert r.stats.violation_tests >= n
+    for eps in (EPS_SQUARE, 0.1):
+        net = build_net_2d(K, eps)
+        for n in (100, 1000, 10000):
+            loops.clear()
+            r = beta_msw(K, net, tangent_family(n, 70 + n), seed=n)
+            assert loops[0][0] == 0
+            for start, out in loops:
+                assert start <= K.dim + 1
+                assert len(out.held) - (out.solves - 1) <= start + 1
+            assert r.stats.violation_tests >= n
 
 
 def test_msw_round_cap_falls_back_flagged(monkeypatch):
@@ -786,7 +793,7 @@ def test_fallbacks_escalations_and_refusals_are_logged(caplog):
         build_net_sufficient(cube, 0.1)
     refusals = [r.getMessage() for r in caplog.records]
     assert len(refusals) == 2 and all(m.startswith("refused: ") for m in refusals)
-    assert "1000000 limit" in refusals[0] and "limit of 20000" in refusals[1]
+    assert "100000 limit" in refusals[0] and "limit of 20000" in refusals[1]
     assert all(r.name.startswith("hellyfit.") for r in caplog.records)
 
 
@@ -860,33 +867,94 @@ def _class_loops(K, net, P, s):
 @settings(max_examples=40, deadline=None)
 @given(st.integers(min_value=0, max_value=2**31 - 1))
 def test_msw_class_loops_grow_every_round(seed):
-    # each round adds rows of P to those held, so a loop of s solves holds
-    # its start rows (the ceil(3 sqrt(n)) sampled, joined after the first
-    # class by the support of the dual that bounds it) and at least s - 1
-    # more, and tests all of P after each solve but a last one that held
-    # all of P or found the rows held empty
+    # each round adds rows of P to those held, so a loop of s rounds holds
+    # its start rows (after the first class, the support of the dual that
+    # bounds it) and at least s - 1 more, and tests all of P after each
+    # round but a last one that found the rows held empty
     K, net, P, s = sampling_instance(seed)
-    n, size = len(P), math.ceil(3 * math.sqrt(len(P)))
+    n = len(P)
     loops = _class_loops(K, net, P, s)
     assert loops
     for out in loops:
-        assert out.start >= size
         assert len(out.held) >= out.start + out.solves - 1
         assert out.tested in (n * out.solves, n * (out.solves - 1))
         assert out.tested < n * out.solves or len(out.held) < n
 
 
-def test_msw_class_loops_end_within_d_plus_2_tests():
-    # Clarkson: the scale LP at one rotation has combinatorial dimension
-    # d + 1, so in exact arithmetic a loop adds rows in at most d + 1
-    # rounds and tests all of P at most d + 2 times.  Violation tests
-    # within VIOL_TOL, and a witness that is one of several optima, can
-    # need more rounds, so this holds for these fixed instances, not for
-    # every input
-    for seed in range(30):
+def test_msw_round_is_one_insertion_not_a_resolve(monkeypatch):
+    # a class loop runs Seidel's scan at full dimension once, on its start
+    # rows, and never calls seidel_lp; each later round tests all of P,
+    # holds the deepest violator not yet held and inserts it into the
+    # standing optimum, so a loop of s rounds holds its start rows and
+    # exactly s - 1 more
+    plain_fixed, plain_solve, plain_test, plain_lp = (
+        solver.beta_fixed_rotation, lp._solve, lp._overshoot, lp.seidel_lp)
+    loops, inside, nvars = [], [False], [0]
+
+    def fixed(*args, **kwargs):
+        loops.append({"rows": kwargs["rows"], "scans": 0, "depths": []})
+        inside[0] = True
+        try:
+            loops[-1]["out"] = plain_fixed(*args, **kwargs)
+        finally:
+            inside[0] = False
+        return loops[-1]["out"]
+
+    def solve(A, b, ids, c, rng):
+        if inside[0] and c.shape[0] == nvars[0]:
+            loops[-1]["scans"] += 1
+        return plain_solve(A, b, ids, c, rng)
+
+    def test(placement, support, P_, limits):
+        depth = plain_test(placement, support, P_, limits)
+        if inside[0]:
+            loops[-1]["depths"].append(depth.copy())
+        return depth
+
+    def no_lp(*args, **kwargs):
+        assert not inside[0], "a class loop called seidel_lp"
+        return plain_lp(*args, **kwargs)
+
+    monkeypatch.setattr(solver, "beta_fixed_rotation", fixed)
+    monkeypatch.setattr(lp, "_solve", solve)
+    monkeypatch.setattr(lp, "_overshoot", test)
+    monkeypatch.setattr(lp, "seidel_lp", no_lp)
+    for seed in range(8):
         K, net, P, s = sampling_instance(seed)
-        loops = _class_loops(K, net, P, s)
-        assert loops and max(out.tested for out in loops) <= (K.dim + 2) * len(P)
+        n, nvars[0] = len(P), K.dim + 1
+        loops.clear()
+        beta_msw(K, net, P, seed=s)
+        assert loops
+        for loop in loops:
+            out = loop["out"]
+            assert loop["scans"] == 1
+            held = np.zeros(n, dtype=bool)
+            held[loop["rows"]] = True
+            held[int(np.argmax(np.abs(P.offsets)))] = True
+            start = int(held.sum())
+            assert len(loop["depths"]) == out.solves
+            for depth in loop["depths"][:-1]:
+                r = int(np.where(held, -np.inf, depth).argmax())
+                assert depth[r] > 0 and not held[r]
+                held[r] = True
+            assert not np.any(loop["depths"][-1][~held] > 0)
+            assert np.array_equal(np.flatnonzero(held), out.held)
+            assert len(out.held) == start + out.solves - 1
+            assert out.tested == n * out.solves
+
+
+def test_msw_rounds_stay_flat_in_n_on_a_net_of_many_classes():
+    # test_msw_violation_tests_stay_linear's criterion on the square's
+    # t = 27 net, whose 27 rotation classes each run a loop: the rows the
+    # violation tests read per half-space must not drift with n
+    K = VPolytope(np.array([[0.5, 0.5], [-0.5, 0.5], [-0.5, -0.5], [0.5, -0.5]]))
+    net = build_net_2d(K, 0.1)
+    assert solver._class_count(K, net) == 27
+    ratios = []
+    for n in (10 ** 3, 10 ** 4, 10 ** 5):
+        r = beta_msw(K, net, _bench_instance(n, 0), seed=0)
+        ratios.append(r.stats.violation_tests / n)
+    assert max(ratios) < 2.0 * min(ratios), ratios
 
 
 # ---------------------------------------------------------------------------
