@@ -6,8 +6,8 @@ given --seed, apart from wall-clock times: `wall_time_s` in fit's stats and
 the mean times of the bench CSV lines.
 
 Each `cmd_*` takes the argparse namespace.  Checks that argparse cannot make
-(epsilon, --sizes, --reps) raise ValueError, which `main` turns into one
-`error:` line and exit code 2.
+(epsilon, --sizes, --reps, and demo's limits) raise ValueError, which `main`
+turns into one `error:` line and exit code 2.
 """
 
 import argparse
@@ -28,6 +28,8 @@ from .solver import alpha_reference, beta_brute, beta_direct, beta_msw
 from .svg import render_demo_svg, render_fit_svg
 
 OK, VERDICT_FAIL, USAGE_ERROR = 0, 1, 2
+BENCH_SIZE_LIMIT = 10 ** 6  # largest family `bench --sizes` may ask for
+BENCH_REPS_LIMIT = 100      # most timed solves `bench --reps` may ask for per size
 
 def _emit(text, out_path):
     if out_path is None:
@@ -114,6 +116,9 @@ def _sizes(text):
         raise ValueError(f"bad --sizes value {text!r}") from exc
     if any(n < 1 for n in sizes):
         raise ValueError(f"--sizes entries must be at least 1, got {text!r}")
+    if max(sizes) > BENCH_SIZE_LIMIT:
+        raise ValueError(f"--sizes entry {max(sizes)} is above the limit of "
+                         f"{BENCH_SIZE_LIMIT}")
     if any(a >= b for a, b in zip(sizes, sizes[1:])):
         raise ValueError("sizes must be strictly ascending")
     return sizes
@@ -124,6 +129,8 @@ def cmd_bench(args) -> int:
     _check_epsilon(args.epsilon)
     if args.reps < 1:
         raise ValueError("reps must be at least 1")
+    if args.reps > BENCH_REPS_LIMIT:
+        raise ValueError(f"--reps {args.reps} is above the limit of {BENCH_REPS_LIMIT}")
     K = VPolytope(np.array([[1.0, 1.0], [-1.0, 1.0], [-1.0, -1.0],
                             [1.0, -1.0]]) * 0.5)
     net = _build_net(K, args.epsilon)

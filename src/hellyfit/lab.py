@@ -37,6 +37,8 @@ SEARCH_TRIES = 4096      # uniform angles per rotation of an inflation search
 SEARCH_ROTATIONS = 8     # rotations an inflation search tries before failing
 MEASURE_TOL = 1e-12
 MAX_ARC_VERTICES = 4096  # most vertices an arc body read from JSON may have
+DEMO_N_LIMIT = 64        # largest subset size n a demonstration checks
+DEMO_SAMPLES_LIMIT = 10 ** 4  # most tangent half-planes a demonstration draws
 
 
 class SearchFailure(RuntimeError):
@@ -344,7 +346,8 @@ def lower_bound_demo(n: int, sample_count: int, seed=0) -> dict:
     an inflated copy inside every checked n-subset and (b) fits the body
     against the whole family with a fine rotation net, expecting scale one.
     The two checks go through different code paths, and the verdict passes
-    only when both hold.
+    only when both hold.  n above DEMO_N_LIMIT and `sample_count` above
+    DEMO_SAMPLES_LIMIT are refused with ValueError.
     """
     return _demo_run(n, sample_count, seed)[2]
 
@@ -359,8 +362,13 @@ def _demo_run(n, sample_count, seed):
     """
     if n < 2:
         raise ValueError("the demonstration needs n >= 2")
+    if n > DEMO_N_LIMIT:
+        raise ValueError(f"n = {n} is above the limit of {DEMO_N_LIMIT}")
     if sample_count < n:
         raise ValueError("cannot draw n-subsets from fewer than n half-planes")
+    if sample_count > DEMO_SAMPLES_LIMIT:
+        raise ValueError(f"{sample_count} half-planes are above the limit of "
+                         f"{DEMO_SAMPLES_LIMIT}")
     root = int(seed) % (2 ** 63)
     rng = np.random.default_rng(np.random.SeedSequence([root, 0]))
     K = cap_body(n, margin=math.pi / (2 * n))

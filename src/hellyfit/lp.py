@@ -611,15 +611,19 @@ def build_beta_instance(K: VPolytope, rotation: Rotation, P: HPolytope) -> LpIns
     """
     if K.dim != P.dim or rotation.dim != K.dim:
         raise ValueError("body, rotation and container disagree on dimension")
-    d = K.dim
-    U, off = P.normals, P.offsets
-    n = U.shape[0]
-    rows = np.zeros((n + 1, d + 1))
+    return LpInstance.maximize_last(*_scale_rows(K, rotation, P))
+
+
+def _scale_rows(K, rotation, P, spare=0):
+    """`build_beta_instance`'s rows and bounds, then `spare` zero rows."""
+    d, U, n = K.dim, P.normals, len(P)
+    rows = np.zeros((n + 1 + spare, d + 1))
     rows[:n, :d] = U
     rows[:n, d] = support_values(K, rotation, U)
     rows[n, d] = -1.0
-    bounds = np.concatenate([off, [0.0]])
-    return LpInstance.maximize_last(rows, bounds)
+    bounds = np.zeros(n + 1 + spare)
+    bounds[:n] = P.offsets
+    return rows, bounds
 
 
 @dataclass(eq=False)
@@ -720,49 +724,6 @@ def near_tight_dual(K: VPolytope, placement: Placement, P: HPolytope):
     return best
 
 
-def _lex_min_translation(rows, bounds, placement):
-    """`placement` moved to the lexicographically smallest optimal translation.
-
-    `rows` and `bounds` are the scale LP at the placement's rotation, or
-    some of its rows, and `placement` one of its optima; the rotation and
-    scale are kept.  Stage i runs seidel_lp with the fixed seed CANON_SEED
-    + 7919 (i + 1).  Each pin row is scaled down until its offset is at
-    most the largest of `bounds` (and at least 1), so pinning never raises
-    seidel_lp's offset normalization, and with it the tolerance on the
-    rows of P.  Also returns whether all d stages were optimal; after a
-    stage that was not, the translation of the last one that was is kept
-    (the given one if none was), so the solve never fails here.
-    """
-    d = rows.shape[1] - 1
-    cap = max(1.0, float(np.max(np.abs(bounds))))
-    pin_rows, pin_bounds = [], []
-
-    def pin(row, bound):
-        shrink = min(1.0, cap / abs(bound)) if bound else 1.0
-        pin_rows.append(row * shrink)
-        pin_bounds.append(bound * shrink)
-
-    pin(np.concatenate([np.zeros(d), [-1.0]]), -(placement.scale - CANON_SLACK))
-    witness = None
-    complete = True
-    for i in range(d):
-        obj = np.zeros(d + 1)
-        obj[i] = -1.0
-        sub = LpInstance(np.vstack([rows] + pin_rows),
-                         np.concatenate([bounds, pin_bounds]), obj)
-        res = seidel_lp(sub, seed=CANON_SEED + 7919 * (i + 1))
-        if res.status != OPTIMAL:
-            complete = False
-            break
-        witness = res.witness
-        e = np.zeros(d + 1)
-        e[i] = 1.0
-        pin(e, float(witness[i]) + CANON_SLACK)
-    if witness is not None:
-        placement = Placement(witness[:d], placement.scale, placement.rotation)
-    return placement, complete
-
-
 def _slack(placement, support, P):
     """b_i - <u_i, a> - alpha * h_A(u_i) for every half-space of P.
 
@@ -804,96 +765,60 @@ def _violators(placement, support, P):
     return np.nonzero(_overshoot(placement, support, P, _violation_limits(P)) > 0)[0]
 
 
-def _lp_type_loop(inst, P, start, solve):
-    """The LP-type loop of Clarkson and of Matousek, Sharir and Welzl, for
-    `_lex_closure`.
+def _insertion_loop(A, b, c, scale, rotation, P, limits, start, seed):
+    """Seidel's scan of the scale LP, offered P's rows deepest first.
 
-    `held` masks the len(P) + 1 rows of `inst`, `build_beta_instance` over
-    P: the distinct indices `start`, the sign row and P's row of largest
-    |b_i|, so every solve keeps P's offset normalization, and with it the
-    tolerance on each row.  Each round, `solve(held)` returns a placement
-    and whether it stands; one that does not ends the loop, and so does a
-    solve that holds all of P.  Otherwise the placement is tested against
-    all of P (`_violators`), the rows it leaves that are not held are
-    added, and the loop ends when none is.  It grows `held` every round, so
-    it ends within n rounds.  Returns the last placement, whether it
-    stands, `held` and the rows tested.
-    """
-    n = len(P)
-    held = np.zeros(n + 1, dtype=bool)
-    held[start] = True
-    held[[int(np.argmax(np.abs(P.offsets))), n]] = True
-    tested = 0
-    while True:
-        placed, stands = solve(held)
-        if not stands or held.all():
-            return placed, stands, held, tested
-        bad = _violators(placed, inst.rows[:n, -1], P)
-        tested += n
-        bad = bad[~held[bad]]
-        if bad.size == 0:
-            return placed, stands, held, tested
-        held[bad] = True
-
-
-def _lex_closure(inst, placement, P, start):
-    """`_lp_type_loop` of `_lex_min_translation` from the rows `start` of `inst`.
-
-    A placement stands where every stage of its solve was optimal.
-    """
-    return _lp_type_loop(inst, P, start, lambda held: _lex_min_translation(
-        inst.rows[held], inst.bounds[held], placement))
-
-
-def _insertion_loop(inst, rotation, P, start, seed):
-    """Seidel's scan of the scale LP `inst`, offered P's rows deepest first.
-
-    The rows held start as the distinct indices `start`, P's row of largest
-    |b_i| and the sign row, and are solved by `seidel_lp`'s scan in its
-    normalization (`_normalized`, `_seidel`), which P's row of largest
-    |b_i| keeps that of all of P.  Each round then tests the standing
-    optimum against all of P (`_overshoot`) and holds the deepest violator
-    not yet held.  Where Seidel's own row test (`_excess`) finds that row
-    violated too, it is inserted as Seidel's scan inserts a row: the
-    optimum moves onto its boundary by one `_eliminate` over the rows
-    held before it, with no re-solve.  Rows of P have unit normals, so
-    none is flat.  The loop ends when no row outside those held is
-    violated, which certifies the optimum for P, or when the rows held are
-    empty; each round holds one more row, so it ends within n rounds.
-    Returns the `LpResult` over the instance's row ids, the sorted rows of
-    P held, the rows tested and the number of rounds.
+    `A` and `b` are the scale LP at `rotation` in `_normalized` units, its
+    offsets divided by `scale`: P's len(P) rows, then the sign row and any
+    pins.  `c` is its objective, a unit vector, and `limits` is P's
+    `_violation_limits`.  The rows held start as the distinct indices
+    `start` into P, P's row of largest |b_i| and every row after P's, and
+    are solved by `seidel_lp`'s scan (`_seidel`); P's row of largest |b_i|
+    keeps the offset normalization of all of P, and with it the tolerance
+    on each row.  Each round then tests the standing optimum against all of
+    P (`_overshoot`) and holds the deepest violator not yet held.  Where
+    Seidel's own row test (`_excess`) finds that row violated too, it is
+    inserted as Seidel's scan inserts a row: the optimum moves onto its
+    boundary by one `_eliminate` over the rows held before it, with no
+    re-solve.  Rows of P have unit normals, so none is flat.  The loop ends
+    when no row outside those held is violated, which certifies the optimum
+    for P, or when the rows held are empty; each round holds one more row,
+    so it ends within n rounds.  An optimum on the implicit box that no row
+    of P cuts is read as unbounded for P.  Returns the `LpResult` over the
+    row ids of `A`, the rows of P held, unsorted (the first np.sort in a
+    process adds about 0.25 MB to its peak memory, and a `beta_direct`
+    fit's canonical step would pay it), the rows tested and the number of
+    rounds.
     """
     n, d = len(P), rotation.dim
-    b, c, scale = _normalized(inst)
-    A = inst.rows
-    mask = np.zeros(n + 1, dtype=bool)
+    mask = np.zeros(A.shape[0], dtype=bool)
     mask[np.asarray(start, dtype=int)] = True
-    mask[[int(np.argmax(np.abs(P.offsets))), n]] = True
+    mask[int(np.argmax(np.abs(P.offsets)))] = True
+    mask[n:] = True
     held = np.flatnonzero(mask)
-    ids = np.arange(n + 1)
     rng = np.random.default_rng(seed)
-    support, limits = A[:n, -1], _violation_limits(P)
     tested, rounds = 0, 1
     try:
         x, chain = _seidel(A[held], b[held], held, c, rng)
         while True:
             w = x * scale
             depth = _overshoot(Placement(w[:d], max(float(w[d]), 0.0), rotation),
-                               support, P, limits)
+                               A[:n, -1], P, limits)
             tested += n
             depth[held[held < n]] = -math.inf
             r = int(depth.argmax())
             if not depth[r] > 0:
                 break
             rounds += 1
-            prefix, held = held, np.append(held, r)
+            held = np.append(held, r)
             if _excess(A[r:r + 1], b[r:r + 1], _offset_tols(b[r:r + 1]), x)[0] > 0:
-                x, chain = _eliminate(A, b, ids, c, rng, r, prefix)
+                k = held.size - 1
+                x, chain = _eliminate(A[held], b[held], held, c, rng, k, slice(0, k))
     except _Infeasible:
         res = LpResult(INFEASIBLE, -math.inf, None, ())
     else:
-        res = _read(inst.objective, x, chain, scale)
-    return res, np.sort(held[held < n]), tested, rounds
+        res = _read(c, x, chain, scale)
+    return res, held[held < n], tested, rounds
 
 
 def beta_fixed_rotation(K: VPolytope, rotation: Rotation, P: HPolytope,
@@ -904,23 +829,27 @@ def beta_fixed_rotation(K: VPolytope, rotation: Rotation, P: HPolytope,
     `seidel_lp` call over all of it by default, and from `rows`, distinct
     start indices into P, by `_insertion_loop`, which reads the rows it
     does not hold only in violation tests.  `held`, `tested` and `solves`
-    report the rows held at the end, the rows the violation tests read and
-    the rounds (one solve by default, testing nothing), and `tight_rows`
-    are the half-spaces of P among the optimum's pinning rows (the sign row
-    is not one).  An empty container reports status "infeasible" with
-    value 0; rows held that are empty already mean P is.  A container that
-    lets the copy grow forever reports "unbounded": an optimum on the
-    implicit box is tested at that witness, so the rows that cut its ray
-    are inserted, and if none is, P is unbounded there too.  The placement
-    is the optimum's witness, which can move with `seed` where the optimum
-    is not unique; `canonical_placement` picks one that does not.
+    report the rows of P held at the end, the rows the violation tests
+    read and the rounds (all of P, nothing and one solve by default), and
+    `tight_rows` are the half-spaces of P among the optimum's pinning rows
+    (the sign row is not one).  An empty container reports status
+    "infeasible" with value 0; rows held that are empty already mean P is.
+    A container that lets the copy grow forever reports "unbounded": an
+    optimum on the implicit box is tested at that witness, so the rows
+    that cut its ray are inserted, and if none is, P is unbounded there
+    too.  The placement is the optimum's witness, which can move with
+    `seed` where the optimum is not unique; `canonical_placement` picks one
+    that does not.
     """
     n, d = len(P), K.dim
     inst = build_beta_instance(K, rotation, P)
     if rows is None:
         res, held, tested, solves = seidel_lp(inst, seed=seed), np.arange(n), 0, 1
     else:
-        res, held, tested, solves = _insertion_loop(inst, rotation, P, rows, seed)
+        b, c, scale = _normalized(inst)
+        res, held, tested, solves = _insertion_loop(
+            inst.rows, b, c, scale, rotation, P, _violation_limits(P), rows, seed)
+        held = np.sort(held)
     if res.status == INFEASIBLE:
         return BetaResult(0.0, None, INFEASIBLE, (), held, tested, solves)
     if res.status == UNBOUNDED:
@@ -931,28 +860,71 @@ def beta_fixed_rotation(K: VPolytope, rotation: Rotation, P: HPolytope,
     return BetaResult(value, placement, OPTIMAL, tight, held, tested, solves)
 
 
+def _lex_min_translation(A, bounds, placement, P, start):
+    """`placement` moved to the lexicographically smallest optimal translation.
+
+    `A` and `bounds` are `_scale_rows` at the placement's rotation with d
+    spare rows for pins, and `placement` is an optimum of that scale LP;
+    its rotation and scale are kept.  Stage i minimizes a_i by
+    `_insertion_loop` over P's rows, the sign row and the pins written so
+    far: alpha >= scale - CANON_SLACK, then a_j <= (stage j's a_j) +
+    CANON_SLACK for each earlier stage j.  The pins are written into the
+    spare rows, so no stage copies the rows of P.  Each pin is scaled down
+    until its offset is at most `_offset_scale` of P's, so pinning never
+    raises the offset normalization, and with it the tolerance on P's rows.
+    Stage i runs with the fixed seed CANON_SEED + 7919 (i + 1) from the
+    rows of P the stage before it held, the first from `start`, and its
+    last violation test certifies its optimum for all of P.  A stage that
+    is not optimal, such as one whose optimum stays on the implicit box
+    with no row of P violated, leaves a_i free; the translation of the
+    last optimal stage is kept (the given one if none was), so the solve
+    never fails here.  Returns the placement and the rows the stages'
+    violation tests read.
+    """
+    n, d = len(P), placement.dim
+    scale = _offset_scale(bounds)
+    b = bounds / scale
+    limits = _violation_limits(P)
+    unit = np.eye(d + 1)
+
+    def pin(k, row, bound):
+        shrink = min(1.0, scale / abs(bound)) if bound else 1.0
+        A[k] = row * shrink
+        b[k] = bound * shrink / scale
+
+    pin(n + 1, -unit[d], -(placement.scale - CANON_SLACK))
+    translation, held, tested = placement.translation, start, 0
+    for i in range(d):
+        m = n + 2 + i
+        res, held, t, _ = _insertion_loop(A[:m], b[:m], -unit[i], scale, placement.rotation,
+                                          P, limits, held, CANON_SEED + 7919 * (i + 1))
+        tested += t
+        if res.status != OPTIMAL:
+            break
+        translation = res.witness[:d]
+        if i + 1 < d:
+            pin(m, unit[i], float(translation[i]) + CANON_SLACK)
+    return Placement(translation, placement.scale, placement.rotation), tested
+
+
 def canonical_placement(K: VPolytope, placement: Placement, P: HPolytope):
     """The optimal placement with the lexicographically smallest translation.
 
     `placement` must be optimal for the scale LP at its rotation.  Its
     rotation and scale are kept, and the translation comes from
-    `_lex_min_translation`, run in the loop of the scale solve
-    (`_lex_closure`) from the rows within 4 * FEAS_TOL * `_offset_scale`
-    of tight at `placement` (`_near_tight`).  Which of several nearly
-    tight rows pins the result within seidel_lp's row tolerance depends on
-    the order in which they are scanned; starting every call from the same
-    few rows with the same seed, CANON_SEED, makes the result depend
-    little on how `placement` was found.  Where a stage on the rows held
-    is not optimal (they leave the translation free), all of P is used
-    instead.  Returns the placement with the number of rows that the
-    loop's violation tests read.
+    `_lex_min_translation`, whose d stages each run `_insertion_loop`, the
+    loop of `beta_fixed_rotation`'s solves from start rows, the first from
+    the rows within 4 * FEAS_TOL * `_offset_scale` of tight at `placement`
+    (`_near_tight`).  Which of several nearly tight rows pins the result
+    within seidel_lp's row tolerance depends on the order in which they are
+    scanned; starting every call from the same few rows with the same seeds
+    makes the result depend little on how `placement` was found.  Every row
+    of P outside those held is read only by violation tests.  Returns the
+    placement with the number of rows that the tests read.
     """
-    inst = build_beta_instance(K, placement.rotation, P)
-    near = _near_tight(_slack(placement, inst.rows[:-1, -1], P), P)
-    placed, stands, held, tested = _lex_closure(inst, placement, P, near)
-    if not (stands or held.all()):
-        placed = _lex_min_translation(inst.rows, inst.bounds, placement)[0]
-    return placed, tested
+    A, bounds = _scale_rows(K, placement.rotation, P, spare=K.dim)
+    near = _near_tight(_slack(placement, A[:len(P), -1], P), P)
+    return _lex_min_translation(A, bounds, placement, P, near)
 
 
 def fit_check(K: VPolytope, rotation: Rotation, scale, P: HPolytope) -> bool:

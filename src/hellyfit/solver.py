@@ -14,10 +14,11 @@ small basis of half-space indices that already pins the value, and
 counters suitable for scaling measurements.
 
 All of them end in one tail, `_finish`: it keeps the winning rotation's
-solve, only canonicalizes its placement (`lp.canonical_placement`, from
-the half-spaces nearly tight at the solved optimum), and builds the basis
-from the supports of the solved rotations' checked duals, at most (number
-of classes) * (d + 1) half-spaces.
+solve, only canonicalizes its placement (`lp.canonical_placement`, whose
+lexicographic stages run the same insertion loop as `beta_msw`'s class
+solves, from the half-spaces nearly tight at the solved optimum), and
+builds the basis from the supports of the solved rotations' checked duals,
+at most (number of classes) * (d + 1) half-spaces.
 """
 
 import logging
@@ -335,9 +336,9 @@ def _finish(K, P, swept, stats, method):
     `swept` is `_sweep`'s output over P: the solves, None where pruned or
     stood for by their class, and the duals the sweep computed.  The
     winner's value is kept as solved; `canonical_placement` (counted as
-    one LP call, plus the rows its violation tests read) only replaces its
-    translation, starting from the rows nearly tight at the winner's
-    optimum.  The basis, as indices into P, is the union over the solved
+    one LP call, plus the rows that its violation tests read, at least one
+    test of P per lexicographic stage) only replaces its translation,
+    starting from the rows nearly tight at the winner's optimum.  The basis, as indices into P, is the union over the solved
     rotations of the rows that pin their values (`_certified`, at most
     d + 1 each, from the sweep's dual where it computed one and
     `scale_dual` on the chain where not), so at most `_class_count` *

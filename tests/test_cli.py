@@ -331,6 +331,24 @@ def test_bench_rejects_unsorted_sizes(capsys):
         assert line.startswith("error: ") and "--sizes" in line
 
 
+def test_demo_and_bench_refuse_work_above_their_limits(capsys, monkeypatch):
+    # one past each limit is refused before the body or the family is built
+    def no_work(*args, **kwargs):
+        raise AssertionError("work started")
+
+    monkeypatch.setattr(hellyfit.lab, "cap_body", no_work)
+    monkeypatch.setattr(cli, "_bench_instance", no_work)
+    n_cap, samples_cap = hellyfit.lab.DEMO_N_LIMIT, hellyfit.lab.DEMO_SAMPLES_LIMIT
+    for argv, limit in (
+            (["demo", "--n", str(n_cap + 1)], n_cap),
+            (["demo", "--n", "3", "--samples", str(samples_cap + 1)], samples_cap),
+            (["bench", "--sizes", f"100,{cli.BENCH_SIZE_LIMIT + 1}"], cli.BENCH_SIZE_LIMIT),
+            (["bench", "--reps", str(cli.BENCH_REPS_LIMIT + 1)], cli.BENCH_REPS_LIMIT)):
+        assert main(argv) == 2
+        [line] = capsys.readouterr().err.splitlines()
+        assert line.startswith("error: ") and f"limit of {limit}" in line
+
+
 # ---------------------------------------------------------------------------
 # oracle
 

@@ -16,6 +16,7 @@ from _oracles import (
 )
 from hellyfit.geometry import (
     HPolytope,
+    Placement,
     Rotation,
     UnsupportedDimensionError,
     VPolytope,
@@ -309,6 +310,30 @@ def test_canonical_translation_is_lex_min_on_degenerate_strip():
     assert abs(res.value - 1.0) <= 1e-9
     placement = canonical_placement(K, res.placement, P)[0]
     assert np.allclose(placement.translation, [0.0, 0.0], atol=1e-7)
+
+
+def test_canonical_step_solves_no_lp_over_all_of_the_family(monkeypatch):
+    # the same strip under 1 996 loose lids: from (4, 0) the nearly tight
+    # rows leave the copy free to slide left, and each lexicographic stage
+    # finds the wall that stops it by violation tests, not by an LP over
+    # every row
+    K, n = unit_square(), 2000
+    box = box_polytope(np.array([0.0, 0.0]), np.array([5.0, 1.0]))
+    P = HPolytope(np.vstack([box.normals, np.tile([0.0, 1.0], (n - 4, 1))]),
+                  np.concatenate([box.offsets, np.linspace(1.5, 3.0, n - 4)]))
+    res = beta_fixed_rotation(K, Rotation.identity(2), P)
+    start = Placement(np.array([4.0, 0.0]), res.value, Rotation.identity(2))
+    rows, plain = [], lp._solve
+
+    def counting(A, *args):
+        rows.append(A.shape[0])
+        return plain(A, *args)
+
+    monkeypatch.setattr(lp, "_solve", counting)
+    placement, tested = canonical_placement(K, start, P)
+    assert np.allclose(placement.translation, [0.0, 0.0], atol=1e-7)
+    assert sum(rows) < n / 4
+    assert tested >= n
 
 
 # ---------------------------------------------------------------------------

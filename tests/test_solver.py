@@ -668,10 +668,10 @@ def test_msw_canonical_placement_stays_inside_container():
 def test_msw_canonical_step_reads_the_family_only_in_violation_tests(monkeypatch):
     # 30 000 lines tangent to the unit circle, where the square's
     # lexicographic vertex is ill-conditioned: the canonical step starts
-    # from the rows nearly tight at the winner's optimum and hands
-    # seidel_lp a small share of the rows (over 2n when it solved over
-    # every row), and its violation tests count in violation_tests next to
-    # the class loops'
+    # from the rows nearly tight at the winner's optimum and hands Seidel's
+    # scan (`lp._seidel`, under seidel_lp and the insertion loop alike) a
+    # small share of the rows (over 2n when it solved over every row), and
+    # its violation tests count in violation_tests next to the class loops'
     K = VPolytope(np.array([[0.5, 0.5], [-0.5, 0.5], [-0.5, -0.5], [0.5, -0.5]]))
     net = build_net_2d(K, EPS_SQUARE)
     n = 30000
@@ -680,13 +680,13 @@ def test_msw_canonical_step_reads_the_family_only_in_violation_tests(monkeypatch
     P = HPolytope(np.stack([np.cos(ang), np.sin(ang)], axis=1), np.ones(n))
     seed = int(np.random.SeedSequence([101, 2, 25]).generate_state(1)[0])
     rows, tests, inside = [], [], [False]
-    plain_lp, plain_canon = lp.seidel_lp, solver.canonical_placement
+    plain_lp, plain_canon = lp._seidel, solver.canonical_placement
     plain_test = lp._overshoot
 
-    def counting_lp(inst, seed=0):
+    def counting_lp(A, *args):
         if inside[0]:
-            rows.append(inst.rows.shape[0])
-        return plain_lp(inst, seed)
+            rows.append(A.shape[0])
+        return plain_lp(A, *args)
 
     def canonical(*args, **kwargs):
         inside[0] = True
@@ -699,7 +699,7 @@ def test_msw_canonical_step_reads_the_family_only_in_violation_tests(monkeypatch
         tests.append(len(P_))
         return plain_test(placement, support, P_, limits)
 
-    monkeypatch.setattr(lp, "seidel_lp", counting_lp)
+    monkeypatch.setattr(lp, "_seidel", counting_lp)
     monkeypatch.setattr(solver, "canonical_placement", canonical)
     monkeypatch.setattr(lp, "_overshoot", counting)
     r = beta_msw(K, net, P, seed=seed)
@@ -750,21 +750,21 @@ def test_msw_round_cap_falls_back_flagged(monkeypatch):
 
 
 def test_msw_on_a_net_of_many_classes_solves_fewer_rows_than_direct(monkeypatch):
-    # the square's eps = 0.1 net has 27 rotation classes, so delta = 81 and
-    # msw samples (n > delta^2 + 1); each class loop starts from
-    # ceil(3 sqrt(n)) = 425 of the 20 000 rows
+    # the square's eps = 0.1 net has 27 rotation classes; each class loop
+    # of msw hands Seidel's scan (`lp._seidel`, which seidel_lp also runs)
+    # at most d + 3 of the 20 000 rows and inserts the rest it needs
     K = VPolytope(np.array([[0.5, 0.5], [-0.5, 0.5], [-0.5, -0.5], [0.5, -0.5]]))
     net = build_net_2d(K, 0.1)
     assert solver._class_count(K, net) == 27
     P = _bench_instance(20000, 0)
     rows = [0]
-    plain = lp.seidel_lp
+    plain = lp._seidel
 
-    def counting(inst, seed=0):
-        rows[0] += inst.rows.shape[0]
-        return plain(inst, seed)
+    def counting(A, *args):
+        rows[0] += A.shape[0]
+        return plain(A, *args)
 
-    monkeypatch.setattr(lp, "seidel_lp", counting)
+    monkeypatch.setattr(lp, "_seidel", counting)
     a = beta_direct(K, net, P, seed=0)
     direct_rows, rows[0] = rows[0], 0
     b = beta_msw(K, net, P, seed=0)
