@@ -1,35 +1,18 @@
 """Randomized incremental linear programming in a handful of variables.
 
-`seidel_lp` maximizes a linear objective subject to inequality rows, with the
-classic randomized incremental scheme: process constraints in random order,
+`seidel_lp` maximizes a linear objective subject to inequality rows, with
+Seidel's randomized incremental scheme: process the rows in random order,
 and when one is violated, eliminate a variable on its boundary and re-solve
-the prefix one dimension down.  Expected work is linear in the number of
-rows for fixed dimension.  That holds because the scan for the next
-violated row looks ahead in blocks that grow while they stay clean, instead
-of re-scoring every remaining row after each violation; the blocks score
-the rows in the same random order with the same arithmetic, so the output
-does not depend on the block sizes.
-
-Most eliminations go from two variables to one, many of them on prefixes of
-a few rows, where numpy's per-call cost outweighs the rows.  That step is
-fused with the one-variable program it leaves (`_step_2d`): no reduced
-arrays are built, and short prefixes are handled in plain Python floats.
-The result is bit-identical to solving the reduced arrays, because each
-reduced value is one product and one difference, correctly rounded in
-numpy and CPython alike, and the one-variable rule lives in one place
-(`_one_var`).
-
-A level of fewer than SCAN_SMALL rows, and every level below it, runs on
-Python lists (`_scan`): the same permutation, blocks, pivots and reduced
-rows as the array scan, so the same output.  Only the scoring differs in
-kind.  BLAS scores a block by one matrix-vector product (`_excess`), and a
-Python dot product sums in another order, so its last bit could move the
-first violation.  A floating-point filter in the manner of Shewchuk's
-adaptive predicates settles that (`_screen`): a row's Python excess is
-trusted only where an error bound that covers any summation order proves
-its sign equal to BLAS's, and a block with a row inside the bound is scored
-by `_excess` as the array scan scores it.  The lift of an eliminated
-variable from two or more others stays the numpy dot product.
+the rows before it one dimension down.  Expected work is linear in the
+number of rows for fixed dimension.  No LP the package solves holds more
+than a few dozen rows, so the scan is one plain-Python path: rows are lists
+of floats, tested one at a time (`_solve`), and each elimination writes the
+reduced rows out as lists (`_eliminate`).  At two variables the elimination
+hands its reduced rows straight to the one-variable rule (`_step_2d`), and
+that rule lives in one place (`_one_var`).  The scale LP over a whole
+container is not solved by one scan: `_insertion_loop` holds a few of its
+rows and reads the others only in one vectorized violation test a round
+(`_overshoot`), inserting the deepest violator into the standing optimum.
 
 The solver works inside a large implicit box, which is how unboundedness is
 reported rather than crashed on: an optimum pinned to the box wall means the
@@ -50,7 +33,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from itertools import combinations
+from itertools import combinations, islice
 from operator import mul
 
 import numpy as np
@@ -71,10 +54,7 @@ EVAL_GUARD = 1e-13     # relative guard so fp noise never looks like a violation
 FIT_TOL = 1e-9         # slack used by fit_check
 CANON_SLACK = 1e-11    # pinning slack while canonicalizing witnesses
 CANON_SEED = 0         # seed of every lexicographic stage of canonical_placement
-VIOL_TOL = 1e-9        # per-row slack (relative to the offset) in violation tests
-FIRST_BLOCK = 16       # rows in the first look-ahead block of a scan
-SMALL = 48             # plain Python below this prefix: the per-call crossover is 48-56 rows
-SCAN_SMALL = 32        # Python lists below this many rows at a level
+VIOL_TOL = 1e-9        # slack, relative to the largest offset, in violation tests
 DUAL_TOL = 1e-12       # relative residual accepted in a recovered scale-LP dual
 NEAR_TIGHT = 12        # most nearly tight rows whose (d+1)-subsets near_tight_dual tries
 
@@ -136,36 +116,40 @@ def _offset_scale(b):
     return max(1.0, float(np.max(np.abs(b)))) if len(b) else 1.0
 
 
-def _offset_tols(b):
-    return FEAS_TOL * np.maximum(1.0, np.abs(b))
+def _excess(row, bi, x):
+    """Violation of row . x <= bi beyond its tolerance; > 0 means violated.
 
-
-def _excess(A, b, b_tols, x):
-    """Per-row violation of A @ x <= b beyond the tolerance; > 0 means violated.
-
-    `b_tols` is `_offset_tols(b)`; the guard on |A| @ |x| is added per call.
+    The tolerance is FEAS_TOL * max(1, |bi|) plus a guard of EVAL_GUARD
+    times sum |row_k x_k|, so that rounding never reads as a violation.
     """
-    return A @ x - b - (b_tols + EVAL_GUARD * (np.abs(A) @ np.abs(x)))
+    s = m = 0.0
+    for p in map(mul, row, x):
+        s += p
+        m += abs(p)
+    return s - bi - (FEAS_TOL * max(1.0, abs(bi)) + EVAL_GUARD * m)
 
 
-def _one_var(rows, cred, arrays=None):
+def _flat(row):
+    """Do all of the row's coefficients count as zero?"""
+    return max(map(abs, row)) < PIVOT_TOL
+
+
+def _one_var(rows, cred):
     """Maximize cred * x over [-BOX, BOX] and the rows a * x <= bb.
 
-    `rows` is a list of (a, bb, id) in Python numbers in scan order, the
-    box rows of an eliminated variable last with id -1; where `_extremes`
-    picked them from arrays, `arrays` is that pair (a, bb).  This is the
-    one place the one-variable rule lives: a row with |a| <= PIVOT_TOL is
+    `rows` is a list of (a, bb, id) in scan order, the box rows of an
+    eliminated variable last with id -1.  A row with |a| <= PIVOT_TOL is
     flat and fails the program when bb < 0 beyond the tolerance; otherwise
     bb / a bounds x, and a bound replaces the box or an earlier bound only
     when strictly tighter, so the first row in scan order wins a tie and
     box rows lose one.  Bounds that cross by more than the tolerance fail
-    the program only where neither bound meets the box and every row, of
-    `rows` and `arrays`, within the row's own tolerance (`_admits`), since
-    a row of small |a| moves its bound far more than it is violated;
-    otherwise both become the first of hi and lo that does, with its row.
-    The objective follows the same zero rule: where |cred| <= PIVOT_TOL, x
-    is the point of [lo, hi] nearest 0.  Returns x and its chain: the id of
-    the row that pins it, unless that is a box row or cred counts as 0.
+    the program only where neither bound meets the box and every row within
+    the row's own tolerance (`_admits`), since a row of small |a| moves its
+    bound far more than it is violated; otherwise both become the first of
+    hi and lo that does, with its row.  The objective follows the same zero
+    rule: where |cred| <= PIVOT_TOL, x is the point of [lo, hi] nearest 0.
+    Returns x and its chain: the id of the row that pins it, unless that is
+    a box row or cred counts as 0.
     """
     hi, hi_id = BOX_BOUND, -1
     lo, lo_id = -BOX_BOUND, -1
@@ -181,9 +165,9 @@ def _one_var(rows, cred, arrays=None):
         elif bb < -FEAS_TOL * max(1.0, abs(bb)):
             raise _Infeasible
     if lo > hi + FEAS_TOL * max(1.0, abs(lo), abs(hi)):
-        if _admits(rows, arrays, hi):
+        if _admits(rows, hi):
             lo, lo_id = hi, hi_id
-        elif _admits(rows, arrays, lo):
+        elif _admits(rows, lo):
             hi, hi_id = lo, lo_id
         else:
             raise _Infeasible
@@ -196,7 +180,7 @@ def _one_var(rows, cred, arrays=None):
     return min(max(0.0, lo), hi), []
 
 
-def _admits(rows, arrays, x):
+def _admits(rows, x):
     """Does x meet |x| <= BOX and every row of `_one_var` within its tolerance?
 
     Row a * x <= bb holds where a * x - bb <= FEAS_TOL * max(1, |bb|), the
@@ -204,295 +188,98 @@ def _admits(rows, arrays, x):
     """
     if abs(x) - BOX_BOUND > FEAS_TOL * BOX_BOUND:
         return False
-    if any(a * x - bb > FEAS_TOL * max(1.0, abs(bb)) for a, bb, _ in rows):
-        return False
-    if arrays is None:
-        return True
-    a, bb = arrays
-    return not np.any(a * x - bb > FEAS_TOL * np.maximum(1.0, np.abs(bb)))
-
-
-def _extremes(a, bb, ids):
-    """The rows of a * x <= bb that can decide `_one_var`, found by array passes.
-
-    They are the first row of least ratio bb / a among a > PIVOT_TOL, the
-    first of greatest ratio among a < -PIVOT_TOL (argmin and argmax keep
-    the first occurrence, as `_one_var`'s strict comparison does), and the
-    flat row of least bb, since the flat test fails for it if for any.
-    """
-    up = (a > PIVOT_TOL).nonzero()[0]
-    down = (a < -PIVOT_TOL).nonzero()[0]
-    pick = []
-    if up.size:
-        pick.append(up[(bb[up] / a[up]).argmin()])
-    if down.size:
-        pick.append(down[(bb[down] / a[down]).argmax()])
-    if up.size + down.size < a.shape[0]:
-        flat = (np.abs(a) <= PIVOT_TOL).nonzero()[0]
-        pick.append(flat[bb[flat].argmin()])
-    return list(zip(a[pick].tolist(), bb[pick].tolist(), ids[pick].tolist()))
-
-
-def _base_1d(A, b, ids, c):
-    """Solve the one-variable program over [-BOX, BOX]."""
-    a = A[:, 0]
-    x, chain = _one_var(_extremes(a, b, ids), float(c[0]), (a, b))
-    return np.array([x]), chain
+    return not any(a * x - bb > FEAS_TOL * max(1.0, abs(bb)) for a, bb, _ in rows)
 
 
 def _step_2d(row, rb, prefix, cv):
     """Pin row . x = rb in two variables and solve the one-variable program left.
 
-    `row`, `rb` and the objective `cv` are Python floats.  `prefix` holds
-    the rows before the pinned one, either as (coefficients, offset, id)
-    triples in Python floats or, for a long prefix, as the arrays (A, b,
-    ids).  With j the first larger |coefficient| of `row`, each prefix row
-    becomes a = r[k] - r[j] * ck, bb = bi - r[j] * rhs, and the box rows of
-    x_j follow; `_one_var` takes the rows straight from there, with no
-    reduced arrays.  Triples are reduced in Python floats, arrays by one
-    array pass that `_extremes` cuts to the rows that can win.  Either way
-    each value is rounded as a reduced array would round it: a product,
-    then a difference, each correctly rounded, which numpy and CPython
-    alike never fuse.  Returns x as a list and the one-variable chain.
+    `prefix` yields the rows before the pinned one as (coefficients,
+    offset, id).  With j the first larger |coefficient| of `row`, each
+    prefix row becomes a = r[k] - r[j] * ck, bb = bi - r[j] * rhs, and the
+    box rows of x_j follow; `_one_var` takes the rows straight from there.
+    Returns x and the one-variable chain.
     """
-    j = 0 if abs(row[0]) >= abs(row[1]) else 1  # argmax keeps the first
+    j = 0 if abs(row[0]) >= abs(row[1]) else 1
     k = 1 - j
     pv = row[j]
     ck = row[k] / pv
     rhs = rb / pv
-    if isinstance(prefix, tuple):
-        Ap, bp, idp = prefix
-        aj = Ap[:, j]
-        arrays = Ap[:, k] - aj * ck, bp - aj * rhs
-        rows = _extremes(*arrays, idp)
-    else:
-        arrays = None
-        rows = [(r[k] - r[j] * ck, bi - r[j] * rhs, i) for r, bi, i in prefix]
+    rows = [(r[k] - r[j] * ck, bi - r[j] * rhs, i) for r, bi, i in prefix]
     # the box rows of x_j, last so that they lose ties
     rows += [(-ck, BOX_BOUND - rhs, -1), (ck, BOX_BOUND + rhs, -1)]
-    xk, chain = _one_var(rows, cv[k] - cv[j] * ck, arrays)
+    xk, chain = _one_var(rows, cv[k] - cv[j] * ck)
     x = [0.0, 0.0]
     x[k] = xk
-    # + 0.0 as in the one-term dot product ck @ x_k: a -0.0 product becomes 0.0
-    x[j] = rhs - (ck * xk + 0.0)
+    x[j] = rhs - ck * xk
     return x, chain
 
 
-def _eliminate_2d(A, b, ids, c, ridx, prefix):
-    """`_eliminate` at two variables: `_step_2d` on the prefix rows.
+def _eliminate(A, b, ids, c, rng, at):
+    """Pin row `at` to equality, drop one variable, solve the rows before it.
 
-    Below SMALL prefix rows they go to it in Python floats, above it as
-    arrays.
-    """
-    Ap, bp, idp = A[prefix], b[prefix], ids[prefix]
-    rows = (Ap, bp, idp) if bp.shape[0] >= SMALL else zip(
-        Ap.tolist(), bp.tolist(), idp.tolist())
-    x, chain = _step_2d(A[ridx].tolist(), float(b[ridx]), rows, c.tolist())
-    return np.array(x), ([int(ids[ridx])] if ids[ridx] >= 0 else []) + chain
-
-
-def _eliminate(A, b, ids, c, rng, ridx, prefix):
-    """Pin row `ridx` to equality, drop one variable, solve the prefix rows.
-
-    `prefix` indexes the rows that came before `ridx` in the scan (a slice
-    or an index array).  Returns the lifted solution and its pinning chain.
-    Raises _Infeasible when the prefix has no point on the pinned boundary,
-    which by the usual incremental argument means the prefix plus the row
-    is empty.  At two variables the step is `_eliminate_2d`, which computes
-    the reduced rows value for value as the code below would and hands them
-    straight to the one-variable rule.  From three variables up the reduced
-    rows are written out and solved by `_solve` one dimension down.
-    """
-    d = c.shape[0]
-    if d == 2:
-        return _eliminate_2d(A, b, ids, c, ridx, prefix)
-    row, rb = A[ridx], b[ridx]
-    j = int(np.abs(row).argmax())
-    pv = row[j]
-    coef = row / pv
-    rhs = rb / pv
-    if d == 1:
-        x = np.array([rhs])
-        return x, ([int(ids[ridx])] if ids[ridx] >= 0 else [])
-    keep = np.arange(d) != j
-    Ap, bp, idp = A[prefix], b[prefix], ids[prefix]
-    m = bp.shape[0]
-    ck = coef[keep]
-    # the prefix rows with x_j substituted, then the box rows of x_j
-    Ared = np.empty((m + 2, d - 1))
-    np.subtract(Ap[:, keep], Ap[:, j, None] * ck, out=Ared[:m])
-    Ared[m] = -ck
-    Ared[m + 1] = ck
-    bred = np.empty(m + 2)
-    np.subtract(bp, Ap[:, j] * rhs, out=bred[:m])
-    bred[m:] = BOX_BOUND - rhs, BOX_BOUND + rhs
-    idred = np.concatenate([idp, [-1, -1]])
-    cred = c[keep] - c[j] * ck
-    xsub, subchain = _solve(Ared, bred, idred, cred, rng)
-    x = np.empty(d)
-    x[keep] = xsub
-    x[j] = rhs - ck @ xsub
-    return x, ([int(ids[ridx])] if ids[ridx] >= 0 else []) + subchain
-
-
-def _solve(A, b, ids, c, rng):
-    """Seidel's scan: add the rows in random order, re-solving on each violation.
-
-    The rows are gathered once, in the order of one `rng.permutation`.  The
-    next violated row is found by scoring blocks of that order: a block of
-    FIRST_BLOCK rows, doubled after every clean block, and after a violation
-    at position `at` a fresh block of max(FIRST_BLOCK, at // 4) rows from
-    `at + 1`, since the next violation is expected about at / d rows on.  A
-    level thus scores O(d n) rows in expectation, where re-scoring every
-    remaining row after each violation costs Theta(d n log n).  Each row is
-    scored by the same `_excess` arithmetic in whatever block holds it, so
-    the first violation, and the output, do not depend on the block sizes.
-    The caveat is BLAS.  A one-row product takes a dot-product path whose
-    last bit can differ, so a lone row is scored only where a full re-scan
-    scores it alone: at n = 1 or right after a violation at n - 2.  And some
-    builds round a row by its offset in the block (OpenBLAS's Haswell
-    kernel at eight variables), where a full re-scan is just as exposed:
-    there an excess within rounding of zero can move the first violation.
-    A level of fewer than SCAN_SMALL rows goes to `_scan`, which keeps these
-    blocks for the rows whose sign only BLAS can settle.
-    """
-    d = c.shape[0]
-    if d == 1:
-        return _base_1d(A, b, ids, c)
-    n = A.shape[0]
-    if n < SCAN_SMALL:
-        x, chain = _scan(A.tolist(), b.tolist(), ids.tolist(), c.tolist(), rng)
-        return np.array(x), chain
-    x = np.where(c > PIVOT_TOL, BOX_BOUND, np.where(c < -PIVOT_TOL, -BOX_BOUND, 0.0))
-    chain = []
-    order = rng.permutation(n)
-    A, b, ids = A[order], b[order], ids[order]
-    b_tols = _offset_tols(b)
-    pos, size = 0, FIRST_BLOCK
-    while pos < n:
-        end = min(n, pos + size)
-        if end == n - 1:
-            end = n  # BLAS scores a lone row by another path; see above
-        bad = _excess(A[pos:end], b[pos:end], b_tols[pos:end], x) > 0
-        first = int(bad.argmax())
-        if not bad[first]:
-            pos, size = end, 2 * size
-            continue
-        at = pos + first
-        pos, size = at + 1, max(FIRST_BLOCK, at // 4)
-        if np.abs(A[at]).max() < PIVOT_TOL:
-            # all coefficients vanish: 0 <= b must hold or nothing does
-            if b[at] < -FEAS_TOL * max(1.0, abs(b[at])):
-                raise _Infeasible
-            continue
-        x, chain = _eliminate(A, b, ids, c, rng, at, slice(0, at))
-    return x, chain
-
-
-def _screen(A, b, tols, x, pos, end):
-    """The first row of A[pos:end] that `_excess` might not score negative.
-
-    Returns its index (`end` if there is none) and whether its excess is
-    certainly positive.  Each row's excess e is computed in Python floats,
-    with S = sum |a_k x_k|, and its sign is trusted only where |e| > gamma
-    * (S + |b_i| + tol_i), gamma = 2 (d + 4) u with u = 2^-53.  This e and
-    the one `_excess` computes in BLAS, in whatever order and with or
-    without FMA, each lie within (d + 2) u (S + |b_i| + tol_i) of the exact
-    excess, up to terms of order u^2 and EVAL_GUARD * u; beyond twice that
-    both have the exact excess's sign.  The spare 4u of gamma covers those
-    terms and the rounding of S and of the bound itself.  Underflow cannot
-    break the bound, since tol_i >= FEAS_TOL, and an overflow or NaN fails
-    both comparisons, so the row counts as undecided.
-    """
-    gamma = (2 * len(x) + 8) * 2.0 ** -53
-    for i in range(pos, end):
-        s = m = 0.0
-        for p in map(mul, A[i], x):
-            s += p
-            m += abs(p)
-        bi, t = b[i], tols[i]
-        e = s - bi - (t + EVAL_GUARD * m)
-        bound = gamma * (m + abs(bi) + t)
-        if not e < -bound:
-            return i, e > bound
-    return end, False
-
-
-def _scan(A, b, ids, c, rng):
-    """`_solve` on Python lists, for a level of fewer than SCAN_SMALL rows.
-
-    It draws the same permutation, scans the same blocks and eliminates as
-    `_eliminate` does, value for value, so its output is `_solve`'s bit for
-    bit.  Rows are scored by `_screen`; when a row's sign is within rounding
-    before the first certain violation, the whole block is scored by
-    `_excess` on arrays laid out as `_solve`'s, and its verdict is taken.
-    """
-    n = len(A)
-    x = [BOX_BOUND if ci > PIVOT_TOL else -BOX_BOUND if ci < -PIVOT_TOL else 0.0
-         for ci in c]
-    chain = []
-    if n:
-        order = rng.permutation(n).tolist()
-        A = [A[i] for i in order]
-        b = [b[i] for i in order]
-        ids = [ids[i] for i in order]
-    tols = [FEAS_TOL * max(1.0, abs(bi)) for bi in b]
-    arrays = None
-    pos, size = 0, FIRST_BLOCK
-    while pos < n:
-        end = min(n, pos + size)
-        if end == n - 1:
-            end = n  # as in `_solve`, for the blocks `_excess` may score
-        at, bad = _screen(A, b, tols, x, pos, end)
-        if at < end and not bad:
-            if arrays is None:
-                arrays = np.array(A), np.array(b), np.array(tols)
-            An, bn, tn = arrays
-            hit = _excess(An[pos:end], bn[pos:end], tn[pos:end], np.array(x)) > 0
-            first = int(hit.argmax())
-            at = pos + first if hit[first] else end
-        if at == end:
-            pos, size = end, 2 * size
-            continue
-        pos, size = at + 1, max(FIRST_BLOCK, at // 4)
-        row = A[at]
-        if max(map(abs, row)) < PIVOT_TOL:
-            if b[at] < -FEAS_TOL * max(1.0, abs(b[at])):
-                raise _Infeasible
-            continue
-        x, chain = _eliminate_list(A, b, ids, c, rng, at)
-    return x, chain
-
-
-def _eliminate_list(A, b, ids, c, rng, at):
-    """`_eliminate` on lists: pin row `at`, solve the rows before it.
-
-    At two variables this is `_step_2d`.  From three up, the reduced rows
-    are formed as `_eliminate` forms them, value for value, and solved by
-    `_scan`; the eliminated variable is lifted by the same numpy dot
-    product as there, since a Python sum of two or more products may round
-    otherwise.
+    Returns the lifted solution and its pinning chain.  Raises _Infeasible
+    when the rows before `at` have no point on the pinned boundary, which
+    by the usual incremental argument means they and the row are empty.
+    At two variables the step is `_step_2d`.  From three up the reduced
+    rows, then the box rows of the eliminated variable, are written out and
+    solved by `_solve` one dimension down.
     """
     row, rb, rid = A[at], b[at], ids[at]
     head = [rid] if rid >= 0 else []
     d = len(c)
     if d == 2:
-        x, chain = _step_2d(row, rb, zip(A[:at], b[:at], ids[:at]), c)
+        x, chain = _step_2d(row, rb, islice(zip(A, b, ids), at), c)
         return x, head + chain
     j = max(range(d), key=lambda k: abs(row[k]))  # the first largest
     pv = row[j]
+    rhs = rb / pv
+    if d == 1:
+        return [rhs], head
     keep = [k for k in range(d) if k != j]
     ck = [row[k] / pv for k in keep]
-    rhs = rb / pv
-    # the prefix rows with x_j substituted, then the box rows of x_j
-    Ared = [[r[k] - r[j] * q for k, q in zip(keep, ck)] for r in A[:at]]
+    Ared = [[r[k] - r[j] * q for k, q in zip(keep, ck)] for r in islice(A, at)]
     Ared += [[-q for q in ck], ck]
-    bred = [bi - r[j] * rhs for r, bi in zip(A[:at], b)]
+    bred = [bi - r[j] * rhs for r, bi in zip(islice(A, at), b)]
     bred += [BOX_BOUND - rhs, BOX_BOUND + rhs]
     cred = [c[k] - c[j] * q for k, q in zip(keep, ck)]
-    xsub, chain = _scan(Ared, bred, ids[:at] + [-1, -1], cred, rng)
-    x = xsub[:j] + [float(rhs - np.array(ck) @ np.array(xsub))] + xsub[j:]
+    xsub, chain = _solve(Ared, bred, ids[:at] + [-1, -1], cred, rng)
+    x = xsub[:j] + [rhs - sum(map(mul, ck, xsub))] + xsub[j:]
     return x, head + chain
+
+
+def _solve(A, b, ids, c, rng):
+    """Seidel's scan: add the rows in random order, re-solving on each violation.
+
+    `A`, `b`, `ids` and `c` are lists of Python floats and ints.  The rows
+    are visited in the order of one `rng.permutation` and tested one at a
+    time (`_excess`); a violated row is pinned by `_eliminate`, which
+    re-solves the rows before it.  A flat violated row fails the program
+    when its offset is negative beyond the tolerance, and is skipped
+    otherwise.  One variable is the base case, `_one_var` over every row.
+    """
+    d = len(c)
+    if d == 1:
+        x, chain = _one_var([(r[0], bi, i) for r, bi, i in zip(A, b, ids)], c[0])
+        return [x], chain
+    x = [BOX_BOUND if ci > PIVOT_TOL else -BOX_BOUND if ci < -PIVOT_TOL else 0.0
+         for ci in c]
+    chain = []
+    n = len(A)
+    if n:
+        order = rng.permutation(n).tolist()
+        A = [A[i] for i in order]
+        b = [b[i] for i in order]
+        ids = [ids[i] for i in order]
+    for at in range(n):
+        if _excess(A[at], b[at], x) > 0:
+            if _flat(A[at]):
+                # all coefficients vanish: 0 <= b must hold or nothing does
+                if b[at] < -FEAS_TOL * max(1.0, abs(b[at])):
+                    raise _Infeasible
+                continue
+            x, chain = _eliminate(A, b, ids, c, rng, at)
+    return x, chain
 
 
 def _normalized(instance):
@@ -514,23 +301,19 @@ def _seidel(A, b, ids, c, rng):
     huge intermediate coordinates is repaired by pinning that row."""
     x, chain = _solve(A, b, ids, c, rng)
     for _ in range(4):
-        if A.shape[0] == 0 or np.max(np.abs(x)) >= 0.999 * BOX_BOUND:
+        if not A or max(map(abs, x)) >= 0.999 * BOX_BOUND:
             break
-        b_tols = _offset_tols(b)
-        if A.shape[0] < SCAN_SMALL and _screen(
-                A.tolist(), b.tolist(), b_tols.tolist(), x.tolist(), 0,
-                A.shape[0])[0] == A.shape[0]:
-            break  # every row certainly clean
-        resid = _excess(A, b, b_tols, x)
-        worst = int(np.argmax(resid))
+        resid = [_excess(r, bi, x) for r, bi in zip(A, b)]
+        worst = max(range(len(resid)), key=resid.__getitem__)
         if resid[worst] <= 0:
             break
-        if abs(A[worst, int(np.argmax(np.abs(A[worst])))]) < PIVOT_TOL:
+        if _flat(A[worst]):
             if b[worst] < -FEAS_TOL * max(1.0, abs(b[worst])):
                 raise _Infeasible
             break
-        prefix = np.delete(np.arange(A.shape[0]), worst)
-        x, chain = _eliminate(A, b, ids, c, rng, worst, prefix)
+        order = [i for i in range(len(A)) if i != worst] + [worst]
+        x, chain = _eliminate([A[i] for i in order], [b[i] for i in order],
+                              [ids[i] for i in order], c, rng, len(A) - 1)
     return x, chain
 
 
@@ -540,8 +323,8 @@ def _read(objective, x, chain, scale):
     x on the implicit box means unbounded; otherwise its pinning chain,
     ids of the instance's rows, gives the tight set in chain order.
     """
-    witness = x * scale
-    if np.max(np.abs(x)) >= (1.0 - 1e-6) * BOX_BOUND:
+    witness = np.array(x) * scale
+    if max(map(abs, x)) >= (1.0 - 1e-6) * BOX_BOUND:
         return LpResult(UNBOUNDED, math.inf, witness, ())
     tight = tuple(dict.fromkeys(i for i in chain if i >= 0))
     return LpResult(OPTIMAL, float(objective @ witness), witness, tight)
@@ -555,7 +338,9 @@ def seidel_lp(instance: LpInstance, seed=0):
     geometry lives).  The objective is divided by its largest |c_j| before
     the zero rule reads it, so PIVOT_TOL is relative to the objective, as
     the offset normalization makes FEAS_TOL relative to the offsets; the
-    value is that of the objective as given.
+    value is that of the objective as given.  The scan is plain Python, a
+    few microseconds a row, so it suits LPs of up to a few thousand rows;
+    the scale LP over a large container goes through `beta_fixed_rotation`.
     """
     d = instance.dim_vars
     if d > MAX_DIM:
@@ -563,10 +348,9 @@ def seidel_lp(instance: LpInstance, seed=0):
     if d == 0:
         raise ValueError("LP needs at least one variable")
     b, c, scale = _normalized(instance)
-    A = instance.rows
     try:
-        x, chain = _seidel(A, b, np.arange(A.shape[0], dtype=int), c,
-                           np.random.default_rng(seed))
+        x, chain = _seidel(instance.rows.tolist(), b.tolist(), list(range(len(b))),
+                           c.tolist(), np.random.default_rng(seed))
     except _Infeasible:
         return LpResult(INFEASIBLE, -math.inf, None, ())
     return _read(instance.objective, x, chain, scale)
@@ -743,10 +527,16 @@ def _near_tight(slack, P):
 
 
 def _violation_limits(P):
-    """The reach b_i + VIOL_TOL * max(1, |b_i|) + 1e-13 beyond which a
-    placed copy violates half-space i of P."""
-    tol = VIOL_TOL * np.maximum(1.0, np.abs(P.offsets)) + 1e-13
-    return P.offsets + tol
+    """The reach b_i + VIOL_TOL * `_offset_scale`(b) + 1e-13 beyond which a
+    placed copy violates half-space i of P.
+
+    One tolerance for every row, relative to the largest |b_i|, as Seidel's
+    row test (`_excess`) allows every row FEAS_TOL once the offsets are
+    divided by that scale.  So a row the violation test holds is one the
+    scan finds violated too, and no round of `_insertion_loop` is idle
+    where the offsets differ in size.
+    """
+    return P.offsets + (VIOL_TOL * _offset_scale(P.offsets) + 1e-13)
 
 
 def _overshoot(placement, support, P, limits):
@@ -775,81 +565,84 @@ def _insertion_loop(A, b, c, scale, rotation, P, limits, start, seed):
     `start` into P, P's row of largest |b_i| and every row after P's, and
     are solved by `seidel_lp`'s scan (`_seidel`); P's row of largest |b_i|
     keeps the offset normalization of all of P, and with it the tolerance
-    on each row.  Each round then tests the standing optimum against all of
-    P (`_overshoot`) and holds the deepest violator not yet held.  Where
-    Seidel's own row test (`_excess`) finds that row violated too, it is
-    inserted as Seidel's scan inserts a row: the optimum moves onto its
+    on each row.  The rows held are kept as lists, as the scan reads them.
+    Each round tests the standing optimum against all of P (`_overshoot`,
+    one vectorized pass) and holds the deepest violator not yet held.
+    Where Seidel's own row test (`_excess`) finds that row violated too, it
+    is inserted as Seidel's scan inserts a row: the optimum moves onto its
     boundary by one `_eliminate` over the rows held before it, with no
     re-solve.  Rows of P have unit normals, so none is flat.  The loop ends
     when no row outside those held is violated, which certifies the optimum
     for P, or when the rows held are empty; each round holds one more row,
     so it ends within n rounds.  An optimum on the implicit box that no row
     of P cuts is read as unbounded for P.  Returns the `LpResult` over the
-    row ids of `A`, the rows of P held, unsorted (the first np.sort in a
-    process adds about 0.25 MB to its peak memory, and a `beta_direct`
-    fit's canonical step would pay it), the rows tested and the number of
-    rounds.
+    row ids of `A`, the rows of P held, sorted (by Python's `sorted`: the
+    first `np.sort` of a process adds about 0.4 MB to its peak memory),
+    the rows tested and the number of rounds.
     """
     n, d = len(P), rotation.dim
     mask = np.zeros(A.shape[0], dtype=bool)
     mask[np.asarray(start, dtype=int)] = True
-    mask[int(np.argmax(np.abs(P.offsets)))] = True
+    if n:
+        mask[int(np.argmax(np.abs(P.offsets)))] = True
     mask[n:] = True
-    held = np.flatnonzero(mask)
+    held = np.flatnonzero(mask).tolist()
+    rows, offsets, obj = A[held].tolist(), b[held].tolist(), c.tolist()
+    of_p = [i for i in held if i < n]
+    support = A[:n, -1]
     rng = np.random.default_rng(seed)
     tested, rounds = 0, 1
     try:
-        x, chain = _seidel(A[held], b[held], held, c, rng)
-        while True:
-            w = x * scale
-            depth = _overshoot(Placement(w[:d], max(float(w[d]), 0.0), rotation),
-                               A[:n, -1], P, limits)
+        x, chain = _seidel(rows, offsets, held, obj, rng)
+        while n:
+            placement = Placement([xi * scale for xi in x[:d]], max(x[d] * scale, 0.0),
+                                  rotation)
+            depth = _overshoot(placement, support, P, limits)
             tested += n
-            depth[held[held < n]] = -math.inf
+            depth[of_p] = -math.inf
             r = int(depth.argmax())
             if not depth[r] > 0:
                 break
             rounds += 1
-            held = np.append(held, r)
-            if _excess(A[r:r + 1], b[r:r + 1], _offset_tols(b[r:r + 1]), x)[0] > 0:
-                k = held.size - 1
-                x, chain = _eliminate(A[held], b[held], held, c, rng, k, slice(0, k))
+            held.append(r)
+            of_p.append(r)
+            rows.append(A[r].tolist())
+            offsets.append(float(b[r]))
+            if _excess(rows[-1], offsets[-1], x) > 0:
+                x, chain = _eliminate(rows, offsets, held, obj, rng, len(rows) - 1)
     except _Infeasible:
         res = LpResult(INFEASIBLE, -math.inf, None, ())
     else:
         res = _read(c, x, chain, scale)
-    return res, held[held < n], tested, rounds
+    return res, np.array(sorted(of_p), dtype=int), tested, rounds
 
 
 def beta_fixed_rotation(K: VPolytope, rotation: Rotation, P: HPolytope,
                         seed=0, *, rows=None) -> BetaResult:
     """Largest alpha >= 0 with a + alpha * A * K inside P, at rotation A.
 
-    Solves the len(P) + 1 row LP of `build_beta_instance`: by one
-    `seidel_lp` call over all of it by default, and from `rows`, distinct
-    start indices into P, by `_insertion_loop`, which reads the rows it
-    does not hold only in violation tests.  `held`, `tested` and `solves`
-    report the rows of P held at the end, the rows the violation tests
-    read and the rounds (all of P, nothing and one solve by default), and
-    `tight_rows` are the half-spaces of P among the optimum's pinning rows
-    (the sign row is not one).  An empty container reports status
-    "infeasible" with value 0; rows held that are empty already mean P is.
-    A container that lets the copy grow forever reports "unbounded": an
-    optimum on the implicit box is tested at that witness, so the rows
-    that cut its ray are inserted, and if none is, P is unbounded there
-    too.  The placement is the optimum's witness, which can move with
-    `seed` where the optimum is not unique; `canonical_placement` picks one
-    that does not.
+    Solves the len(P) + 1 row LP of `build_beta_instance` by
+    `_insertion_loop`, which reads the rows it does not hold only in
+    violation tests.  It starts from `rows`, distinct indices into P, or
+    from no row of P by default; either way P's row of largest |b_i| and
+    the sign row are held from the start.  `held`, `tested` and `solves`
+    report the rows of P held at the end, sorted, the rows the violation
+    tests read and the rounds, and `tight_rows` are the half-spaces of P
+    among the optimum's pinning rows (the sign row is not one).  An empty
+    container reports status "infeasible" with value 0; rows held that are
+    empty already mean P is.  A container that lets the copy grow forever
+    reports "unbounded": an optimum on the implicit box is tested at that
+    witness, so the rows that cut its ray are inserted, and if none is, P
+    is unbounded there too.  The placement is the optimum's witness, which
+    can move with `seed` where the optimum is not unique;
+    `canonical_placement` picks one that does not.
     """
     n, d = len(P), K.dim
     inst = build_beta_instance(K, rotation, P)
-    if rows is None:
-        res, held, tested, solves = seidel_lp(inst, seed=seed), np.arange(n), 0, 1
-    else:
-        b, c, scale = _normalized(inst)
-        res, held, tested, solves = _insertion_loop(
-            inst.rows, b, c, scale, rotation, P, _violation_limits(P), rows, seed)
-        held = np.sort(held)
+    b, c, scale = _normalized(inst)
+    res, held, tested, solves = _insertion_loop(
+        inst.rows, b, c, scale, rotation, P, _violation_limits(P),
+        () if rows is None else rows, seed)
     if res.status == INFEASIBLE:
         return BetaResult(0.0, None, INFEASIBLE, (), held, tested, solves)
     if res.status == UNBOUNDED:

@@ -3,13 +3,14 @@
 `beta_direct` and `beta_msw` share one sweep of the net (`_fit`, `_sweep`):
 best first, one LP per class of rotations whose copies of K are
 translates of one another (`_class_map`), skipping the classes that a
-solved rotation's dual rules out.  `beta_direct` solves each LP over all
-of P.  `beta_msw` solves it by Seidel's scan over a few rows, the support
-of the dual that bounds the class where there is one, and inserts into
-that optimum the deepest violator of P, one row a round, until no
-half-space objects; it reads all of P only in vectorized violation
-tests.  `beta_brute` minimizes over all small subfamilies, which the
-other two must match.  Every method reports the witnessing placement, a
+solved rotation's dual rules out.  Both solve each LP by the same
+insertion loop (`lp.beta_fixed_rotation`): Seidel's scan over a few rows,
+then the deepest violator of P inserted into that optimum, one row a
+round, until no half-space objects, so all of P is read only in
+vectorized violation tests.  They differ in the start rows: none for
+`beta_direct`, and for `beta_msw` the support of the dual that bounds the
+class where there is one.  `beta_brute` minimizes over all small
+subfamilies, which the other two must match.  Every method reports the witnessing placement, a
 small basis of half-space indices that already pins the value, and
 counters suitable for scaling measurements.
 
@@ -229,11 +230,12 @@ def _sweep(K, net, P, seed, msw=False):
     not optimal (unbounded or empty) every remaining class is solved in
     index order.
 
-    With `msw`, each class is solved by `beta_fixed_rotation`'s insertion
-    loop from start rows: the support of the dual that bounds it, at most
-    d + 1 rows of P that alone bound its scale, or none for a class that
-    no dual bounds yet, such as the first.  A dual from a loop lies on rows
-    of P and bounds P's scale, as a subfamily never allows less.
+    Each class is solved by `beta_fixed_rotation`'s insertion loop.  With
+    `msw` it starts from the support of the dual that bounds the class, at
+    most d + 1 rows of P that alone bound its scale, or from none for a
+    class that no dual bounds yet, such as the first; without, from none.
+    A dual from a loop lies on rows of P and bounds P's scale, as a
+    subfamily never allows less.
     """
     t = len(net)
     rep = _rotation_classes(K, net)
@@ -243,9 +245,7 @@ def _sweep(K, net, P, seed, msw=False):
     binding = [None] * t            # support of the dual that set bounds[i]
 
     def solve(i):
-        rows = None
-        if msw:
-            rows = np.empty(0, dtype=int) if binding[i] is None else binding[i]
+        rows = binding[i] if msw else None
         results[i] = beta_fixed_rotation(K, net[i], P,
                                          seed=_rotation_seed(seed, i), rows=rows)
         bounds[rep == i] = -math.inf
@@ -391,8 +391,9 @@ def _fit(K, net, P, seed, method):
 def beta_direct(K: VPolytope, net: RotationNet, P: HPolytope, seed=0) -> FitResult:
     """Best scale of a translated, net-rotated copy of K inside P.
 
-    Solves one LP over all of P per class of net rotations that no solved
-    rotation's dual rules out (`_sweep`), best first, and keeps the winner;
+    Solves one LP per class of net rotations that no solved rotation's
+    dual rules out (`_sweep`), best first, each by the insertion loop from
+    no row of P (`lp.beta_fixed_rotation`), and keeps the winner;
     ties go to the lowest rotation index and, within an LP, to the
     lexicographically smallest translation, so results are reproducible
     across seeds.  They match a sweep of every rotation up to seidel_lp's
@@ -403,11 +404,11 @@ def beta_direct(K: VPolytope, net: RotationNet, P: HPolytope, seed=0) -> FitResu
 
 
 def beta_msw(K: VPolytope, net: RotationNet, P: HPolytope, seed=0) -> FitResult:
-    """Same fit as beta_direct, reading all of P only in violation tests.
+    """Same fit as beta_direct, each class loop started from a dual's support.
 
-    The same sweep as `beta_direct`, but each class it cannot prune is
-    solved by an insertion loop (`lp.beta_fixed_rotation` with start
-    rows).  Seidel's scan solves the rows held: the support of the dual
+    The same sweep and insertion loop as `beta_direct`
+    (`lp.beta_fixed_rotation`); only the start rows differ.  For each class
+    it cannot prune, Seidel's scan solves the rows held: the support of the dual
     that bounds the class, at most d + 1 rows that an earlier class's
     solve found, or none for the first class, plus the sign row and P's
     row of largest |b|.  Each round then tests all of P against the

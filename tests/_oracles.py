@@ -8,7 +8,6 @@ implementations.
 
 import itertools
 import math
-from collections import Counter
 
 import numpy as np
 
@@ -26,8 +25,6 @@ from hellyfit.lp import (
 )
 
 ORACLE_FEAS_TOL = 1e-9
-# how often `_rescan_base_1d` saw bounds cross beyond the tolerance, by outcome
-CROSSINGS = Counter()
 
 
 def lp_vertex_oracle(instance):
@@ -100,12 +97,9 @@ def _rescan_base_1d(A, b, ids, c):
 
         if meets(hi):
             lo, lo_id = hi, hi_id
-            CROSSINGS["met"] += 1
         elif meets(lo):
             hi, hi_id = lo, lo_id
-            CROSSINGS["met"] += 1
         else:
-            CROSSINGS["infeasible"] += 1
             raise _Infeasible
     if lo > hi:
         lo = hi = 0.5 * (lo + hi)
@@ -176,10 +170,12 @@ def rescan_seidel_lp(instance, seed=0):
     """`seidel_lp` with the plain scan: every remaining row re-scored per violation.
 
     After each violated row the scan gathers and scores all rows after it
-    again, Theta(d n log n) rows per recursion level.  Everything else is
-    written out plainly here (elimination, one-variable base case, row
-    tolerances, polish) with `seidel_lp`'s constants and random stream, so
-    the two must agree bit for bit.
+    again, Theta(d n log n) rows per recursion level, in numpy arrays.
+    Everything else is written out plainly here (elimination, one-variable
+    base case, row tolerances, polish) with `seidel_lp`'s constants and
+    random stream, so the two must agree on status and value.  The scan's
+    row tests round in Python floats and these in numpy, so a witness may
+    differ in its last bits.
     """
     rng = np.random.default_rng(seed)
     scale = max(1.0, float(np.max(np.abs(instance.bounds))) if len(instance.bounds) else 1.0)

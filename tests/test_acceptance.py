@@ -161,8 +161,8 @@ def test_criterion_2_approximation_sandwich(sandwich_instances):
 
 def test_criterion_3_linear_scaling():
     K = unit_square()
-    # t = 4 net of one rotation class: sampling needs n > delta^2 with
-    # delta = (classes)(d+1) = 3, so every size runs sampling rounds.
+    # t = 4 net of one rotation class: one insertion loop per fit, whose
+    # rounds and violation-test rows are the work counted.
     net = build_net_2d(K, 1.0 - 1.0 / math.sqrt(2.0))
     sizes = [10 ** 3, 10 ** 4, 10 ** 5]
     counts, walls = [], []

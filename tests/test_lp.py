@@ -6,8 +6,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from _oracles import (
-    CROSSINGS,
-    _rescan_eliminate,
     highs_scale,
     lp_vertex_oracle,
     rescan_seidel_lp,
@@ -28,20 +26,11 @@ from hellyfit.geometry import (
 from hellyfit import lp
 from hellyfit.lp import (
     BOX_BOUND,
-    EVAL_GUARD,
-    FEAS_TOL,
-    FIRST_BLOCK,
     INFEASIBLE,
-    MAX_DIM,
     OPTIMAL,
-    SCAN_SMALL,
-    SMALL,
     UNBOUNDED,
     LpInstance,
-    _eliminate,
-    _excess,
     _Infeasible,
-    _screen,
     beta_fixed_rotation,
     build_beta_instance,
     canonical_placement,
@@ -82,20 +71,15 @@ def test_crossed_bounds_fail_unless_one_meets_every_row():
     # but not where a third row, x >= 5, is violated there by 5
     with pytest.raises(_Infeasible):
         lp._one_var([up, tiny, firm], 1.0)
-    # the array pass hands `_one_var` only the extreme rows, x <= 0 and
-    # the tiny one, and the rest as arrays
+    # and seidel_lp's one-variable base case is that rule over every row
     for rows, status in (([up, tiny], OPTIMAL), ([up, tiny, firm], INFEASIBLE)):
         A = np.array([[r[0]] for r in rows])
         b = np.array([r[1] for r in rows])
-        try:
-            x, chain = lp._base_1d(A, b, np.arange(len(rows)), np.array([1.0]))
-            assert (x.tolist(), chain) == ([0.0], [0])
-        except _Infeasible:
-            assert status == INFEASIBLE
-        else:
-            assert status == OPTIMAL
         inst = LpInstance(A, b, np.array([1.0]))
-        assert seidel_lp(inst).status == rescan_seidel_lp(inst).status == status
+        res = seidel_lp(inst)
+        assert res.status == rescan_seidel_lp(inst).status == status
+        if status == OPTIMAL:
+            assert (res.witness.tolist(), res.tight_set) == ([0.0], (0,))
 
 
 def test_unbounded_direction():
@@ -273,6 +257,11 @@ def test_beta_unbounded_container():
     P = HPolytope.from_rows(np.array([[0.0, -1.0]]), np.array([0.0]))
     res = beta_fixed_rotation(K, Rotation.identity(2), P)
     assert res.status == UNBOUNDED and math.isinf(res.value)
+    # no half-space at all, from no start row or from some
+    empty = HPolytope(np.zeros((0, 2)), np.zeros(0))
+    for rows in (None, ()):
+        res = beta_fixed_rotation(K, Rotation.identity(2), empty, rows=rows)
+        assert res.status == UNBOUNDED and res.tested == 0
 
 
 def test_fit_check_respects_scale():
@@ -326,7 +315,7 @@ def test_canonical_step_solves_no_lp_over_all_of_the_family(monkeypatch):
     rows, plain = [], lp._solve
 
     def counting(A, *args):
-        rows.append(A.shape[0])
+        rows.append(len(A))
         return plain(A, *args)
 
     monkeypatch.setattr(lp, "_solve", counting)
@@ -334,6 +323,42 @@ def test_canonical_step_solves_no_lp_over_all_of_the_family(monkeypatch):
     assert np.allclose(placement.translation, [0.0, 0.0], atol=1e-7)
     assert sum(rows) < n / 4
     assert tested >= n
+
+
+def ellipse_tangents(a, n):
+    """n lines tangent to the ellipse of semi-axes a and 1 about the origin,
+    at the points (a cos t, sin t) with t uniform from default_rng([n, 0])."""
+    t = np.random.default_rng([n, 0]).uniform(0.0, 2.0 * math.pi, n)
+    U = np.stack([np.cos(t) / a, np.sin(t)], axis=1)
+    norm = np.linalg.norm(U, axis=1)
+    return HPolytope(U / norm[:, None], 1.0 / norm)
+
+
+def test_insertion_rounds_move_the_optimum_on_elongated_containers(monkeypatch):
+    # offsets from 1 to a: the violation test holds a row only where
+    # Seidel's row test, whose tolerance is relative to the largest offset,
+    # finds it violated too, so each round but a few ends in an elimination
+    # (counted through the recursion), and the rows tested per half-space
+    # stay flat in n
+    K = VPolytope(np.array([[0.5, 0.5], [-0.5, 0.5], [-0.5, -0.5], [0.5, -0.5]]))
+    calls, plain = [0], lp._eliminate
+
+    def counting(*args):
+        calls[0] += 1
+        return plain(*args)
+
+    monkeypatch.setattr(lp, "_eliminate", counting)
+    for a in (100.0, 1000.0):
+        for angle in (0.0, 0.3):
+            ratios = []
+            for n in (10 ** 3, 10 ** 4, 10 ** 5):
+                calls[0] = 0
+                res = beta_fixed_rotation(K, Rotation.from_angle(angle),
+                                          ellipse_tangents(a, n), rows=())
+                assert res.ok
+                assert res.solves - calls[0] <= K.dim + 2, (a, angle, n)
+                ratios.append(res.tested / n)
+            assert max(ratios) < 2.0 * min(ratios), (a, angle, ratios)
 
 
 # ---------------------------------------------------------------------------
@@ -433,15 +458,11 @@ def test_tight_set_rows_are_actually_tight():
 
 
 # ---------------------------------------------------------------------------
-# the block look-ahead scan against the plain re-scan
+# hard row families, against the plain re-scan
 
 
 SCAN_KINDS = ("feasible", "random", "support", "repeated", "zero", "infeasible",
               "unbounded", "near_parallel")
-# block edges of a clean scan sit at 16, 48 and 112 rows
-SCAN_SIZES = (0, 1, 2) + tuple(
-    edge + step for edge in (FIRST_BLOCK, 3 * FIRST_BLOCK, 7 * FIRST_BLOCK)
-    for step in (-1, 0, 1)) + (3000,)
 
 
 def _scan_instance(rng, d, n, kind):
@@ -518,61 +539,20 @@ def _crossing_rows(rng, n):
     return a, bb
 
 
-def _assert_bit_identical(res, ref):
-    assert res.status == ref.status
-    assert np.float64(res.value).tobytes() == np.float64(ref.value).tobytes()
-    assert (res.witness is None) == (ref.witness is None)
-    if ref.witness is not None:
-        assert res.witness.tobytes() == ref.witness.tobytes()
-    assert res.tight_set == ref.tight_set
+PINNED_KINDS = ("flat", "crossing")
 
 
-@settings(max_examples=150, deadline=None)
-@given(st.integers(min_value=0, max_value=2**31 - 1),
-       st.integers(min_value=1, max_value=4),
-       st.sampled_from(SCAN_SIZES) | st.integers(min_value=0, max_value=3000),
-       st.sampled_from(SCAN_KINDS))
-def test_block_scan_matches_rescan(seed, d, n, kind):
-    # finding each violator by block look-ahead must not change a bit of
-    # the answer: same random order, same per-row arithmetic
-    inst = _scan_instance(np.random.default_rng(seed), d, n, kind)
-    _assert_bit_identical(seidel_lp(inst, seed=seed), rescan_seidel_lp(inst, seed=seed))
+def _pinned_row_case(rng, m, kind):
+    """An LP in two variables of m + 1 rows, built around one of them, the
+    pinned row: once a scan pins it, the others reduce to hard one-variable
+    rows.
 
-
-def test_block_scan_matches_rescan_at_block_edges():
-    statuses = {OPTIMAL: 0, INFEASIBLE: 0, UNBOUNDED: 0}
-    for d in range(1, 5):
-        for kind in SCAN_KINDS:
-            for n in SCAN_SIZES:
-                seed = 1000 * d + 10 * n + SCAN_KINDS.index(kind)
-                inst = _scan_instance(np.random.default_rng(seed), d, n, kind)
-                ref = rescan_seidel_lp(inst, seed=seed)
-                _assert_bit_identical(seidel_lp(inst, seed=seed), ref)
-                statuses[ref.status] += 1
-    assert min(statuses.values()) >= 20, statuses
-
-
-# every prefix length on both sides of the plain-Python cut-off, then two
-# that only the array pass sees
-FUSED_SIZES = tuple(range(2 * SMALL + 2)) + (500, 3000)
-FUSED_KINDS = SCAN_KINDS + ("box_tie", "flat", "crossing")
-
-
-def _fused_case(rng, m, kind):
-    """A two-variable elimination: rows, offsets, ids, objective, pinned row, prefix.
-
-    "box_tie" prefixes repeat the two rows that reduce to exactly the box
-    rows of the eliminated variable, so every bound ties a box row.  "flat"
-    prefixes mix loose random rows with multiples of the pinned row, which
-    reduce to |a| <= PIVOT_TOL with offsets inside or outside the tolerance.
-    "crossing" prefixes reduce to `_crossing_rows`.
+    "flat" rows mix loose random rows with multiples of the pinned row,
+    which reduce to |a| <= PIVOT_TOL with offsets inside or outside the
+    tolerance.  "crossing" rows reduce to `_crossing_rows`.
     """
-    if kind in SCAN_KINDS:
-        inst = _scan_instance(rng, 2, m + 1, kind)
-        A, b, c = inst.rows, inst.bounds, inst.objective
-    else:
-        A, c = rng.normal(size=(m + 1, 2)), rng.normal(size=2)
-        b = np.abs(rng.normal(size=m + 1)) + 0.1
+    A, c = rng.normal(size=(m + 1, 2)), rng.normal(size=2)
+    b = np.abs(rng.normal(size=m + 1)) + 0.1
     ridx = m if rng.random() < 0.5 else int(rng.integers(m + 1))
     roll = rng.random()
     if roll < 0.2:
@@ -590,13 +570,7 @@ def _fused_case(rng, m, kind):
     j = int(np.abs(row).argmax())
     ck, rhs = row[1 - j] / row[j], rb / row[j]
     others = np.delete(np.arange(m + 1), ridx)
-    if kind == "box_tie":
-        tie = np.zeros((2, 2))
-        tie[0, 1 - j], tie[1, 1 - j] = ck, -ck
-        pick = rng.integers(0, 2, m)
-        A[others] = tie[pick]
-        b[others] = np.array([BOX_BOUND + rhs, BOX_BOUND - rhs])[pick]
-    elif kind == "flat":
+    if kind == "flat":
         mult = others[rng.random(m) < 0.5]
         s = rng.normal(size=mult.size)
         A[mult] = s[:, None] * row
@@ -612,130 +586,26 @@ def _fused_case(rng, m, kind):
         c = np.zeros(2)  # cred == 0
     elif roll < 0.3:
         c[int(rng.integers(2))] = 0.0
-    ids = np.arange(m + 1)
-    ids[rng.random(m + 1) < 0.2] = -1  # box rows of an enclosing level
-    prefix = slice(0, m) if ridx == m and rng.random() < 0.7 else others
-    return A, b, ids, c, ridx, prefix
+    return LpInstance(A, b, c)
 
 
-def _elimination(fn, A, b, ids, c, ridx, prefix):
-    try:
-        x, chain = fn(A, b, ids, c, None, ridx, prefix)
-    except _Infeasible:
-        return None
-    return x.tobytes(), chain
-
-
-def test_fused_1d_step_matches_rescan_elimination():
-    # the fused two-variable step must give the reduced-array elimination's
-    # witness, chain or infeasibility bit for bit, on either side of SMALL;
-    # neither draws from the rng at two variables, so it is None here; bounds
-    # that cross beyond the tolerance, met or infeasible, are counted apart
-    seen = {}
-    for m in FUSED_SIZES:
-        for kind in FUSED_KINDS:
-            for rep in range(3):
-                seed = 100 * m + 10 * FUSED_KINDS.index(kind) + rep
-                case = _fused_case(np.random.default_rng(seed), m, kind)
-                before = CROSSINGS.copy()
-                ref = _elimination(_rescan_eliminate, *case)
-                assert _elimination(_eliminate, *case) == ref, (m, kind, rep)
-                outcome = "infeasible" if ref is None else len(ref[1])
-                for key in [outcome] + ["crossed " + k for k in CROSSINGS - before]:
-                    seen[(m < SMALL, key)] = seen.get((m < SMALL, key), 0) + 1
-    for small in (True, False):
-        for outcome in ("infeasible", 1, 2, "crossed met", "crossed infeasible"):
-            assert seen.get((small, outcome), 0) >= 10, seen
-
-
-# ---------------------------------------------------------------------------
-# the list levels below SCAN_SMALL and their sign screen
-
-
-# every level size on both sides of the list cut-off; at eight variables,
-# where BLAS may round a row by its offset in the block, the smallest sizes
-# and those at the first block edge, since larger eight-variable programs
-# take seconds each
-CUT_SIZES = {d: tuple(range(2 * SCAN_SMALL + 2)) for d in (1, 2, 3, 4)}
-CUT_SIZES[MAX_DIM] = (0, 1, 2, 3, FIRST_BLOCK - 1, FIRST_BLOCK, FIRST_BLOCK + 1)
-
-
-def test_list_levels_match_rescan_across_the_cut_off():
-    statuses = {OPTIMAL: 0, INFEASIBLE: 0, UNBOUNDED: 0}
-    for d, sizes in CUT_SIZES.items():
-        for kind in SCAN_KINDS:
-            for n in sizes:
-                seed = 100000 * d + 100 * n + SCAN_KINDS.index(kind)
-                inst = _scan_instance(np.random.default_rng(seed), d, n, kind)
-                ref = rescan_seidel_lp(inst, seed=seed)
-                _assert_bit_identical(seidel_lp(inst, seed=seed), ref)
-                statuses[ref.status] += 1
-    assert min(statuses.values()) >= 50, statuses
-
-
-def _near_zero_offsets(A, x, rng):
-    """Offsets that put each row's `_excess` at x within a few ulps of 0."""
-    b = A @ x - EVAL_GUARD * (np.abs(A) @ np.abs(x))
-    b -= FEAS_TOL * np.maximum(1.0, np.abs(b))
-    for _ in range(2):
-        b += _excess(A, b, FEAS_TOL * np.maximum(1.0, np.abs(b)), x)
-    return b + rng.integers(-4, 5, size=b.shape) * np.spacing(b)
-
-
-def test_screen_falls_back_to_blas_within_rounding(monkeypatch):
-    # the scan starts at the box corner x0 = BOX_BOUND * sign(c); rows whose
-    # excess at x0 is within a few ulps of 0 cannot be signed in Python
-    # floats, so their block must be scored by `_excess`, and the answer
-    # must still be the re-scan's bit for bit
-    blocks = []
-
-    def counting_excess(A, b, b_tols, x):
-        blocks.append(A.shape[0])
-        return _excess(A, b, b_tols, x)
-
-    monkeypatch.setattr(lp, "_excess", counting_excess)
-    fell_back = 0
-    for trial in range(60):
-        rng = np.random.default_rng(trial)
-        d = int(rng.integers(2, 5))
-        n = int(rng.integers(FIRST_BLOCK, SCAN_SMALL))
-        c = rng.choice([-1.0, 1.0], size=d) * rng.uniform(0.5, 2.0, size=d)
-        x0 = np.where(c > 0, BOX_BOUND, -BOX_BOUND)
-        # |A @ x0| <= 0.5 and |b| <= 1, so seidel_lp does not rescale b
-        A = rng.uniform(-1.0, 1.0, size=(n, d)) * (0.5 / (d * BOX_BOUND))
-        b = _near_zero_offsets(A, x0, rng)
-        loose = rng.random(n) < 0.3
-        b[loose] += rng.uniform(-0.5, 0.5, size=loose.sum())
-        inst = LpInstance(A, b, c)
-        blocks.clear()
-        res = seidel_lp(inst, seed=trial)
-        fell_back += blocks.count(FIRST_BLOCK) > 0
-        _assert_bit_identical(res, rescan_seidel_lp(inst, seed=trial))
-    assert fell_back >= 30, fell_back
-
-
-@settings(max_examples=200, deadline=None)
+@settings(max_examples=150, deadline=None)
 @given(st.integers(min_value=0, max_value=2**31 - 1),
-       st.sampled_from((1, 2, 3, 4, MAX_DIM)),
-       st.integers(min_value=1, max_value=40))
-def test_screen_commits_only_to_the_blas_sign(seed, d, n):
-    # wherever `_screen` calls a row certainly clean or certainly violated,
-    # `_excess` agrees, whether BLAS scores the row in a block or alone
+       st.integers(min_value=1, max_value=4),
+       st.sampled_from((0, 1, 2, 3000)) | st.integers(min_value=0, max_value=400),
+       st.sampled_from(SCAN_KINDS + PINNED_KINDS))
+def test_seidel_matches_rescan_on_hard_row_families(seed, d, n, kind):
+    # repeated, flat, near-parallel and crossing rows sit at the edge of
+    # the row tolerance, where the vertex oracle's own tolerance can read
+    # the instance otherwise; the plain re-scan shares seidel_lp's rules,
+    # so the scan must give its status and value
     rng = np.random.default_rng(seed)
-    A = rng.normal(size=(n, d)) * 10.0 ** rng.integers(-8, 4, size=(n, 1))
-    A[rng.random((n, d)) < 0.1] = 0.0
-    x = rng.normal(size=d) * 10.0 ** rng.integers(-3, 8, size=d)
-    x[rng.random(d) < 0.2] = rng.choice([-BOX_BOUND, 0.0, BOX_BOUND])
-    b = _near_zero_offsets(A, x, rng)
-    far = rng.random(n) < 0.3
-    b[far] = rng.normal(size=far.sum()) * 10.0 ** rng.integers(-3, 3, size=far.sum())
-    tols = FEAS_TOL * np.maximum(1.0, np.abs(b))
-    block = _excess(A, b, tols, x) > 0
-    rows = A.tolist(), b.tolist(), tols.tolist(), x.tolist()
-    for i in range(n):
-        alone = _excess(A[i:i + 1], b[i:i + 1], tols[i:i + 1], x)[0] > 0
-        at, violated = _screen(*rows, i, i + 1)
-        if at == i + 1:
-            assert not block[i] and not alone, i
-        elif violated:
-            assert block[i] and alone, i
+    if kind in SCAN_KINDS:
+        inst = _scan_instance(rng, d, n, kind)
+    else:
+        inst = _pinned_row_case(rng, n, kind)
+    ref = rescan_seidel_lp(inst, seed=seed)
+    res = seidel_lp(inst, seed=seed)
+    assert res.status == ref.status
+    if ref.status == OPTIMAL:
+        assert abs(res.value - ref.value) <= 1e-9 * max(1.0, abs(ref.value))

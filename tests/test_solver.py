@@ -248,10 +248,27 @@ def random_instance(seed):
     return K, net, P.scaled(float(rng.choice([0.1, 1.0, 30.0]))), int(rng.integers(2 ** 31))
 
 
+def _class_loops(solve, K, net, P, **kwargs):
+    """`solve(K, net, P, **kwargs)` and the `beta_fixed_rotation` results of
+    its class loops, each with the number of distinct start rows it was
+    given (`start`)."""
+    plain, loops = solver.beta_fixed_rotation, []
+
+    def recording(*args, rows=None, **kw):
+        loops.append(plain(*args, rows=rows, **kw))
+        loops[-1].start = 0 if rows is None else np.unique(rows).size
+        return loops[-1]
+
+    with pytest.MonkeyPatch.context() as m:
+        m.setattr(solver, "beta_fixed_rotation", recording)
+        return solve(K, net, P, **kwargs), loops
+
+
 def assert_sweep_matches_full_sweep(K, net, P, seed):
     """beta_direct against the unpruned sweep; returns the LPs the sweep solved."""
     beta, index, placement = full_sweep_fit(K, net, P, seed)
-    r = beta_direct(K, net, P, seed=seed)
+    r, loops = _class_loops(beta_direct, K, net, P, seed=seed)
+    solved = len(loops)
     assert r.beta == beta
     assert r.rotation_index == index
     if placement is None:
@@ -263,7 +280,6 @@ def assert_sweep_matches_full_sweep(K, net, P, seed):
     assert r.basis == sorted(set(r.basis)) and set(r.basis) <= set(range(len(P)))
     classes = np.unique(solver._rotation_classes(K, net))
     assert len(r.basis) <= classes.size * (K.dim + 1)
-    solved = r.stats.lp_calls - (r.placement is not None)  # less the canonical step
     assert 1 <= solved <= classes.size
     if r.placement is not None:
         again = beta_direct(K, net, P.take(r.basis), seed=5).beta
@@ -415,8 +431,8 @@ def test_square_solves_a_quarter_of_its_rotations():
     net = build_net_2d(sq, EPS_SQUARE)
     assert len(net) == 4
     for n, seed in ((50, 1), (2000, 2)):
-        r = beta_direct(sq, net, tangent_family(n, seed), seed=seed)
-        assert r.stats.lp_calls == len(net) // 4 + 1   # plus the canonical step
+        r, loops = _class_loops(beta_direct, sq, net, tangent_family(n, seed), seed=seed)
+        assert len(loops) == len(net) // 4
         assert len(r.basis) <= 3
 
 
@@ -521,40 +537,31 @@ def test_msw_base_case_identical_to_direct():
     assert b.rotation_index == a.rotation_index
 
 
-def _seidel_rows(solve, *args, **kwargs):
-    """The LP rows `solve(*args, **kwargs)` hands to `lp.seidel_lp`, summed."""
-    plain, rows = lp.seidel_lp, []
-
-    def counting(instance, *a, **k):
-        rows.append(instance.rows.shape[0])
-        return plain(instance, *a, **k)
-
-    with pytest.MonkeyPatch.context() as m:
-        m.setattr(lp, "seidel_lp", counting)
-        solve(*args, **kwargs)
-    return sum(rows)
+def _rounds(loops):
+    """The rounds of class loops, summed: each is one Seidel step, the
+    first solve or the insertion of one row."""
+    return sum(out.solves for out in loops)
 
 
 def test_msw_sweeps_once_when_the_sample_is_the_family():
-    # delta = 15 < n <= delta^2 = 225: the first sample, ceil(15 sqrt(n))
-    # half-spaces, would be all of P, so beta_msw samples nothing; its first
-    # class is solved over all of P, as by beta_direct, and each later one
-    # from the rows of the dual that bounds it
+    # small families, n <= 225 = (t (d + 1))^2 with t = 5: both methods
+    # solve the first class by the same insertion loop from no row of P,
+    # and msw starts each later one from the rows of the dual that bounds
+    # it, direct from none, so msw runs no more rounds; the fits agree
     K = regular_polygon(3, 1.0)
     net = uniform_net(5)
     for n in (16, 100, 225):
         P = tangent_family(n, 60 + n)
-        a = beta_direct(K, net, P, seed=n)
-        b = beta_msw(K, net, P, seed=n)
+        a, direct_loops = _class_loops(beta_direct, K, net, P, seed=n)
+        b, msw_loops = _class_loops(beta_msw, K, net, P, seed=n)
         assert b.method == "msw"
         assert b.beta == a.beta
         assert b.placement.translation.tobytes() == a.placement.translation.tobytes()
         assert b.basis == a.basis
         assert b.rotation_index == a.rotation_index
-        assert (_seidel_rows(beta_msw, K, net, P, seed=n)
-                <= _seidel_rows(beta_direct, K, net, P, seed=n))
+        assert _rounds(msw_loops) <= _rounds(direct_loops)
         assert not b.stats.fallback
-    # above delta^2 the first sample leaves half-spaces out and rounds run
+    # a larger family: the violation tests read all of P at least once
     r = beta_msw(K, net, tangent_family(300, 360), seed=300)
     assert r.stats.violation_tests >= 300
 
@@ -572,9 +579,7 @@ def test_msw_matches_direct_at_larger_n():
 def boxed_triangle_instance(seed):
     """A `hellyfit fit`-sized instance: a jittered triangle with its net at
     epsilon 0.2 (t = 21, all classes distinct), in the box [-3, 3]^2 cut by
-    100 half-planes at distance 1.2 to 2.5 from the origin.  Its 104 rows
-    are below the sampling gate (t * 3)^2 + 1, so beta_msw samples
-    nothing."""
+    100 half-planes at distance 1.2 to 2.5 from the origin: 104 rows."""
     rng = np.random.default_rng([seed, 7])
     step = 2.0 * math.pi / 3
     ang = rng.uniform(0.0, step) + step * np.arange(3) + rng.uniform(-0.1, 0.1, 3) * step
@@ -602,18 +607,17 @@ def test_msw_matches_direct_on_fit_sized_instances(seed):
 
 def test_msw_reads_at_most_half_the_lp_rows_of_direct():
     # a deterministic work guard: with later classes started from their
-    # binding dual's support, the LPs beta_msw solves hold at most half the
-    # rows of beta_direct's
+    # binding dual's support, beta_msw's class loops take at most half the
+    # LP steps (`_rounds`) of beta_direct's, which start from no row
     K, net, P = boxed_triangle_instance(0)
-    msw = _seidel_rows(beta_msw, K, net, P, seed=0)
-    direct = _seidel_rows(beta_direct, K, net, P, seed=0)
+    msw = _rounds(_class_loops(beta_msw, K, net, P, seed=0)[1])
+    direct = _rounds(_class_loops(beta_direct, K, net, P, seed=0)[1])
     assert 2 * msw <= direct, (msw, direct)
 
 
 def test_msw_violation_tests_stay_linear():
-    # sampling kicks in only for n > delta^2 = 9 (one rotation class, d + 1
-    # = 3), so every size below runs real rounds; the per-row scan count
-    # must not drift with n
+    # one rotation class, so one insertion loop a fit; the rows its
+    # violation tests read per half-space must not drift with n
     K = unit_square()
     net = build_net_2d(K, EPS_SQUARE)
     ratios = []
@@ -638,9 +642,9 @@ def test_msw_seed_changes_work_not_value():
 
 
 def test_msw_unbounded_family_falls_back_flagged():
-    # all normals point the same way, so no sample bounds the copy: the
-    # loop tests the sample's witness on the implicit box, adds the rows
-    # that cut its ray, and reads P as unbounded once none is left
+    # all normals point the same way, so no row held bounds the copy: the
+    # loop tests its witness on the implicit box, adds the rows that cut
+    # its ray, and reads P as unbounded once none is left
     rng = np.random.default_rng(8)
     ang = rng.uniform(-0.3, 0.3, 40)
     P = HPolytope(np.stack([np.cos(ang), np.sin(ang)], axis=1), np.ones(40))
@@ -685,7 +689,7 @@ def test_msw_canonical_step_reads_the_family_only_in_violation_tests(monkeypatch
 
     def counting_lp(A, *args):
         if inside[0]:
-            rows.append(A.shape[0])
+            rows.append(len(A))
         return plain_lp(A, *args)
 
     def canonical(*args, **kwargs):
@@ -711,72 +715,83 @@ def test_msw_canonical_step_reads_the_family_only_in_violation_tests(monkeypatch
     assert np.all(P.normals @ pts.T <= (P.offsets + slack)[:, None])
 
 
-def test_msw_samples_by_rotation_classes(monkeypatch):
+def test_msw_samples_by_rotation_classes():
     # no class loop samples: each starts from at most d + 1 rows, the
     # support of the dual that bounds it (none for the first), plus the
     # two rows always held, P's row of largest |b| and the sign row; the
     # first is the only row of P those two add.  A t = 27 net makes many
     # classes start from a dual's support
     K = VPolytope(np.array([[0.5, 0.5], [-0.5, 0.5], [-0.5, -0.5], [0.5, -0.5]]))
-    loops = []
-    plain = solver.beta_fixed_rotation
-
-    def recording(K_, rotation, P_, *args, **kwargs):
-        loops.append((len(kwargs["rows"]), plain(K_, rotation, P_, *args, **kwargs)))
-        return loops[-1][1]
-
-    monkeypatch.setattr(solver, "beta_fixed_rotation", recording)
     for eps in (EPS_SQUARE, 0.1):
         net = build_net_2d(K, eps)
         for n in (100, 1000, 10000):
-            loops.clear()
-            r = beta_msw(K, net, tangent_family(n, 70 + n), seed=n)
-            assert loops[0][0] == 0
-            for start, out in loops:
-                assert start <= K.dim + 1
-                assert len(out.held) - (out.solves - 1) <= start + 1
+            r, loops = _class_loops(beta_msw, K, net, tangent_family(n, 70 + n), seed=n)
+            assert loops[0].start == 0
+            for out in loops:
+                assert out.start <= K.dim + 1
+                assert len(out.held) - (out.solves - 1) <= out.start + 1
             assert r.stats.violation_tests >= n
 
 
 def test_msw_round_cap_falls_back_flagged(monkeypatch):
-    # a violation test that reports every row makes the loop hold all of
-    # P, and its solve is then beta_direct's, bit for bit
-    monkeypatch.setattr(lp, "_violators",
-                        lambda placement, support, P: np.arange(len(P)))
+    # a violation test that reports every row makes each class loop hold
+    # all of P, one row a round; the loop still ends, unflagged, with
+    # beta_direct's value
     K, net, P = unit_square(), uniform_net(2), tangent_family(100, 3)
-    r = beta_msw(K, net, P, seed=0)
+    a = beta_direct(K, net, P, seed=0)
+    monkeypatch.setattr(lp, "_overshoot",
+                        lambda placement, support, P_, limits: np.ones(len(P_)))
+    r, loops = _class_loops(beta_msw, K, net, P, seed=0)
+    assert loops and all(len(out.held) == len(P) for out in loops)
     assert not r.stats.fallback
-    assert r.beta == beta_direct(K, net, P, seed=0).beta
+    assert abs(r.beta - a.beta) <= 1e-12 * a.beta
 
 
 def test_msw_on_a_net_of_many_classes_solves_fewer_rows_than_direct(monkeypatch):
-    # the square's eps = 0.1 net has 27 rotation classes; each class loop
-    # of msw hands Seidel's scan (`lp._seidel`, which seidel_lp also runs)
-    # at most d + 3 of the 20 000 rows and inserts the rest it needs
+    # the square's eps = 0.1 net has 27 rotation classes.  Every class loop,
+    # of either method, hands Seidel's scan (`lp._seidel`) only its start
+    # rows: the support of the dual that bounds it, at most d + 1 rows (none
+    # for direct), P's row of largest |b| and the sign row, so at most
+    # d + 3 of the 20 000 rows; it inserts the rest it needs.  Starting
+    # from those supports, msw's loops insert fewer rows than direct's
     K = VPolytope(np.array([[0.5, 0.5], [-0.5, 0.5], [-0.5, -0.5], [0.5, -0.5]]))
     net = build_net_2d(K, 0.1)
     assert solver._class_count(K, net) == 27
     P = _bench_instance(20000, 0)
-    rows = [0]
-    plain = lp._seidel
+    rows, loops, inside = [], [], [False]
+    plain_lp, plain_fixed = lp._seidel, solver.beta_fixed_rotation
 
     def counting(A, *args):
-        rows[0] += A.shape[0]
-        return plain(A, *args)
+        if inside[0]:
+            rows.append(len(A))
+        return plain_lp(A, *args)
+
+    def fixed(*args, **kwargs):
+        inside[0] = True
+        try:
+            loops.append(plain_fixed(*args, **kwargs))
+        finally:
+            inside[0] = False
+        return loops[-1]
 
     monkeypatch.setattr(lp, "_seidel", counting)
+    monkeypatch.setattr(solver, "beta_fixed_rotation", fixed)
     a = beta_direct(K, net, P, seed=0)
-    direct_rows, rows[0] = rows[0], 0
+    direct_rows, direct_rounds = rows[:], _rounds(loops)
+    rows.clear()
+    loops.clear()
     b = beta_msw(K, net, P, seed=0)
     assert b.rotation_index == a.rotation_index
     assert abs(b.beta - a.beta) <= 1e-9 * a.beta
-    assert 0 < rows[0] < direct_rows
+    for counts in (direct_rows, rows):
+        assert counts and max(counts) <= K.dim + 3
+    assert _rounds(loops) < direct_rounds
 
 
 def test_fallbacks_escalations_and_refusals_are_logged(caplog):
     caplog.set_level(logging.INFO, logger="hellyfit")
     K, net = unit_square(), uniform_net(2)
-    # 1997 lids y <= b and three walls: a sample that misses a wall leaves
+    # 1997 lids y <= b and three walls: rows held that miss a wall leave
     # the copy free to slide, and the loop adds the rows that stop it
     # without a word
     n = 2000
@@ -798,8 +813,9 @@ def test_fallbacks_escalations_and_refusals_are_logged(caplog):
 
 
 def sampling_instance(seed):
-    """random_instance's body and container placement, with a net small
-    enough and a family large enough that beta_msw samples: n > (t(d+1))^2."""
+    """random_instance's body and container placement, with a net of at
+    most three rotations and a family of more than (t (d + 1))^2 rows, far
+    more than any class loop holds."""
     rng = np.random.default_rng(seed)
     K = random_body(rng)
     t = int(rng.integers(1, 4))
@@ -815,8 +831,8 @@ def sampling_instance(seed):
 @settings(max_examples=40, deadline=None)
 @given(st.integers(min_value=0, max_value=2**31 - 1))
 def test_msw_certifies_by_violation_test(seed):
-    # the sample's optimum, once no half-space objects, is the answer: no
-    # scale LP over all of P, and beta_direct's rotation, beta and placement
+    # the loop's optimum, once no half-space objects, is the answer: no
+    # loop holds all of P, and beta_direct's rotation, beta and placement
     K, net, P, s = sampling_instance(seed)
     n = len(P)
     assert n > (len(net) * 3) ** 2
@@ -846,24 +862,6 @@ def test_msw_certifies_by_violation_test(seed):
     assert np.all(P.normals @ pts.T <= (P.offsets + slack)[:, None])
 
 
-def _class_loops(K, net, P, s):
-    """The `beta_fixed_rotation` results of `beta_msw`'s class loops, each
-    with the number of distinct start rows it was given."""
-    plain = solver.beta_fixed_rotation
-    loops = []
-
-    def recording(*args, **kwargs):
-        start = kwargs.get("rows")
-        loops.append(plain(*args, **kwargs))
-        loops[-1].start = len(P) if start is None else np.unique(start).size
-        return loops[-1]
-
-    with pytest.MonkeyPatch.context() as m:
-        m.setattr(solver, "beta_fixed_rotation", recording)
-        beta_msw(K, net, P, seed=s)
-    return loops
-
-
 @settings(max_examples=40, deadline=None)
 @given(st.integers(min_value=0, max_value=2**31 - 1))
 def test_msw_class_loops_grow_every_round(seed):
@@ -873,7 +871,7 @@ def test_msw_class_loops_grow_every_round(seed):
     # round but a last one that found the rows held empty
     K, net, P, s = sampling_instance(seed)
     n = len(P)
-    loops = _class_loops(K, net, P, s)
+    _, loops = _class_loops(beta_msw, K, net, P, seed=s)
     assert loops
     for out in loops:
         assert len(out.held) >= out.start + out.solves - 1
@@ -901,7 +899,7 @@ def test_msw_round_is_one_insertion_not_a_resolve(monkeypatch):
         return loops[-1]["out"]
 
     def solve(A, b, ids, c, rng):
-        if inside[0] and c.shape[0] == nvars[0]:
+        if inside[0] and len(c) == nvars[0]:
             loops[-1]["scans"] += 1
         return plain_solve(A, b, ids, c, rng)
 
@@ -929,7 +927,8 @@ def test_msw_round_is_one_insertion_not_a_resolve(monkeypatch):
             out = loop["out"]
             assert loop["scans"] == 1
             held = np.zeros(n, dtype=bool)
-            held[loop["rows"]] = True
+            if loop["rows"] is not None:   # None: no start row, as for direct
+                held[loop["rows"]] = True
             held[int(np.argmax(np.abs(P.offsets)))] = True
             start = int(held.sum())
             assert len(loop["depths"]) == out.solves
